@@ -8,27 +8,10 @@ Usage: python scripts/scan_wall_words.py [--max-len 3] [--presentation c1]
 """
 
 import argparse
-import itertools
 from collections import Counter, defaultdict
 
 from a2cent import IsoType, build_quotient, load_named, simplify
-from a2cent.errors import NotAWallWord
-from a2cent.walls import canonical_rotation, check_wall_sequence
-
-
-def all_wall_words(presentation, max_len):
-    seen = set()
-    for n in range(1, max_len + 1):
-        for word in itertools.product(range(presentation.generator_count), repeat=n):
-            canon = canonical_rotation(word)
-            if canon in seen:
-                continue
-            seen.add(canon)
-            try:
-                check_wall_sequence(presentation, word)
-            except NotAWallWord:
-                continue
-            yield canon
+from a2cent.walls import wall_necklaces
 
 
 def main():
@@ -40,7 +23,8 @@ def main():
     pres = load_named(args.presentation)
     by_iso = defaultdict(list)
     counts = Counter()
-    for word in all_wall_words(pres, args.max_len):
+    words = [w for n in range(1, args.max_len + 1) for w in wall_necklaces(pres, n)]
+    for word in words:
         graph = build_quotient(pres, word)
         result = simplify(graph)
         iso = result.render() if isinstance(result, IsoType) else "UNSIMPLIFIED"

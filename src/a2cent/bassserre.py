@@ -16,12 +16,6 @@ from math import gcd
 from .errors import InvariantError
 from .quotient import QuotientGraphOfGroups
 
-try:
-    from sympy import Matrix
-    from sympy.matrices.normalforms import smith_normal_form
-except ImportError:  # pragma: no cover
-    Matrix = None
-
 
 Word = tuple  # of (symbol, exponent) pairs
 
@@ -238,6 +232,52 @@ def _invariant_factors(free_rank: int, orders):
     return free_rank, tuple(factors)
 
 
+def smith_diagonal(rows) -> list[int]:
+    """Diagonal of the Smith normal form of an integer matrix.
+
+    ``rows`` is a nonempty list of equal-length integer rows.  Returns the
+    min(rows, columns) invariant factors d_1 | d_2 | ..., all >= 0, zeros
+    last.  Pivoting on a least nonzero entry makes |pivot| fall whenever a
+    remainder is left, so the elimination terminates.
+    """
+    a = [list(row) for row in rows]
+    m, n = len(a), len(a[0])
+    diag = []
+    for p in range(min(m, n)):
+        while True:
+            nonzero = [(abs(a[i][j]), i, j) for i in range(p, m) for j in range(p, n) if a[i][j]]
+            if not nonzero:
+                return diag + [0] * (min(m, n) - p)
+            _abs, i, j = min(nonzero)
+            a[p], a[i] = a[i], a[p]
+            for row in a:
+                row[p], row[j] = row[j], row[p]
+            pivot = a[p][p]
+            reduced = True
+            for i in range(p + 1, m):
+                q = a[i][p] // pivot
+                if q:
+                    a[i] = [x - q * y for x, y in zip(a[i], a[p])]
+                reduced = reduced and a[i][p] == 0
+            for j in range(p + 1, n):
+                q = a[p][j] // pivot
+                if q:
+                    for row in a:
+                        row[j] -= q * row[p]
+                reduced = reduced and a[p][j] == 0
+            if not reduced:
+                continue  # a remainder is left: it becomes the next, smaller pivot
+            # d_p must divide every entry of the rest; if some entry is not
+            # a multiple, add its row so that the next pass leaves a remainder
+            stray = next((i for i in range(p + 1, m)
+                          for j in range(p + 1, n) if a[i][j] % pivot), None)
+            if stray is None:
+                diag.append(abs(pivot))
+                break
+            a[p] = [x + y for x, y in zip(a[p], a[stray])]
+    return diag
+
+
 def abelianization(presentation: GroupPresentation):
     """(free rank, invariant factors > 1) via Smith normal form of the
     exponent-sum relation matrix.  Independent of the graph simplifier."""
@@ -251,10 +291,7 @@ def abelianization(presentation: GroupPresentation):
         rows.append(row)
     if not rows:
         return len(gens), ()
-    m = Matrix(rows)
-    snf = smith_normal_form(m)
-    diag = [abs(snf[i, i]) for i in range(min(snf.shape))]
-    nonzero = [d for d in diag if d != 0]
+    nonzero = [d for d in smith_diagonal(rows) if d != 0]
     free_rank = len(gens) - len(nonzero)
-    torsion = tuple(sorted(int(d) for d in nonzero if d > 1))
+    torsion = tuple(sorted(d for d in nonzero if d > 1))
     return free_rank, torsion

@@ -1,8 +1,11 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 presentation validation failure, 3 unsupported
-element (not a wall word), 4 internal assertion (AmbiguousStrip or invariant
-violation).
+Exit codes: 0 success, 2 presentation validation failure (including a
+missing or unreadable presentation file), 3 unsupported element (an
+unparsable word, a generator index out of range, not a wall word, or a bad
+``--length``), 4 internal assertion (AmbiguousStrip or invariant violation).
+Every command maps its errors to these codes in one place, ``_run``, and
+reports them as ``error:`` lines on stderr.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import time
 
 from . import bassserre
 from .errors import AmbiguousStrip, InvariantError, NotAWallWord, PresentationError
-from .presentation import load_named
+from .presentation import TrianglePresentation, load_named
 from .quotient import build_quotient, vertex_witnesses
 from .strips import enumerate_periodic_strips, flip_shifts, group_by_wall_shifts
 from .walls import minimal_period, wall_word
@@ -26,11 +29,29 @@ EXIT_UNSUPPORTED = 3
 EXIT_INTERNAL = 4
 
 
-def _parse_word(text: str):
+class UnsupportedInput(Exception):
+    """A command-line word or option the commands cannot work with (exit 3)."""
+
+
+def _load(name: str, strict: bool = True) -> TrianglePresentation:
+    """load_named, with an unreadable or malformed file as a PresentationError."""
     try:
-        return tuple(int(x) for x in text.split(","))
+        return load_named(name, strict=strict)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise PresentationError([f"cannot read presentation {name!r}: {exc}"]) from exc
+
+
+def _parse_word(text: str, pres: TrianglePresentation):
+    try:
+        word = tuple(int(x) for x in text.split(","))
     except ValueError:
-        raise SystemExit(f"cannot parse element {text!r}: expected comma-separated indices")
+        raise UnsupportedInput(
+            f"cannot parse element {text!r}: expected comma-separated indices") from None
+    m = pres.generator_count
+    for i in word:
+        if not 0 <= i < m:
+            raise UnsupportedInput(f"generator index {i} out of range 0..{m - 1}")
+    return word
 
 
 def _presentation_id(name: str) -> str:
@@ -48,15 +69,7 @@ def _emit(text: str, out: str | None):
 
 
 def cmd_validate(args) -> int:
-    try:
-        pres = load_named(args.presentation, strict=not args.lenient)
-    except PresentationError as exc:
-        for issue in exc.issues:
-            print(f"error: {issue}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    pres = _load(args.presentation, strict=not args.lenient)
     for warning in pres.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     nodes, degrees, girth, diameter = pres.link_stats()
@@ -94,20 +107,9 @@ def run_centralizer(pres, word):
 
 
 def cmd_centralizer(args) -> int:
-    try:
-        pres = load_named(args.presentation)
-    except PresentationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    word = _parse_word(args.word)
-    try:
-        report, graph, presentation, result, elapsed = run_centralizer(pres, word)
-    except NotAWallWord as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except (AmbiguousStrip, InvariantError) as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    pres = _load(args.presentation)
+    word = _parse_word(args.word, pres)
+    report, graph, presentation, result, elapsed = run_centralizer(pres, word)
 
     if args.format == "structured":
         _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
@@ -147,27 +149,17 @@ def cmd_centralizer(args) -> int:
 
 
 def cmd_strips(args) -> int:
-    try:
-        pres = load_named(args.presentation)
-    except PresentationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    word = _parse_word(args.wall)
-    n = args.length or len(word)
+    pres = _load(args.presentation)
+    word = _parse_word(args.wall, pres)
+    n = len(word) if args.length is None else args.length
+    if n < 1:
+        raise UnsupportedInput(f"--length {n} is not positive")
     if n % len(word) != 0:
-        print(f"error: --length {n} is not a multiple of the wall word length", file=sys.stderr)
-        return EXIT_UNSUPPORTED
+        raise UnsupportedInput(f"--length {n} is not a multiple of the wall word length")
     seq = word * (n // len(word))
-    try:
-        neck = wall_word(pres, seq)
-        strips = enumerate_periodic_strips(pres, neck.labels)
-        classes = group_by_wall_shifts(strips, minimal_period(neck.labels))
-    except NotAWallWord as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except (AmbiguousStrip, InvariantError) as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    neck = wall_word(pres, seq)
+    strips = enumerate_periodic_strips(pres, neck.labels)
+    classes = group_by_wall_shifts(strips, minimal_period(neck.labels))
     if args.format == "structured":
         payload = {
             "wall": list(neck.labels),
@@ -204,11 +196,7 @@ def cmd_strips(args) -> int:
 
 
 def cmd_link(args) -> int:
-    try:
-        pres = load_named(args.presentation)
-    except PresentationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    pres = _load(args.presentation)
     nodes, degrees, girth, diameter = pres.link_stats()
     regular = f"{degrees.pop()}-regular" if len(degrees | set()) <= 1 else f"degrees {sorted(degrees)}"
     print(f"link graph: {nodes} nodes, {regular}, girth {girth}, diameter {diameter}")
@@ -250,9 +238,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(command, args) -> int:
+    """Run one command and map its errors to the documented exit codes."""
+    try:
+        return command(args)
+    except PresentationError as exc:
+        for issue in exc.issues:
+            print(f"error: {issue}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except (UnsupportedInput, NotAWallWord) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_UNSUPPORTED
+    except (AmbiguousStrip, InvariantError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    return _run(args.func, args)
 
 
 if __name__ == "__main__":

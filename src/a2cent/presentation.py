@@ -43,50 +43,56 @@ BUILTIN_PRESENTATIONS = {
 
 @dataclass(frozen=True)
 class TrianglePresentation:
-    """Validated triangle presentation; immutable after construction."""
+    """Validated triangle presentation; immutable after construction.
+
+    The lookup tables are built once by load() and never change:
+    ``rotation_set`` holds all 3*|classes| rotations, ``starting[i]`` the
+    sorted (j, k) with rotation (i, j, k), ``completion[i][k]`` the unique j
+    with rotation (i, j, k) or None, and ``bent_pairs`` the (i, j) that lie
+    on a common triangle.  Strips and walls read them directly; the
+    query methods below add the generator range check.
+    """
 
     generator_count: int
     rotation_classes: frozenset  # canonical representatives (least rotation)
     thickness_q: int
+    rotation_set: frozenset = field(repr=False, compare=False)
+    starting: tuple = field(repr=False, compare=False)  # of tuples of (j, k)
+    completion: tuple = field(repr=False, compare=False)  # m x m grid
+    bent_pairs: frozenset = field(repr=False, compare=False)
     warnings: tuple = ()
-    # derived tables, filled in by load()
-    _completion: dict = field(default_factory=dict, repr=False, compare=False)
-    _starting: dict = field(default_factory=dict, repr=False, compare=False)
 
     # -- queries -----------------------------------------------------------
 
     @property
     def rotations(self):
         """All 3*|classes| rotations as a sorted list of triples."""
-        out = set()
-        for c in self.rotation_classes:
-            out.update(_rotations(c))
-        return sorted(out)
+        return sorted(self.rotation_set)
 
     @property
     def first_table(self):
         """For each i, the sorted j with some rotation (i, j, .)."""
-        return {i: sorted({j for (j, _k) in self._starting[i]})
-                for i in range(self.generator_count)}
+        return {i: [j for (j, _k) in row] for i, row in enumerate(self.starting)}
 
     def straight(self, i: int, j: int) -> bool:
         """True iff edges labelled i then j continue a wall (no triangle (i,j,.))."""
         self._check_index(i)
         self._check_index(j)
-        return all(j != jj for (jj, _k) in self._starting[i])
+        return (i, j) not in self.bent_pairs
 
     def complete(self, i: int, k: int):
         """The unique j with rotation (i, j, k), or None."""
         self._check_index(i)
         self._check_index(k)
-        return self._completion.get((i, k))
+        return self.completion[i][k]
 
     def relators_starting_with(self, i: int):
         """The q+1 rotations (i, j, k), returned as sorted (j, k) pairs."""
         self._check_index(i)
-        return sorted(self._starting[i])
+        return list(self.starting[i])
 
     def _check_index(self, i):
+        """Raise IndexError unless 0 <= i < generator_count."""
         if not 0 <= i < self.generator_count:
             raise IndexError(f"generator index {i} out of range 0..{self.generator_count - 1}")
 
@@ -98,19 +104,11 @@ class TrianglePresentation:
         Nodes are ("P", t) and ("L", s); ("P", t) ~ ("L", s) iff some rotation
         (s, t, .) exists.  Returns adjacency dict.
         """
-        adj = {("P", t): set() for t in range(self.generator_count)}
-        adj.update({("L", s): set() for s in range(self.generator_count)})
-        for s in range(self.generator_count):
-            for (t, _k) in self._starting[s]:
-                adj[("L", s)].add(("P", t))
-                adj[("P", t)].add(("L", s))
-        return adj
+        return _link_graph(self.starting)
 
     def link_stats(self):
         """(node count, degree set, girth, diameter) of the link graph."""
-        adj = self.link_graph()
-        degrees = {len(v) for v in adj.values()}
-        return (len(adj), degrees, _girth(adj), _diameter(adj))
+        return _link_stats(self.link_graph())
 
     # -- serialization -----------------------------------------------------
 
@@ -122,6 +120,21 @@ class TrianglePresentation:
 
     def dumps(self) -> str:
         return json.dumps(self.to_document(), indent=2) + "\n"
+
+
+def _link_graph(starting):
+    adj = {("P", t): set() for t in range(len(starting))}
+    adj.update({("L", s): set() for s in range(len(starting))})
+    for s, row in enumerate(starting):
+        for (t, _k) in row:
+            adj[("L", s)].add(("P", t))
+            adj[("P", t)].add(("L", s))
+    return adj
+
+
+def _link_stats(adj):
+    degrees = {len(v) for v in adj.values()}
+    return (len(adj), degrees, _girth(adj), _diameter(adj))
 
 
 def _girth(adj):
@@ -237,17 +250,10 @@ def load(document, strict: bool = True) -> TrianglePresentation:
     if q < 2:
         issues.append(f"thickness q={q} < 2: every generator must head q+1 >= 3 rotations")
         raise PresentationError(issues)
-
-    pres = TrianglePresentation(
-        generator_count=m,
-        rotation_classes=frozenset(classes),
-        thickness_q=q,
-        _completion=completion,
-        _starting={i: sorted(v) for i, v in starting.items()},
-    )
+    starting = tuple(tuple(starting[i]) for i in range(m))
 
     # link condition: (q+1)-biregular bipartite graph of girth 6 and diameter 3
-    nodes, degrees, girth, diameter = pres.link_stats()
+    nodes, degrees, girth, diameter = _link_stats(_link_graph(starting))
     link_issues = []
     if degrees != {q + 1}:
         link_issues.append(
@@ -262,9 +268,16 @@ def load(document, strict: bool = True) -> TrianglePresentation:
                 [f"link condition failure ({nodes} nodes): " + "; ".join(link_issues)])
         warnings.extend(link_issues)
 
-    if warnings:
-        object.__setattr__(pres, "warnings", tuple(warnings))
-    return pres
+    return TrianglePresentation(
+        generator_count=m,
+        rotation_classes=frozenset(classes),
+        thickness_q=q,
+        rotation_set=frozenset(rotations),
+        starting=starting,
+        completion=tuple(tuple(completion.get((i, k)) for k in range(m)) for i in range(m)),
+        bent_pairs=frozenset(first_pairs),
+        warnings=tuple(warnings),
+    )
 
 
 def loads(text: str, strict: bool = True) -> TrianglePresentation:

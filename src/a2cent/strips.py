@@ -1,6 +1,6 @@
 """Periodic strips adjacent to an axial wall.
 
-A strip between parallel walls is stored at one g-period as five cyclic
+A strip between parallel walls is described at one g-period by five cyclic
 label sequences, all indexed k = 0..n-1:
 
     a : base-wall edges      v_k   -> v_{k+1}
@@ -14,64 +14,100 @@ Lower triangle {v_k, v_{k+1}, w_k} reads (a_k, s_k, t_k); upper triangle
 t_{k+1} = u_k.  Strips are the edges of the tree of axial walls; a strip
 that coincides with a shift of its own wall-swapped reading supports a glide
 reflection, so its tree edge is inverted and acquires a median vertex.
+
+In memory a strip is the tuple of its n rows (a_k, s_k, t_k, b_k, u_k),
+returned by ``rows()``; the five sequences are columns read from it.  A
+shift is a rotation of the rows, and ``canonical_edge_key`` is the least
+rotation of the rows or of the swapped rows.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
-from .errors import AmbiguousStrip, InvariantError
+from .errors import AmbiguousStrip, InvariantError, NotAWallWord
 from .presentation import TrianglePresentation
-from .walls import check_wall_sequence, minimal_period
+from .walls import canonical_rotation, check_wall_sequence, minimal_period
 
 ORACLE_MAX_LENGTH = 6  # (q+1)^(2n) blowup guard for the brute-force oracle
 
 
-@dataclass(frozen=True)
+def _column(index, name):
+    return property(lambda self: tuple([row[index] for row in self._rows]),
+                    doc=f"The {name} labels, k = 0..n-1.")
+
+
 class Strip:
-    a: tuple[int, ...]
-    s: tuple[int, ...]
-    t: tuple[int, ...]
-    b: tuple[int, ...]
-    u: tuple[int, ...]
+    """A periodic strip at one g-period, stored as its rows (a, s, t, b, u)."""
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, a, s, t, b, u):
+        if not len(a) == len(s) == len(t) == len(b) == len(u):
+            raise InvariantError("sequence lengths differ")
+        self._rows = tuple(zip(a, s, t, b, u))
+
+    @classmethod
+    def from_rows(cls, rows: tuple) -> "Strip":
+        """The strip with these (a, s, t, b, u) rows, given as a tuple."""
+        strip = cls.__new__(cls)
+        strip._rows = rows
+        return strip
+
+    a = _column(0, "base-wall")
+    s = _column(1, "diagonal v_{k+1} -> w_k")
+    t = _column(2, "diagonal w_k -> v_k")
+    b = _column(3, "opposite-wall")
+    u = _column(4, "diagonal w_{k+1} -> v_{k+1}")
+
+    def __eq__(self, other):
+        if not isinstance(other, Strip):
+            return NotImplemented
+        return self._rows == other._rows
+
+    def __hash__(self):
+        return hash(self._rows)
+
+    def __repr__(self):
+        return f"Strip(a={self.a}, s={self.s}, t={self.t}, b={self.b}, u={self.u})"
 
     @property
     def length(self) -> int:
-        return len(self.a)
+        return len(self._rows)
 
     @property
     def period(self) -> int:
         """Minimal p_e with all five sequences invariant under shift by p_e."""
-        n = self.length
-        for p in range(1, n + 1):
-            if n % p == 0 and shift(self, p) == self:
-                return p
-        raise AssertionError("unreachable")
+        return minimal_period(self._rows)
 
     def rows(self):
-        return tuple(zip(self.a, self.s, self.t, self.b, self.u))
+        return self._rows
 
     def lower_triangle(self, k: int):
-        return (self.a[k], self.s[k], self.t[k])
+        a, s, t, _b, _u = self._rows[k]
+        return (a, s, t)
 
     def upper_triangle(self, k: int):
-        return (self.s[k], self.b[k], self.u[k])
+        _a, s, _t, b, u = self._rows[k]
+        return (s, b, u)
 
     def to_json(self):
         return {"a": list(self.a), "s": list(self.s), "t": list(self.t),
                 "b": list(self.b), "u": list(self.u)}
 
 
+def _swapped_rows(rows):
+    """Rows of the strip read from the opposite wall: (b_k, u_k, s_k, a_{k+1}, s_{k+1})."""
+    return tuple([(b, u, s, a_next, s_next)
+                  for (_a, s, _t, b, u), (a_next, s_next, _tn, _bn, _un)
+                  in zip(rows, rows[1:] + rows[:1])])
+
+
 def shift(strip: Strip, r: int) -> Strip:
     """Re-read the strip starting r base edges further along."""
-    n = strip.length
-    r %= n
-
-    def rot(seq):
-        return seq[r:] + seq[:r]
-
-    return Strip(rot(strip.a), rot(strip.s), rot(strip.t), rot(strip.b), rot(strip.u))
+    rows = strip.rows()
+    r %= len(rows)
+    return Strip.from_rows(rows[r:] + rows[:r])
 
 
 def swap(strip: Strip) -> Strip:
@@ -79,41 +115,37 @@ def swap(strip: Strip) -> Strip:
 
     swap(swap(strip)) == shift(strip, 1).
     """
-    n = strip.length
-    a = strip.b
-    s = strip.u
-    t = strip.s
-    b = tuple(strip.a[(k + 1) % n] for k in range(n))
-    u = tuple(strip.s[(k + 1) % n] for k in range(n))
-    return Strip(a, s, t, b, u)
+    return Strip.from_rows(_swapped_rows(strip.rows()))
 
 
 def validate_strip(presentation: TrianglePresentation, strip: Strip) -> None:
-    """Assert every Strip invariant; raises InvariantError on failure."""
-    n = strip.length
-    if not (len(strip.s) == len(strip.t) == len(strip.b) == len(strip.u) == n):
-        raise InvariantError("sequence lengths differ")
-    rotations = set(presentation.rotations)
-    for k in range(n):
-        lo = strip.lower_triangle(k)
-        up = strip.upper_triangle(k)
-        if lo not in rotations:
-            raise InvariantError(f"lower triangle {lo} at k={k} is not a relator rotation")
-        if up not in rotations:
-            raise InvariantError(f"upper triangle {up} at k={k} is not a relator rotation")
-        if strip.t[(k + 1) % n] != strip.u[k]:
-            raise InvariantError(f"seam mismatch at k={k}: t_{k + 1}={strip.t[(k + 1) % n]} != u_{k}={strip.u[k]}")
+    """Assert every Strip invariant; raises InvariantError on failure.
+
+    Equal sequence lengths are checked when the strip is constructed.
+    """
+    rows = strip.rows()
+    rotations = presentation.rotation_set
+    bent = presentation.bent_pairs
+    for k, ((a, s, t, b, u), (_an, _sn, t_next, b_next, _un)) in \
+            enumerate(zip(rows, rows[1:] + rows[:1])):
+        if (a, s, t) not in rotations:
+            raise InvariantError(f"lower triangle {(a, s, t)} at k={k} is not a relator rotation")
+        if (s, b, u) not in rotations:
+            raise InvariantError(f"upper triangle {(s, b, u)} at k={k} is not a relator rotation")
+        if t_next != u:
+            raise InvariantError(f"seam mismatch at k={k}: t_{k + 1}={t_next} != u_{k}={u}")
         # degenerate fold: upper triangle mirroring the lower one would put
         # w_{k+1} back on the base wall
-        if (strip.b[k], strip.u[k]) == (strip.t[k], strip.a[k]):
+        if b == t and u == a:
             raise InvariantError(f"degenerate strip: upper triangle at k={k} folds onto the base wall")
-        if not presentation.straight(strip.b[k], strip.b[(k + 1) % n]):
+        if (b, b_next) in bent:
             raise InvariantError(f"opposite wall bends at k={k}")
-    check_wall_sequence(presentation, strip.a)
-    check_wall_sequence(presentation, strip.b)
+    a, b = strip.a, strip.b
+    check_wall_sequence(presentation, a)
+    check_wall_sequence(presentation, b)
     # wall periods refine the strip period
     pe = strip.period
-    if pe % minimal_period(strip.a) != 0 or pe % minimal_period(strip.b) != 0:
+    if pe % minimal_period(a) != 0 or pe % minimal_period(b) != 0:
         raise InvariantError("strip period is not a multiple of its wall periods")
 
 
@@ -127,45 +159,41 @@ def enumerate_periodic_strips(presentation: TrianglePresentation, wall) -> list[
     """
     a = tuple(wall)
     check_wall_sequence(presentation, a)
-    n = len(a)
     found = []
-    for (s0, t0) in presentation.relators_starting_with(a[0]):
+    for (s0, t0) in presentation.starting[a[0]]:
         completions = []
-        _extend(presentation, a, n, [s0], [t0], [], [], completions)
+        _extend(presentation.starting, presentation.completion, a, 0, s0, t0, [], completions)
         if len(completions) > 1:
             raise AmbiguousStrip((a[0], s0, t0))
         if completions:
-            s, t, b, u = completions[0]
-            strip = Strip(a, tuple(s), tuple(t), tuple(b), tuple(u))
+            strip = Strip.from_rows(completions[0])
             validate_strip(presentation, strip)
             found.append(strip)
     return found
 
 
-def _extend(presentation, a, n, s, t, b, u, completions):
-    k = len(b)
-    if k == n:
-        if u[-1] == t[0]:
-            completions.append((list(s), list(t), list(b), list(u)))
-        return
-    sk, tk = s[k], t[k]
-    for (bk, uk) in presentation.relators_starting_with(sk):
-        if (bk, uk) == (tk, a[k]):
+def _extend(starting, completion, a, k, sk, tk, rows, completions):
+    """Extend ``rows`` (rows 0..k-1) by every row k whose lower triangle is
+    (a_k, sk, tk); each full cyclic closure is appended to ``completions``."""
+    ak = a[k]
+    last = k == len(a) - 1
+    complete_next = completion[a[0] if last else a[k + 1]]
+    for (bk, uk) in starting[sk]:
+        if bk == tk and uk == ak:
             continue  # would fold the strip flat onto the base wall
-        if k == n - 1:
-            # cyclic closure: the forced next lower triangle must be the
-            # initial one (uk == t[0] forces s via pair uniqueness)
-            if uk == t[0] and presentation.complete(a[0], uk) == s[0]:
-                _extend(presentation, a, n, s, t, b + [bk], u + [uk], completions)
+        s_next = complete_next[uk]  # forced by the next lower triangle
+        if s_next is None:
+            continue
+        row = (ak, sk, tk, bk, uk)
+        if last:
+            # cyclic closure: the next lower triangle must be the initial one
+            _a0, s0, t0, _b0, _u0 = rows[0] if rows else row
+            if s_next == s0 and uk == t0:
+                completions.append((*rows, row))
         else:
-            s_next = presentation.complete(a[k + 1], uk)
-            if s_next is None:
-                continue
-            s.append(s_next)
-            t.append(uk)
-            _extend(presentation, a, n, s, t, b + [bk], u + [uk], completions)
-            s.pop()
-            t.pop()
+            rows.append(row)
+            _extend(starting, completion, a, k + 1, s_next, uk, rows, completions)
+            rows.pop()
 
 
 def oracle_enumerate(presentation: TrianglePresentation, wall) -> list[Strip]:
@@ -188,7 +216,7 @@ def oracle_enumerate(presentation: TrianglePresentation, wall) -> list[Strip]:
             strip = Strip(a, s, t, b, u)
             try:
                 validate_strip(presentation, strip)
-            except Exception:
+            except (InvariantError, NotAWallWord):
                 continue
             out.append(strip)
     return out
@@ -198,14 +226,10 @@ def canonical_edge_key(strip: Strip):
     """Least representative over all shifts of the strip and of its swap.
 
     Equal keys identify the same quotient edge (strip orbits up to the
-    translation and wall-swap symmetries).
+    translation and wall-swap symmetries).  The key is a tuple of rows.
     """
-    n = strip.length
-    candidates = []
-    for base in (strip, swap(strip)):
-        for r in range(n):
-            candidates.append(shift(base, r).rows())
-    return min(candidates)
+    rows = strip.rows()
+    return min(canonical_rotation(rows), canonical_rotation(_swapped_rows(rows)))
 
 
 def flip_shifts(strip: Strip) -> list[int]:
@@ -215,9 +239,9 @@ def flip_shifts(strip: Strip) -> list[int]:
     walls; the minimal d gives glide translation d + 1/2 base edges and
     median vertex group order 2n/(2d+1).
     """
-    n = strip.length
-    sw = swap(strip)
-    return [d for d in range(n) if shift(sw, d) == strip]
+    rows = strip.rows()
+    sw = _swapped_rows(rows)
+    return [d for d in range(len(rows)) if sw[d:] + sw[:d] == rows]
 
 
 def median_order(strip: Strip) -> int:
@@ -241,12 +265,11 @@ def group_by_wall_shifts(strips: list[Strip], wall_period: int) -> list[list[Str
     Classes are sorted by their least member; so are the members.
     """
     n = strips[0].length if strips else 0
-    remaining = sorted(strips, key=lambda st: st.rows())
+    remaining = sorted(strips, key=Strip.rows)
     classes = []
     while remaining:
-        rep = remaining[0]
-        orbit = {shift(rep, j) for j in range(0, n, wall_period)}
-        members = [st for st in remaining if st in orbit]
-        classes.append(members)
-        remaining = [st for st in remaining if st not in orbit]
+        rows = remaining[0].rows()
+        orbit = {rows[j:] + rows[:j] for j in range(0, n, wall_period)}
+        classes.append([st for st in remaining if st.rows() in orbit])
+        remaining = [st for st in remaining if st.rows() not in orbit]
     return classes

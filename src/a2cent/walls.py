@@ -57,15 +57,52 @@ class Necklace:
 
 
 def check_wall_sequence(presentation: TrianglePresentation, labels) -> None:
-    """Raise NotAWallWord at the first cyclically consecutive bent pair."""
+    """Raise NotAWallWord at the first cyclically consecutive bent pair.
+
+    Every label is range-checked first (IndexError).
+    """
     seq = tuple(labels)
     if not seq:
         raise ValueError("empty word")
-    n = len(seq)
-    for k in range(n):
-        i, j = seq[k], seq[(k + 1) % n]
-        if not presentation.straight(i, j):
-            raise NotAWallWord(k, (i, j))
+    out_of_range = [i for i in seq if not 0 <= i < presentation.generator_count]
+    if out_of_range:
+        presentation._check_index(out_of_range[0])
+    bent = presentation.bent_pairs
+    for k, pair in enumerate(zip(seq, seq[1:] + seq[:1])):
+        if pair in bent:
+            raise NotAWallWord(k, pair)
+
+
+def wall_necklaces(presentation: TrianglePresentation, n: int) -> list[tuple[int, ...]]:
+    """Canonical rotations of all wall words of length n, sorted.
+
+    Generates the closed walks of length n in the straight digraph (i -> j
+    when the pair i, j is straight) that start at their least letter, which
+    every canonical rotation does, and keeps the canonical ones.
+    """
+    if n < 1:
+        raise ValueError(f"necklace length must be positive, got {n}")
+    m = presentation.generator_count
+    bent = presentation.bent_pairs
+    succ = [[j for j in range(m) if (i, j) not in bent] for i in range(m)]
+    out = []
+
+    def extend(walk):
+        if len(walk) == n:
+            if (walk[-1], walk[0]) not in bent:
+                word = tuple(walk)
+                if canonical_rotation(word) == word:
+                    out.append(word)
+            return
+        for j in succ[walk[-1]]:
+            if j >= walk[0]:
+                walk.append(j)
+                extend(walk)
+                walk.pop()
+
+    for first in range(m):
+        extend([first])
+    return out
 
 
 def wall_word(presentation: TrianglePresentation, word) -> Necklace:
@@ -75,8 +112,6 @@ def wall_word(presentation: TrianglePresentation, word) -> Necklace:
     an axial wall for the element the word spells, with |g| = len(word).
     """
     seq = tuple(word)
-    for i in seq:
-        presentation._check_index(i)
     check_wall_sequence(presentation, seq)
     return Necklace(canonical_rotation(seq), minimal_period(seq))
 

@@ -1,36 +1,19 @@
-import itertools
 import random
 
 import pytest
 
 from a2cent.bassserre import (GroupPresentation, IsoType, Unsimplified,
                               abelianization, full_centralizer_presentation,
-                              fundamental_group, render_word, simplify)
-from a2cent.errors import InvariantError, NotAWallWord
+                              fundamental_group, render_word, simplify,
+                              smith_diagonal)
+from a2cent.errors import InvariantError
 from a2cent.presentation import load_named
 from a2cent.quotient import build_quotient
-from a2cent.walls import canonical_rotation, check_wall_sequence
+from a2cent.walls import wall_necklaces
 
 C1 = load_named("c1")
 
-
-def all_wall_words(max_len):
-    out = []
-    seen = set()
-    for n in range(1, max_len + 1):
-        for word in itertools.product(range(7), repeat=n):
-            canon = canonical_rotation(word)
-            if canon in seen:
-                continue
-            seen.add(canon)
-            try:
-                check_wall_sequence(C1, word)
-            except NotAWallWord:
-                continue
-            out.append(canon)
-    return out
-
-WALL_WORDS_3 = all_wall_words(3)
+WALL_WORDS_3 = [w for n in (1, 2, 3) for w in wall_necklaces(C1, n)]
 
 
 def test_isotype_render():
@@ -117,6 +100,27 @@ def test_abelianization_examples():
     assert abelianization(fundamental_group(g)) == (1, (2, 2, 4))
     g = build_quotient(C1, (0, 1, 4))
     assert abelianization(fundamental_group(g)) == (2, (2, 2, 2, 2, 2))
+
+
+def test_smith_diagonal_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+    rng = random.Random(20110112)
+    for _trial in range(1000):
+        rows = [[rng.randint(-9, 9) if rng.random() < 0.6 else 0
+                 for _c in range(rng.randint(1, 6))]]
+        rows += [[rng.randint(-9, 9) if rng.random() < 0.6 else 0
+                  for _c in range(len(rows[0]))] for _r in range(rng.randint(0, 5))]
+        snf = smith_normal_form(sympy.Matrix(rows))
+        expected = [abs(int(snf[i, i])) for i in range(min(snf.shape))]
+        assert smith_diagonal(rows) == expected, rows
+
+
+def test_smith_diagonal_examples():
+    assert smith_diagonal([[2, 4, 4], [-6, 6, 12], [10, -4, -16]]) == [2, 6, 12]
+    assert smith_diagonal([[0, 0], [0, 0]]) == [0, 0]
+    assert smith_diagonal([[4], [6]]) == [2]
+    assert smith_diagonal([[2, 0], [0, 3]]) == [1, 6]
 
 
 def test_full_centralizer_presentation():

@@ -1,11 +1,17 @@
+import contextlib
+import hashlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from a2cent.cli import (EXIT_INTERNAL, EXIT_OK, EXIT_UNSUPPORTED,
-                        EXIT_VALIDATION, main)
+                        EXIT_VALIDATION, main, run_centralizer)
+from a2cent.walls import wall_necklaces
 
 
 def run(capsys, *argv):
@@ -90,8 +96,62 @@ def test_centralizer_not_a_wall_word(capsys):
 
 
 def test_centralizer_unparsable_word(capsys):
-    with pytest.raises(SystemExit):
-        main(["centralizer", "builtin:c1", "--word", "0,x"])
+    code, out, err = run(capsys, "centralizer", "builtin:c1", "--word", "0,x")
+    assert code == EXIT_UNSUPPORTED
+    assert out == ""
+    assert err.startswith("error: cannot parse element") and "Traceback" not in err
+
+
+def test_centralizer_index_out_of_range(capsys):
+    code, _out, err = run(capsys, "centralizer", "builtin:c1", "--word", "0,9")
+    assert code == EXIT_UNSUPPORTED
+    assert err == "error: generator index 9 out of range 0..6\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["centralizer", "{path}", "--word", "0,5"],
+    ["strips", "{path}", "--wall", "0,5"],
+    ["link", "{path}"],
+    ["validate", "{path}"],
+], ids=lambda argv: argv[0])
+def test_missing_presentation_file(capsys, tmp_path, argv):
+    path = str(tmp_path / "missing.json")
+    code, out, err = run(capsys, *[arg.format(path=path) for arg in argv])
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert err.startswith("error: cannot read presentation")
+
+
+def test_malformed_presentation_file(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text("{not json")
+    code, _out, err = run(capsys, "link", str(path))
+    assert code == EXIT_VALIDATION
+    assert err.startswith("error: cannot read presentation")
+
+
+@pytest.mark.parametrize("length", ["0", "-2"])
+def test_strips_length_not_positive(capsys, length):
+    code, out, err = run(capsys, "strips", "builtin:c1", "--wall", "0,5", "--length", length)
+    assert code == EXIT_UNSUPPORTED
+    assert out == ""
+    assert err == f"error: --length {length} is not positive\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    st.lists(st.integers(min_value=-2, max_value=9), min_size=1, max_size=5)
+    .map(lambda xs: ",".join(map(str, xs))),
+    st.text(alphabet="0123456789,-x ", max_size=8)))
+def test_centralizer_exit_codes_over_words(word):
+    """Any --word ends in exit 0 or 3; a failure is one error line and no output."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["centralizer", "builtin:c1", f"--word={word}", "--format", "structured"])
+    assert code in (EXIT_OK, EXIT_UNSUPPORTED)
+    if code == EXIT_UNSUPPORTED:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 def test_strips_text(capsys):
@@ -133,6 +193,28 @@ def test_link(capsys):
     code, out, _err = run(capsys, "link", "builtin:c1")
     assert code == EXIT_OK
     assert out.strip() == "link graph: 14 nodes, 3-regular, girth 6, diameter 3"
+
+
+def test_structured_output_byte_stable_through_length_6(c1):
+    """sha256 of the structured reports of every c1 wall necklace of length
+    1-6, by length then lexicographically, as produced before strips were
+    stored as rows."""
+    digest = hashlib.sha256()
+    for n in range(1, 7):
+        for word in wall_necklaces(c1, n):
+            report = run_centralizer(c1, word)[0]
+            digest.update((json.dumps(report, indent=2, sort_keys=True) + "\n").encode())
+    assert digest.hexdigest() == \
+        "2f2ba0b47a2b37d59b65a56224356990d7e3274612fc66fd580a1522148a6da4"
+
+
+def test_entry_point_error_has_no_traceback():
+    proc = subprocess.run(
+        [sys.executable, "-m", "a2cent.cli", "centralizer", "builtin:c1",
+         "--word", "0,9"],
+        capture_output=True, text=True)
+    assert proc.returncode == EXIT_UNSUPPORTED
+    assert proc.stderr == "error: generator index 9 out of range 0..6\n"
 
 
 def test_entry_point_subprocess():

@@ -1,32 +1,13 @@
-import itertools
-
 import pytest
 
 from a2cent.errors import NotAWallWord
 from a2cent.presentation import load_named
 from a2cent.quotient import build_quotient, vertex_witnesses
-from a2cent.walls import canonical_rotation, check_wall_sequence
+from a2cent.walls import wall_necklaces
 
 C1 = load_named("c1")
 
-
-def all_wall_words(max_len):
-    out = []
-    seen = set()
-    for n in range(1, max_len + 1):
-        for word in itertools.product(range(7), repeat=n):
-            canon = canonical_rotation(word)
-            if canon in seen:
-                continue
-            seen.add(canon)
-            try:
-                check_wall_sequence(C1, word)
-            except NotAWallWord:
-                continue
-            out.append(canon)
-    return out
-
-WALL_WORDS_3 = all_wall_words(3)
+WALL_WORDS_3 = [w for n in (1, 2, 3) for w in wall_necklaces(C1, n)]
 
 SINGLE_AXIS = [(5,), (0, 1), (0, 4), (5, 5), (5, 6),
                (0, 3, 2), (0, 5, 5), (1, 4, 2), (1, 4, 3), (2, 5, 6), (3, 6, 5)]

@@ -1,37 +1,17 @@
-import itertools
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from a2cent.errors import InvariantError, NotAWallWord
+from a2cent.errors import InvariantError
 from a2cent.presentation import load_named
 from a2cent.strips import (Strip, canonical_edge_key, enumerate_periodic_strips,
                            flip_shifts, group_by_wall_shifts, median_order,
                            oracle_enumerate, shift, swap, validate_strip)
-from a2cent.walls import check_wall_sequence, minimal_period
+from a2cent.walls import minimal_period, wall_necklaces
 
 C1 = load_named("c1")
 
-
-def all_wall_words(max_len):
-    """Canonical-rotation representatives of valid wall words up to max_len."""
-    out = []
-    seen = set()
-    for n in range(1, max_len + 1):
-        for word in itertools.product(range(7), repeat=n):
-            canon = min(word[r:] + word[:r] for r in range(n))
-            if canon in seen:
-                continue
-            seen.add(canon)
-            try:
-                check_wall_sequence(C1, word)
-            except NotAWallWord:
-                continue
-            out.append(canon)
-    return out
-
-WALL_WORDS_3 = all_wall_words(3)
+WALL_WORDS_3 = [w for n in (1, 2, 3) for w in wall_necklaces(C1, n)]
 
 ALL_STRIPS = [s for w in WALL_WORDS_3 for s in enumerate_periodic_strips(C1, w)]
 
@@ -115,7 +95,11 @@ def test_median_divisibility(s):
     assert median_order(s) == 2 * s.length // (2 * d + 1)
 
 
-@pytest.mark.parametrize("wall", WALL_WORDS_3, ids=str)
+@pytest.mark.parametrize(
+    "wall",
+    WALL_WORDS_3 + wall_necklaces(C1, 4)
+    + [pytest.param(w, marks=pytest.mark.slow) for w in wall_necklaces(C1, 5)],
+    ids=str)
 def test_dfs_equals_oracle(wall):
     assert sorted(enumerate_periodic_strips(C1, wall), key=lambda s: s.rows()) \
         == sorted(oracle_enumerate(C1, wall), key=lambda s: s.rows())
@@ -161,6 +145,21 @@ def test_oracle_guard():
         oracle_enumerate(C1, (6,) * 7)
 
 
+def test_constructor_rejects_unequal_lengths():
+    with pytest.raises(InvariantError, match="sequence lengths differ"):
+        Strip((0, 5), (0, 1), (6, 3), (2, 2), (3,))
+
+
+def test_columns_round_trip():
+    s = FIG3_STRIPS[0]
+    assert s.rows() == ((0, 0, 6, 2, 3), (5, 1, 3, 2, 6))
+    assert Strip.from_rows(s.rows()) == s
+    assert Strip(s.a, s.s, s.t, s.b, s.u) == s
+    assert s.to_json() == {"a": [0, 5], "s": [0, 1], "t": [6, 3], "b": [2, 2], "u": [3, 6]}
+    assert repr(s) == "Strip(a=(0, 5), s=(0, 1), t=(6, 3), b=(2, 2), u=(3, 6))"
+    assert len({s, Strip.from_rows(s.rows())}) == 1
+
+
 @given(st.sampled_from(ALL_STRIPS), st.integers(min_value=0, max_value=11),
        st.integers(min_value=0, max_value=11))
 def test_shift_is_an_action(s, r1, r2):
@@ -170,3 +169,63 @@ def test_shift_is_an_action(s, r1, r2):
 @given(st.sampled_from(ALL_STRIPS), st.integers(min_value=0, max_value=11))
 def test_swap_commutes_with_shift(s, r):
     assert swap(shift(s, r)) == shift(swap(s), r)
+
+
+# Reference: shift, swap and edge keys on the five label sequences, as the
+# strip was stored before it became a tuple of rows.
+
+def ref_columns(strip):
+    return (strip.a, strip.s, strip.t, strip.b, strip.u)
+
+
+def ref_shift(cols, r):
+    r %= len(cols[0])
+    return tuple(seq[r:] + seq[:r] for seq in cols)
+
+
+def ref_swap(cols):
+    a, s, _t, b, u = cols
+    n = len(a)
+    return (b, u, s, tuple(a[(k + 1) % n] for k in range(n)),
+            tuple(s[(k + 1) % n] for k in range(n)))
+
+
+def ref_edge_key(cols):
+    return min(tuple(zip(*ref_shift(base, r)))
+               for base in (cols, ref_swap(cols)) for r in range(len(cols[0])))
+
+
+def any_strip(n):
+    labels = st.tuples(*[st.integers(min_value=0, max_value=6)] * n)
+    return st.tuples(*[labels] * 5).map(lambda cols: Strip(*cols))
+
+
+# valid strips of c1, plus arbitrary labels: the row algebra needs neither
+# the relators nor a wall
+STRIPS = st.one_of(
+    st.sampled_from(ALL_STRIPS),
+    st.integers(min_value=1, max_value=6).flatmap(any_strip))
+
+
+@given(STRIPS, st.integers(min_value=-13, max_value=13))
+def test_shift_equals_column_reference(s, r):
+    assert ref_columns(shift(s, r)) == ref_shift(ref_columns(s), r)
+
+
+@given(STRIPS)
+def test_swap_equals_column_reference(s):
+    assert ref_columns(swap(s)) == ref_swap(ref_columns(s))
+
+
+@given(STRIPS)
+def test_edge_key_equals_column_reference(s):
+    assert canonical_edge_key(s) == ref_edge_key(ref_columns(s))
+
+
+@given(STRIPS)
+def test_flip_shifts_and_period_equal_column_reference(s):
+    cols = ref_columns(s)
+    n = len(cols[0])
+    assert flip_shifts(s) == [d for d in range(n) if ref_shift(ref_swap(cols), d) == cols]
+    assert s.period == min(p for p in range(1, n + 1)
+                           if n % p == 0 and ref_shift(cols, p) == cols)

@@ -1,11 +1,13 @@
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from a2cent.errors import NotAWallWord
-from a2cent.walls import (Necklace, canonical_rotation, minimal_period,
-                          stabilizer_generator_word, stabilizer_order,
-                          wall_word)
+from a2cent.walls import (Necklace, canonical_rotation, check_wall_sequence,
+                          minimal_period, stabilizer_generator_word,
+                          stabilizer_order, wall_necklaces, wall_word)
 from a2cent.words import FormalWord
 
 label_seqs = st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=9)
@@ -60,6 +62,39 @@ def test_wall_word_rejects_bent_pairs(c1):
 def test_wall_word_checks_indices(c1):
     with pytest.raises(IndexError):
         wall_word(c1, (0, 9))
+
+
+def test_check_wall_sequence_checks_indices_first(c1):
+    # (0, 2) bends, but the out-of-range letter is reported first
+    for word in [(0, 2, 9), (-1,), (7, 5)]:
+        with pytest.raises(IndexError):
+            check_wall_sequence(c1, word)
+
+
+def brute_force_necklaces(presentation, n):
+    """Reference: canonical rotations of every wall word of length n."""
+    out = set()
+    for word in itertools.product(range(presentation.generator_count), repeat=n):
+        try:
+            check_wall_sequence(presentation, word)
+        except NotAWallWord:
+            continue
+        out.add(canonical_rotation(word))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_wall_necklaces_equal_brute_force(c1, n):
+    assert wall_necklaces(c1, n) == brute_force_necklaces(c1, n)
+
+
+def test_wall_necklace_count_at_seven(c1):
+    assert len(wall_necklaces(c1, 7)) == 2342
+
+
+def test_wall_necklaces_rejects_empty_length(c1):
+    with pytest.raises(ValueError):
+        wall_necklaces(c1, 0)
 
 
 def test_all_rotations_of_a_wall_word_are_wall_words(c1):
