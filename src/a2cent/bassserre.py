@@ -2,15 +2,23 @@
 
 The presentation has one generator h_<label> per nontrivial vertex group and
 one letter c_<index> per non-tree geometric edge; tree-edge letters are set
-to the identity at construction.  Simplification repeatedly collapses tree
-edges whose edge group surjects onto an endpoint group; when only trivial
-edge groups remain the result is a free product of cyclics with an explicit
-free rank.
+to the identity at construction.  Simplification repeatedly collapses edges
+whose edge group surjects onto an endpoint group; when only trivial edge
+groups remain the result is a free product of cyclics with an explicit free
+rank.
+
+The collapse runs off a worklist: a heap of edges in choice order, an
+incidence set per vertex and a count per vertex of incident edges with a
+nontrivial group.  A collapse rewrites only the edges at the absorbed vertex
+and revisits only the edges at the vertex that absorbed it, so a step costs
+time in the degrees of those two vertices, not in the edge count.  Each step
+still takes the least collapsible edge in the choice order (see simplify).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from math import gcd
 
 from .errors import InvariantError
@@ -167,56 +175,91 @@ def _collapse_state(graph: QuotientGraphOfGroups):
 
 
 def simplify(graph: QuotientGraphOfGroups, order_hint=None):
-    """Collapse tree edges with surjective inclusions; classify if possible.
+    """Collapse edges with surjective inclusions; classify if possible.
 
     Returns an IsoType when every surviving edge group is trivial, otherwise
     Unsimplified wrapping the raw presentation.  ``order_hint`` (a sequence of
     edge indices) steers which collapsible edge is taken first; used by the
     confluence tests, irrelevant to the result.
+
+    The choice order is (position in ``order_hint``, edge index), edges not
+    in the hint after those in it, and every edge starts on a heap in that
+    order.  Each step pops entries until one names an edge that still exists
+    and is collapsible now, and collapses it; the entries popped before it
+    are dropped.  A collapse of ``gone`` into ``kept`` rewrites only the
+    edges that were at ``gone`` and pushes every edge now at ``kept`` again.
+    No other edge changes its endpoints, its multipliers or the nontrivial
+    counts at its endpoints, so no other edge can become collapsible, and a
+    dropped edge is pushed again whenever it could.  So each step takes the
+    least collapsible edge in the choice order, as a scan of all edges would.
     """
     orders, edges = _collapse_state(graph)
     pref = {idx: pos for pos, idx in enumerate(order_hint or [])}
+    rank = {idx: (pref.get(idx, len(pref)), idx) for idx in edges}
+    incident = {v: set() for v in orders}
+    nontrivial = dict.fromkeys(orders, 0)  # incident edges with oe > 1, loops once
+    for idx, (v1, v2, oe, _m1, _m2, _t) in edges.items():
+        incident[v1].add(idx)
+        incident[v2].add(idx)
+        if oe > 1:
+            for v in {v1, v2}:
+                nontrivial[v] += 1
+    heap = sorted(rank.values())
 
-    def other_edges_trivial(vertex, skip):
-        return all(oe == 1 for jdx, (w1, w2, oe, _m1, _m2, _t) in edges.items()
-                   if jdx != skip and vertex in (w1, w2))
+    def collapsible(idx):
+        """(gone, kept, mu_gone, mu_kept) for a collapsible edge, else None."""
+        v1, v2, oe, m1, m2, tree = edges[idx]
+        if v1 == v2:
+            return None
+        own = 1 if oe > 1 else 0
+        # absorb an endpoint whose group the edge group surjects onto;
+        # across a non-tree edge the absorbed generator comes back
+        # conjugated by the edge letter, which is only sound when no
+        # other nontrivial edge group includes into that endpoint
+        if oe == orders[v2] and gcd(m2, orders[v2]) == 1 and \
+                (tree or nontrivial[v2] == own):
+            return v2, v1, m2, m1
+        if oe == orders[v1] and gcd(m1, orders[v1]) == 1 and \
+                (tree or nontrivial[v1] == own):
+            return v1, v2, m1, m2
+        return None
 
-    while True:
-        candidates = []
-        for idx, (v1, v2, oe, m1, m2, tree) in edges.items():
-            if v1 == v2:
-                continue
-            # absorb an endpoint whose group the edge group surjects onto;
-            # across a non-tree edge the absorbed generator comes back
-            # conjugated by the edge letter, which is only sound when no
-            # other nontrivial edge group includes into that endpoint
-            if oe == orders[v2] and gcd(m2, orders[v2]) == 1 and \
-                    (tree or other_edges_trivial(v2, idx)):
-                candidates.append((idx, v2, v1, m2, m1))
-            elif oe == orders[v1] and gcd(m1, orders[v1]) == 1 and \
-                    (tree or other_edges_trivial(v1, idx)):
-                candidates.append((idx, v1, v2, m1, m2))
-        if not candidates:
-            break
-        candidates.sort(key=lambda c: (pref.get(c[0], len(pref)), c[0]))
-        idx, gone, kept, mu_gone, mu_kept = candidates[0]
+    while heap:
+        idx = heappop(heap)[1]
+        if idx not in edges:
+            continue
+        move = collapsible(idx)
+        if move is None:
+            continue
+        gone, kept, mu_gone, mu_kept = move
         o_gone, o_kept = orders[gone], orders[kept]
         # h_gone = (h_kept^mu_kept)^c with c = mu_gone^-1 mod o_gone
         c = pow(mu_gone, -1, o_gone) if o_gone > 1 else 0
         factor = (mu_kept * c) % o_kept if o_kept > 1 else 1
-        del edges[idx]
+        if edges.pop(idx)[2] > 1:
+            nontrivial[kept] -= 1
         del orders[gone]
-        for jdx, (w1, w2, oe, m1, m2, tree) in list(edges.items()):
-            nm1, nm2 = m1, m2
+        moved = incident.pop(gone)
+        moved.discard(idx)
+        at_kept = incident[kept]
+        at_kept.discard(idx)
+        for jdx in moved:
+            w1, w2, oe, m1, m2, tree = edges[jdx]
+            if oe > 1 and kept not in (w1, w2):
+                nontrivial[kept] += 1
             if w1 == gone:
                 w1 = kept
-                nm1 = (m1 * factor) % o_kept if o_kept > 1 else 1
-                nm1 = nm1 or o_kept
+                m1 = (m1 * factor) % o_kept if o_kept > 1 else 1
+                m1 = m1 or o_kept
             if w2 == gone:
                 w2 = kept
-                nm2 = (m2 * factor) % o_kept if o_kept > 1 else 1
-                nm2 = nm2 or o_kept
-            edges[jdx] = (w1, w2, oe, nm1, nm2, tree)
+                m2 = (m2 * factor) % o_kept if o_kept > 1 else 1
+                m2 = m2 or o_kept
+            edges[jdx] = (w1, w2, oe, m1, m2, tree)
+        del nontrivial[gone]
+        at_kept |= moved
+        for jdx in at_kept:
+            heappush(heap, rank[jdx])
 
     if any(oe > 1 for (_v1, _v2, oe, _m1, _m2, _t) in edges.values()):
         return Unsimplified(fundamental_group(graph))

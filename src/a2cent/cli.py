@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 presentation validation failure (including a
-missing or unreadable presentation file), 3 unsupported element (an
-unparsable word, a generator index out of range, not a wall word, or a bad
-``--length``), 4 internal assertion (AmbiguousStrip or invariant violation).
-Every command maps its errors to these codes in one place, ``_run``, and
-reports them as ``error:`` lines on stderr.
+missing, unreadable or malformed presentation file), 3 unsupported input (a
+command line the parser rejects, an unparsable word, a generator index out
+of range, not a wall word, or a bad ``--length``), 4 internal assertion
+(AmbiguousStrip or invariant violation).  Every command maps its errors to
+these codes in one place, ``_run``, and reports them as ``error:`` lines on
+stderr; the parser reports a usage error the same way.
 """
 
 from __future__ import annotations
@@ -203,8 +204,18 @@ def cmd_link(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 3, not argparse's 2.
+
+    Subcommand parsers are made with the same class.
+    """
+
+    def error(self, message):
+        self.exit(EXIT_UNSUPPORTED, f"error: {self.prog}: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="a2cent",
         description="Centralizers in A~2 triangle-presentation groups")
     sub = parser.add_subparsers(dest="command", required=True)

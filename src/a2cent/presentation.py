@@ -186,19 +186,25 @@ def load(document, strict: bool = True) -> TrianglePresentation:
     issues = []
     warnings = []
 
+    if not isinstance(document, dict):
+        raise PresentationError(
+            [f"presentation document must be an object, got {type(document).__name__}"])
     m = document.get("generators")
     if not isinstance(m, int) or m < 1:
         raise PresentationError([f"generators must be a positive integer, got {m!r}"])
     raw = document.get("relators")
     if not raw:
         raise PresentationError(["relators list is missing or empty"])
+    if not isinstance(raw, (list, tuple)):
+        raise PresentationError([f"relators must be a list, got {raw!r}"])
 
     classes = set()
     for triple in raw:
-        t = tuple(triple)
-        if len(t) != 3 or not all(isinstance(x, int) for x in t):
+        if not isinstance(triple, (list, tuple)) or len(triple) != 3 or \
+                not all(isinstance(x, int) for x in triple):
             issues.append(f"relator {triple!r} is not an integer triple")
             continue
+        t = tuple(triple)
         if not all(0 <= x < m for x in t):
             issues.append(f"relator {t} has a generator index out of range")
             continue

@@ -13,6 +13,7 @@ of the input element.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from math import gcd
 
@@ -183,11 +184,11 @@ def build_quotient(presentation: TrianglePresentation, element) -> QuotientGraph
         return v.index
 
     base = new_wall_vertex(neck.labels, FormalWord())
-    queue = [base]
+    queue = deque([base])
     seen_any_strip = False
 
     while queue:
-        vid = queue.pop(0)
+        vid = queue.popleft()
         v = vertices[vid]
         strips = enumerate_periodic_strips(presentation, v.sequence)
         if len(strips) > presentation.thickness_q + 1:

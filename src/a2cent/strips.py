@@ -241,7 +241,7 @@ def flip_shifts(strip: Strip) -> list[int]:
     """
     rows = strip.rows()
     sw = _swapped_rows(rows)
-    return [d for d in range(len(rows)) if sw[d:] + sw[:d] == rows]
+    return [d for d, row in enumerate(sw) if row == rows[0] and sw[d:] + sw[:d] == rows]
 
 
 def median_order(strip: Strip) -> int:

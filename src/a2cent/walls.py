@@ -17,10 +17,13 @@ from .words import FormalWord
 
 
 def canonical_rotation(labels):
-    """Lexicographically least rotation of the sequence (as a tuple)."""
+    """Lexicographically least rotation of the sequence (as a tuple).
+
+    Only the rotations that start at the least element can be least.
+    """
     seq = tuple(labels)
-    n = len(seq)
-    return min(seq[r:] + seq[:r] for r in range(n))
+    first = min(seq)
+    return min(seq[r:] + seq[:r] for r, x in enumerate(seq) if x == first)
 
 
 def minimal_period(labels):

@@ -37,13 +37,13 @@ class FormalWord:
         return FormalWord(((i, exp),))
 
     def __mul__(self, other: "FormalWord") -> "FormalWord":
-        out = list(self.letters)
-        for letter in other.letters:
-            if out and out[-1][0] == letter[0] and out[-1][1] == -letter[1]:
-                out.pop()
-            else:
-                out.append(letter)
-        return FormalWord(tuple(out))
+        # both factors are reduced, so cancellation stops at the first seam
+        # pair that does not cancel
+        left, right = self.letters, other.letters
+        c, most = 0, min(len(left), len(right))
+        while c < most and left[-1 - c][0] == right[c][0] and left[-1 - c][1] == -right[c][1]:
+            c += 1
+        return FormalWord(left[:len(left) - c] + right[c:])
 
     def inverse(self) -> "FormalWord":
         return FormalWord(tuple((g, -e) for g, e in reversed(self.letters)))

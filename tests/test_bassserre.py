@@ -1,4 +1,6 @@
 import random
+from math import gcd
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,6 +16,59 @@ from a2cent.walls import wall_necklaces
 C1 = load_named("c1")
 
 WALL_WORDS_3 = [w for n in (1, 2, 3) for w in wall_necklaces(C1, n)]
+WALL_WORDS_6 = [w for n in range(1, 7) for w in wall_necklaces(C1, n)]
+
+
+def reference_simplify(graph, order_hint=None):
+    """The collapse loop that rescans every edge after each collapse: the
+    reference for the worklist in ``simplify``."""
+    orders = {v.index: v.group_order for v in graph.vertices}
+    edges = {e.index: (e.endpoints[0], e.endpoints[1], e.group_order,
+                       e.multipliers[0], e.multipliers[1], e.in_spanning_tree)
+             for e in graph.edges}
+    pref = {idx: pos for pos, idx in enumerate(order_hint or [])}
+
+    def other_edges_trivial(vertex, skip):
+        return all(oe == 1 for jdx, (w1, w2, oe, _m1, _m2, _t) in edges.items()
+                   if jdx != skip and vertex in (w1, w2))
+
+    while True:
+        candidates = []
+        for idx, (v1, v2, oe, m1, m2, tree) in edges.items():
+            if v1 == v2:
+                continue
+            if oe == orders[v2] and gcd(m2, orders[v2]) == 1 and \
+                    (tree or other_edges_trivial(v2, idx)):
+                candidates.append((idx, v2, v1, m2, m1))
+            elif oe == orders[v1] and gcd(m1, orders[v1]) == 1 and \
+                    (tree or other_edges_trivial(v1, idx)):
+                candidates.append((idx, v1, v2, m1, m2))
+        if not candidates:
+            break
+        candidates.sort(key=lambda c: (pref.get(c[0], len(pref)), c[0]))
+        idx, gone, kept, mu_gone, mu_kept = candidates[0]
+        o_gone, o_kept = orders[gone], orders[kept]
+        c = pow(mu_gone, -1, o_gone) if o_gone > 1 else 0
+        factor = (mu_kept * c) % o_kept if o_kept > 1 else 1
+        del edges[idx]
+        del orders[gone]
+        for jdx, (w1, w2, oe, m1, m2, tree) in list(edges.items()):
+            nm1, nm2 = m1, m2
+            if w1 == gone:
+                w1 = kept
+                nm1 = (m1 * factor) % o_kept if o_kept > 1 else 1
+                nm1 = nm1 or o_kept
+            if w2 == gone:
+                w2 = kept
+                nm2 = (m2 * factor) % o_kept if o_kept > 1 else 1
+                nm2 = nm2 or o_kept
+            edges[jdx] = (w1, w2, oe, nm1, nm2, tree)
+
+    if any(oe > 1 for (_v1, _v2, oe, _m1, _m2, _t) in edges.values()):
+        return Unsimplified(fundamental_group(graph))
+    free_rank = len(edges) - len(orders) + 1
+    cyclic = tuple(sorted(o for o in orders.values() if o > 1))
+    return IsoType(free_rank, cyclic)
 
 
 def test_isotype_render():
@@ -86,6 +141,59 @@ def test_simplify_confluence(word):
     for _trial in range(6):
         rng.shuffle(indices)
         assert simplify(g, order_hint=list(indices)) == reference
+
+
+def check_simplify_equals_reference(words):
+    for word in words:
+        g = build_quotient(C1, word)
+        assert simplify(g) == reference_simplify(g), word
+        rng = random.Random(hash(word) & 0xFFFF)
+        indices = [e.index for e in g.edges]
+        for _trial in range(3):
+            rng.shuffle(indices)
+            hint = indices[:rng.randint(0, len(indices))]
+            assert simplify(g, order_hint=hint) == reference_simplify(g, order_hint=hint), \
+                (word, hint)
+
+
+def test_simplify_equals_reference_through_length_6():
+    check_simplify_equals_reference(WALL_WORDS_6)
+
+
+@pytest.mark.slow
+def test_simplify_equals_reference_at_length_7():
+    check_simplify_equals_reference(wall_necklaces(C1, 7))
+
+
+def random_graph_of_groups(rng):
+    """A connected graph of cyclic groups on up to 6 vertices with a marked
+    spanning tree, loops, parallel edges and consistent inclusions: more
+    nontrivial non-tree edges than the quotients of c1 have."""
+    orders = [rng.choice((1, 2, 2, 4)) for _v in range(rng.randint(1, 6))]
+    ends = [(rng.randrange(k), k, True) for k in range(1, len(orders))]
+    ends += [(rng.randrange(len(orders)), rng.randrange(len(orders)), False)
+             for _e in range(rng.randint(0, 6))]
+    rng.shuffle(ends)
+    edges = []
+    for idx, (v1, v2, tree) in enumerate(ends):
+        oe = rng.choice([d for d in (1, 2, 4) if orders[v1] % d == 0 and orders[v2] % d == 0])
+        units = [u for u in range(1, oe + 1) if gcd(u, oe) == 1]
+        multipliers = tuple(orders[v] // oe * rng.choice(units) for v in (v1, v2))
+        edges.append(SimpleNamespace(index=idx, endpoints=(v1, v2), group_order=oe,
+                                     multipliers=multipliers, in_spanning_tree=tree))
+    vertices = [SimpleNamespace(index=v, group_order=o, display_label=str(v))
+                for v, o in enumerate(orders)]
+    return SimpleNamespace(vertices=vertices, edges=edges)
+
+
+def test_simplify_equals_reference_on_random_graphs():
+    rng = random.Random(20110112)
+    for _trial in range(2000):
+        g = random_graph_of_groups(rng)
+        indices = [e.index for e in g.edges]
+        for hint in (None, rng.sample(indices, rng.randint(0, len(indices)))):
+            assert simplify(g, order_hint=hint) == reference_simplify(g, order_hint=hint), \
+                (g, hint)
 
 
 @pytest.mark.parametrize("word", WALL_WORDS_3, ids=str)

@@ -130,12 +130,44 @@ def test_malformed_presentation_file(capsys, tmp_path):
     assert err.startswith("error: cannot read presentation")
 
 
+@pytest.mark.parametrize("document, message", [
+    ([1, 2], "must be an object"),
+    ({"generators": 7, "relators": 5}, "relators must be a list"),
+    ({"generators": 7, "relators": [5]}, "relator 5 is not an integer triple"),
+], ids=["not-an-object", "relators-not-a-list", "relator-not-a-list"])
+def test_presentation_document_of_the_wrong_shape(capsys, tmp_path, document, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(document))
+    code, out, err = run(capsys, "link", str(path))
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("length", ["0", "-2"])
 def test_strips_length_not_positive(capsys, length):
     code, out, err = run(capsys, "strips", "builtin:c1", "--wall", "0,5", "--length", length)
     assert code == EXIT_UNSUPPORTED
     assert out == ""
     assert err == f"error: --length {length} is not positive\n"
+
+
+def run_argv(argv):
+    """(exit code, stdout, stderr) of main(argv), a parser exit included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_usage_error_exits_3():
+    code, out, err = run_argv(["centralizer", "builtin:c1", "--word", "-1,0"])
+    assert code == EXIT_UNSUPPORTED
+    assert out == ""
+    assert err == "error: a2cent centralizer: argument --word: expected one argument\n"
 
 
 @settings(max_examples=60, deadline=None)
@@ -145,13 +177,32 @@ def test_strips_length_not_positive(capsys, length):
     st.text(alphabet="0123456789,-x ", max_size=8)))
 def test_centralizer_exit_codes_over_words(word):
     """Any --word ends in exit 0 or 3; a failure is one error line and no output."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["centralizer", "builtin:c1", f"--word={word}", "--format", "structured"])
-    assert code in (EXIT_OK, EXIT_UNSUPPORTED)
-    if code == EXIT_UNSUPPORTED:
-        assert out.getvalue() == ""
-        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    for argv in (["centralizer", "builtin:c1", f"--word={word}", "--format", "structured"],
+                 ["centralizer", "builtin:c1", "--word", word, "--format", "structured"]):
+        code, out, err = run_argv(argv)
+        assert code in (EXIT_OK, EXIT_UNSUPPORTED)
+        if code == EXIT_UNSUPPORTED:
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+
+ARGV_TOKENS = ["validate", "centralizer", "strips", "link", "builtin:c1", "c1",
+               "builtin:nope", "--word", "--wall", "--length", "--format", "--lenient",
+               "structured", "text", "dot", "0,5", "5", "0,1,4", "0,2", "0,9", "-1,0",
+               "2", "-2", "x", "", "--", "-h", "--bogus"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(ARGV_TOKENS),
+                          st.text(alphabet="-,=x0 ", max_size=5)), max_size=7))
+def test_exit_codes_over_argv(argv):
+    """Any command line ends in exit 0, 2 or 3, and a failure is reported
+    on error: lines, never as a traceback."""
+    code, _out, err = run_argv(argv)
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_UNSUPPORTED)
+    assert "Traceback" not in err
+    if code != EXIT_OK:
+        assert err.startswith("error: ")
 
 
 def test_strips_text(capsys):

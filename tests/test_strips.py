@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -229,3 +231,23 @@ def test_flip_shifts_and_period_equal_column_reference(s):
     assert flip_shifts(s) == [d for d in range(n) if ref_shift(ref_swap(cols), d) == cols]
     assert s.period == min(p for p in range(1, n + 1)
                            if n % p == 0 and ref_shift(cols, p) == cols)
+
+
+@st.composite
+def flip_symmetric_strip(draw):
+    """A strip with shift(swap(s), d) == s: a and s repeat with period
+    gcd(2d + 1, n), and b, u, t are read off them."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    d = draw(st.integers(min_value=0, max_value=n - 1))
+    g = gcd(2 * d + 1, n)
+    a0 = draw(st.lists(st.integers(min_value=0, max_value=6), min_size=g, max_size=g))
+    s0 = draw(st.lists(st.integers(min_value=0, max_value=6), min_size=g, max_size=g))
+    a = [a0[k % g] for k in range(n)]
+    s = [s0[k % g] for k in range(n)]
+    return Strip(a, s, [s[(k + d) % n] for k in range(n)],
+                 [a[(k - d) % n] for k in range(n)], [s[(k - d) % n] for k in range(n)])
+
+
+@given(st.one_of(STRIPS, flip_symmetric_strip()))
+def test_flip_shifts_equal_brute_force(s):
+    assert flip_shifts(s) == [d for d in range(s.length) if shift(swap(s), d) == s]

@@ -21,6 +21,21 @@ def test_canonical_rotation_is_a_rotation_and_idempotent(seq):
     assert canonical_rotation(canon) == canon
 
 
+def least_rotation(seq):
+    seq = tuple(seq)
+    return min(seq[r:] + seq[:r] for r in range(len(seq)))
+
+
+@given(st.one_of(
+    st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=12),
+    st.lists(st.tuples(*[st.integers(min_value=0, max_value=1)] * 5), min_size=1, max_size=8),
+    st.lists(st.sampled_from([(0, 0, 0, 0, 0), (0, 1, 2, 3, 4), (0, 1, 2, 3, 5)]),
+             min_size=1, max_size=8)))
+def test_canonical_rotation_equals_least_rotation(seq):
+    """Labels with many repeats, and rows as strips store them."""
+    assert canonical_rotation(seq) == least_rotation(seq)
+
+
 @given(label_seqs, st.integers(min_value=0, max_value=8))
 def test_canonical_rotation_invariant_under_rotation(seq, r):
     r %= len(seq)

@@ -52,3 +52,30 @@ def test_inverse_cancels(pairs):
     w = word_of(pairs)
     assert w * w.inverse() == FormalWord.identity()
     assert w.inverse().inverse() == w
+
+
+def reference_product(left, right):
+    """Letter tuple of left * right by the letter-by-letter stack reduction."""
+    out = list(left)
+    for letter in right:
+        if out and out[-1][0] == letter[0] and out[-1][1] == -letter[1]:
+            out.pop()
+        else:
+            out.append(letter)
+    return tuple(out)
+
+
+few_letters = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=2), st.sampled_from([1, -1])),
+    max_size=12)
+
+
+@given(few_letters, few_letters, st.integers(min_value=0, max_value=14))
+def test_product_equals_stack_reduction(p1, p2, k):
+    """right starts with the inverse of the last k letters of left, so the
+    seam cancels fully, partially or not at all."""
+    left = FormalWord(reference_product((), p1))
+    cancelled = FormalWord(left.letters[len(left) - min(k, len(left)):]).inverse()
+    right = FormalWord(reference_product(cancelled.letters, p2))
+    for a, b in ((left, right), (right, left), (left, left.inverse()), (left, cancelled)):
+        assert (a * b).letters == reference_product(a.letters, b.letters)
