@@ -3,10 +3,11 @@
 Exit codes: 0 success, 2 presentation validation failure (including a
 missing, unreadable or malformed presentation file), 3 unsupported input (a
 command line the parser rejects, an unparsable word, a generator index out
-of range, not a wall word, or a bad ``--length``), 4 internal assertion
-(AmbiguousStrip or invariant violation).  Every command maps its errors to
-these codes in one place, ``_run``, and reports them as ``error:`` lines on
-stderr; the parser reports a usage error the same way.
+of range, not a wall word, a bad ``--length``, or an ``--out`` path that
+cannot be written), 4 internal assertion (AmbiguousStrip or invariant
+violation).  Every command maps its errors to these codes in one place,
+``_run``, and reports them as ``error:`` lines on stderr; the parser reports
+a usage error the same way.
 """
 
 from __future__ import annotations
@@ -63,8 +64,11 @@ def _presentation_id(name: str) -> str:
 
 def _emit(text: str, out: str | None):
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UnsupportedInput(f"cannot write --out {out!r}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 

@@ -10,8 +10,9 @@ the unique third label completing a given (first, last) pair.
 from __future__ import annotations
 
 import json
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .errors import PresentationError
 
@@ -49,8 +50,13 @@ class TrianglePresentation:
     ``rotation_set`` holds all 3*|classes| rotations, ``starting[i]`` the
     sorted (j, k) with rotation (i, j, k), ``completion[i][k]`` the unique j
     with rotation (i, j, k) or None, and ``bent_pairs`` the (i, j) that lie
-    on a common triangle.  Strips and walls read them directly; the
-    query methods below add the generator range check.
+    on a common triangle.  Two tables serve the strip layer:
+    ``steps[(a, s, t)]`` maps each lower triangle (a rotation) to its
+    non-folding upper choices (b, u), in the order of ``starting[s]``, and
+    ``row_pairs`` holds every valid consecutive strip row pair
+    ((a, s, t, b, u), (a', s', t', b', u')): both rows are valid, t' == u,
+    and neither (a, a') nor (b, b') is bent.  Strips and walls read the
+    tables directly; the query methods below add the generator range check.
     """
 
     generator_count: int
@@ -60,6 +66,8 @@ class TrianglePresentation:
     starting: tuple = field(repr=False, compare=False)  # of tuples of (j, k)
     completion: tuple = field(repr=False, compare=False)  # m x m grid
     bent_pairs: frozenset = field(repr=False, compare=False)
+    steps: MappingProxyType = field(repr=False, compare=False)  # (a, s, t) -> ((b, u), ...)
+    row_pairs: frozenset = field(repr=False, compare=False)
     warnings: tuple = ()
 
     # -- queries -----------------------------------------------------------
@@ -218,6 +226,12 @@ def load(document, strict: bool = True) -> TrianglePresentation:
         classes.add(c)
     if issues:
         raise PresentationError(issues)
+    # every generator must head q+1 >= 1 of the 3*|classes| rotations; check
+    # that before building any table with one entry per generator
+    if m > 3 * len(classes):
+        raise PresentationError(
+            [f"non-uniform thickness: {m} generators but only {3 * len(classes)} "
+             f"rotations, so some generator heads none"])
 
     rotations = set()
     for c in classes:
@@ -274,6 +288,7 @@ def load(document, strict: bool = True) -> TrianglePresentation:
                 [f"link condition failure ({nodes} nodes): " + "; ".join(link_issues)])
         warnings.extend(link_issues)
 
+    steps, row_pairs = _strip_tables(rotations, starting, first_pairs)
     return TrianglePresentation(
         generator_count=m,
         rotation_classes=frozenset(classes),
@@ -282,8 +297,29 @@ def load(document, strict: bool = True) -> TrianglePresentation:
         starting=starting,
         completion=tuple(tuple(completion.get((i, k)) for k in range(m)) for i in range(m)),
         bent_pairs=frozenset(first_pairs),
+        steps=steps,
+        row_pairs=row_pairs,
         warnings=tuple(warnings),
     )
+
+
+def _strip_tables(rotations, starting, bent):
+    """The step table and the valid consecutive row pairs of strips.
+
+    A row (a, s, t, b, u) is valid when (a, s, t) and (s, b, u) are
+    rotations and the upper triangle does not fold onto the lower one
+    (b == t and u == a).
+    """
+    steps = {(a, s, t): tuple((b, u) for (b, u) in starting[s] if not (b == t and u == a))
+             for (a, s, t) in sorted(rotations)}
+    by_seam = defaultdict(list)  # t -> valid rows with that t
+    for (a, s, t), uppers in steps.items():
+        by_seam[t].extend((a, s, t, b, u) for (b, u) in uppers)
+    row_pairs = frozenset(
+        (row, nxt)
+        for rows in by_seam.values() for row in rows for nxt in by_seam[row[4]]
+        if (row[0], nxt[0]) not in bent and (row[3], nxt[3]) not in bent)
+    return MappingProxyType(steps), row_pairs
 
 
 def loads(text: str, strict: bool = True) -> TrianglePresentation:

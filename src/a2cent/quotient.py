@@ -231,9 +231,10 @@ def build_quotient(presentation: TrianglePresentation, element) -> QuotientGraph
             else:
                 canon_b = canonical_rotation(rep.b)
                 dd = _anchor_shift(rep.b, canon_b)
-                lift_witness = (v.base_witness
-                                * FormalWord.generator(rep.t[0], -1)
-                                * FormalWord.from_indices(rep.b[:dd]))
+                # x_{t_0}^-1 x_{b_0} ... x_{b_{dd-1}} is reduced: t_0 == b_0
+                # would make the upper triangle (s_0, t_0, a_0), the fold
+                lift_witness = v.base_witness * FormalWord(
+                    ((rep.t[0], -1),) + tuple([(x, 1) for x in rep.b[:dd]]))
                 is_new = canon_b not in wall_ids
                 if is_new:
                     other = new_wall_vertex(canon_b, lift_witness)

@@ -19,6 +19,12 @@ In memory a strip is the tuple of its n rows (a_k, s_k, t_k, b_k, u_k),
 returned by ``rows()``; the five sequences are columns read from it.  A
 shift is a rotation of the rows, and ``canonical_edge_key`` is the least
 rotation of the rows or of the swapped rows.
+
+Enumeration and validation read two tables that ``presentation.load``
+builds once: ``steps`` gives the non-folding upper choices of each lower
+triangle, so the strips along a wall are found by one walk that extends
+rows across seams, and ``row_pairs`` holds the valid consecutive row pairs,
+so a valid strip is recognized by a set containment over its cyclic pairs.
 """
 
 from __future__ import annotations
@@ -121,31 +127,38 @@ def swap(strip: Strip) -> Strip:
 def validate_strip(presentation: TrianglePresentation, strip: Strip) -> None:
     """Assert every Strip invariant; raises InvariantError on failure.
 
-    Equal sequence lengths are checked when the strip is constructed.
+    Equal sequence lengths are checked when the strip is constructed.  A
+    nonempty strip whose cyclic row pairs all lie in
+    ``presentation.row_pairs`` has valid rows, closed seams and straight
+    walls, so only its periods are left to check.  Any other strip goes
+    through the checks one by one, and the first that fails is raised.
     """
     rows = strip.rows()
-    rotations = presentation.rotation_set
-    bent = presentation.bent_pairs
-    for k, ((a, s, t, b, u), (_an, _sn, t_next, b_next, _un)) in \
-            enumerate(zip(rows, rows[1:] + rows[:1])):
-        if (a, s, t) not in rotations:
-            raise InvariantError(f"lower triangle {(a, s, t)} at k={k} is not a relator rotation")
-        if (s, b, u) not in rotations:
-            raise InvariantError(f"upper triangle {(s, b, u)} at k={k} is not a relator rotation")
-        if t_next != u:
-            raise InvariantError(f"seam mismatch at k={k}: t_{k + 1}={t_next} != u_{k}={u}")
-        # degenerate fold: upper triangle mirroring the lower one would put
-        # w_{k+1} back on the base wall
-        if b == t and u == a:
-            raise InvariantError(f"degenerate strip: upper triangle at k={k} folds onto the base wall")
-        if (b, b_next) in bent:
-            raise InvariantError(f"opposite wall bends at k={k}")
-    a, b = strip.a, strip.b
-    check_wall_sequence(presentation, a)
-    check_wall_sequence(presentation, b)
+    if not (rows and presentation.row_pairs.issuperset(zip(rows, rows[1:] + rows[:1]))):
+        rotations = presentation.rotation_set
+        bent = presentation.bent_pairs
+        for k, ((a, s, t, b, u), (_an, _sn, t_next, b_next, _un)) in \
+                enumerate(zip(rows, rows[1:] + rows[:1])):
+            if (a, s, t) not in rotations:
+                raise InvariantError(
+                    f"lower triangle {(a, s, t)} at k={k} is not a relator rotation")
+            if (s, b, u) not in rotations:
+                raise InvariantError(
+                    f"upper triangle {(s, b, u)} at k={k} is not a relator rotation")
+            if t_next != u:
+                raise InvariantError(f"seam mismatch at k={k}: t_{k + 1}={t_next} != u_{k}={u}")
+            # degenerate fold: upper triangle mirroring the lower one would put
+            # w_{k+1} back on the base wall
+            if b == t and u == a:
+                raise InvariantError(
+                    f"degenerate strip: upper triangle at k={k} folds onto the base wall")
+            if (b, b_next) in bent:
+                raise InvariantError(f"opposite wall bends at k={k}")
+        check_wall_sequence(presentation, strip.a)
+        check_wall_sequence(presentation, strip.b)
     # wall periods refine the strip period
     pe = strip.period
-    if pe % minimal_period(a) != 0 or pe % minimal_period(b) != 0:
+    if pe % minimal_period(strip.a) != 0 or pe % minimal_period(strip.b) != 0:
         raise InvariantError("strip period is not a multiple of its wall periods")
 
 
@@ -153,47 +166,40 @@ def enumerate_periodic_strips(presentation: TrianglePresentation, wall) -> list[
     """All n-periodic strips adjacent to the wall with the given labels.
 
     ``wall`` is the phase-aligned label sequence (length n = |g| in edges).
-    Each of the q+1 initial lower triangles determines at most one strip
-    (asserted; AmbiguousStrip otherwise); branching happens only over upper
-    triangle choices, the next lower triangle being forced across the seam.
+    One walk along the wall carries every partial strip, starting from each
+    of the q+1 initial lower triangles (a_0, s_0, t_0).  At position k a
+    partial strip ending in lower triangle (a_k, s_k, t_k) extends by each
+    non-folding upper choice (b_k, u_k) in ``presentation.steps``; the next
+    lower triangle (a_{k+1}, s_{k+1}, u_k) is forced across the seam, and
+    the extension dies when it does not exist.  After n steps a strip closes
+    when that next lower triangle is its initial one.  Each initial triangle
+    closes at most one strip (asserted; AmbiguousStrip otherwise), and every
+    strip found is validated.  Strips come in the order of their initial
+    triangles in ``presentation.starting[a_0]``.
     """
     a = tuple(wall)
     check_wall_sequence(presentation, a)
+    steps = presentation.steps
+    completion = presentation.completion
+    walks = [((), s0, t0) for (s0, t0) in presentation.starting[a[0]]]  # (rows, s_k, t_k)
+    for ak, a_next in zip(a, a[1:] + a[:1]):
+        complete_next = completion[a_next]
+        walks = [(rows + ((ak, sk, tk, bk, uk),), s_next, uk)
+                 for rows, sk, tk in walks
+                 for bk, uk in steps[ak, sk, tk]
+                 if (s_next := complete_next[uk]) is not None]
+        if not walks:
+            return []
+    closed = [rows for rows, sk, tk in walks if rows[0][1] == sk and rows[0][2] == tk]
+    starts = [rows[0][1:3] for rows in closed]
     found = []
-    for (s0, t0) in presentation.starting[a[0]]:
-        completions = []
-        _extend(presentation.starting, presentation.completion, a, 0, s0, t0, [], completions)
-        if len(completions) > 1:
-            raise AmbiguousStrip((a[0], s0, t0))
-        if completions:
-            strip = Strip.from_rows(completions[0])
-            validate_strip(presentation, strip)
-            found.append(strip)
+    for rows, start in zip(closed, starts):
+        if starts.count(start) > 1:
+            raise AmbiguousStrip((a[0], *start))
+        strip = Strip.from_rows(rows)
+        validate_strip(presentation, strip)
+        found.append(strip)
     return found
-
-
-def _extend(starting, completion, a, k, sk, tk, rows, completions):
-    """Extend ``rows`` (rows 0..k-1) by every row k whose lower triangle is
-    (a_k, sk, tk); each full cyclic closure is appended to ``completions``."""
-    ak = a[k]
-    last = k == len(a) - 1
-    complete_next = completion[a[0] if last else a[k + 1]]
-    for (bk, uk) in starting[sk]:
-        if bk == tk and uk == ak:
-            continue  # would fold the strip flat onto the base wall
-        s_next = complete_next[uk]  # forced by the next lower triangle
-        if s_next is None:
-            continue
-        row = (ak, sk, tk, bk, uk)
-        if last:
-            # cyclic closure: the next lower triangle must be the initial one
-            _a0, s0, t0, _b0, _u0 = rows[0] if rows else row
-            if s_next == s0 and uk == t0:
-                completions.append((*rows, row))
-        else:
-            rows.append(row)
-            _extend(starting, completion, a, k + 1, s_next, uk, rows, completions)
-            rows.pop()
 
 
 def oracle_enumerate(presentation: TrianglePresentation, wall) -> list[Strip]:

@@ -130,6 +130,22 @@ def test_malformed_presentation_file(capsys, tmp_path):
     assert err.startswith("error: cannot read presentation")
 
 
+@pytest.mark.parametrize("argv", [
+    ["centralizer", "builtin:c1", "--word", "0,5", "--format", "structured"],
+    ["centralizer", "builtin:c1", "--word", "0,5"],
+    ["centralizer", "builtin:c1", "--word", "0,5", "--format", "dot"],
+    ["strips", "builtin:c1", "--wall", "0,5"],
+], ids=["structured", "text", "dot", "strips"])
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_out_path_that_cannot_be_written(capsys, tmp_path, argv, target):
+    out_path = tmp_path / "missing" / "x.json" if target == "missing-dir" else tmp_path
+    code, out, err = run(capsys, *argv, "--out", str(out_path))
+    assert code == EXIT_UNSUPPORTED
+    assert out == ""
+    assert err.startswith(f"error: cannot write --out {str(out_path)!r}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("document, message", [
     ([1, 2], "must be an object"),
     ({"generators": 7, "relators": 5}, "relators must be a list"),

@@ -75,6 +75,33 @@ def test_link_is_fano_incidence(c1):
     assert diameter == 3
 
 
+def check_strip_tables(pres):
+    """steps and row_pairs against their definitions, from the rotations."""
+    rotations = sorted(pres.rotation_set)
+    assert set(pres.steps) == set(rotations)
+    for (a, s, t) in rotations:
+        assert pres.steps[a, s, t] == tuple(
+            (b, u) for (s2, b, u) in rotations if s2 == s and (b, u) != (t, a))
+    rows = [(a, s, t, b, u) for (a, s, t) in rotations for (s2, b, u) in rotations
+            if s2 == s and (b, u) != (t, a)]
+    straight = {(i, j) for i in range(pres.generator_count)
+                for j in range(pres.generator_count)} - pres.bent_pairs
+    assert pres.row_pairs == {(row, nxt) for row in rows for nxt in rows
+                              if nxt[2] == row[4] and (row[0], nxt[0]) in straight
+                              and (row[3], nxt[3]) in straight}
+
+
+def test_strip_tables_of_c1(c1):
+    check_strip_tables(c1)
+    assert sum(len(uppers) for uppers in c1.steps.values()) == 42  # q of q+1 per triangle
+    assert len(c1.row_pairs) == 168
+
+
+def test_strip_tables_of_a_non_building():
+    check_strip_tables(load(_doc([[3, 0, 1], [3, 1, 2], [0, 2, 1], [3, 2, 0]], m=4),
+                            strict=False))
+
+
 def test_round_trip(c1):
     again = loads(c1.dumps())
     assert again == c1
@@ -119,6 +146,16 @@ def test_reject_pair_violation():
 def test_reject_non_uniform_thickness():
     with pytest.raises(PresentationError, match="non-uniform thickness"):
         load(_doc([[0, 1, 2], [0, 2, 3]], m=4))
+
+
+def test_reject_more_generators_than_rotations_before_building_tables():
+    # 400 000 generators cannot all head one of the 3 rotations of one class
+    with pytest.raises(PresentationError, match="non-uniform thickness") as exc:
+        load(_doc([[0, 1, 2]], m=400_000))
+    assert len(str(exc.value)) < 1024
+    # the per-relator checks still come first
+    with pytest.raises(PresentationError, match="torsion triple"):
+        load(_doc([[1, 1, 1]], m=400_000))
 
 
 def test_reject_thin_presentation():

@@ -1,15 +1,17 @@
+import itertools
+import random
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from a2cent.errors import InvariantError
-from a2cent.presentation import load_named
+from a2cent.errors import AmbiguousStrip, InvariantError, NotAWallWord
+from a2cent.presentation import BUILTIN_PRESENTATIONS, load, load_named
 from a2cent.strips import (Strip, canonical_edge_key, enumerate_periodic_strips,
                            flip_shifts, group_by_wall_shifts, median_order,
                            oracle_enumerate, shift, swap, validate_strip)
-from a2cent.walls import minimal_period, wall_necklaces
+from a2cent.walls import check_wall_sequence, minimal_period, wall_necklaces
 
 C1 = load_named("c1")
 
@@ -251,3 +253,217 @@ def flip_symmetric_strip(draw):
 @given(st.one_of(STRIPS, flip_symmetric_strip()))
 def test_flip_shifts_equal_brute_force(s):
     assert flip_shifts(s) == [d for d in range(s.length) if shift(swap(s), d) == s]
+
+
+# References: the recursive strip search and the validate_strip that runs
+# every check one by one, as they were before the strip layer read the
+# step and row-pair tables of the presentation.
+
+def reference_validate_strip(presentation, strip):
+    rows = strip.rows()
+    rotations = presentation.rotation_set
+    bent = presentation.bent_pairs
+    for k, ((a, s, t, b, u), (_an, _sn, t_next, b_next, _un)) in \
+            enumerate(zip(rows, rows[1:] + rows[:1])):
+        if (a, s, t) not in rotations:
+            raise InvariantError(f"lower triangle {(a, s, t)} at k={k} is not a relator rotation")
+        if (s, b, u) not in rotations:
+            raise InvariantError(f"upper triangle {(s, b, u)} at k={k} is not a relator rotation")
+        if t_next != u:
+            raise InvariantError(f"seam mismatch at k={k}: t_{k + 1}={t_next} != u_{k}={u}")
+        if b == t and u == a:
+            raise InvariantError(f"degenerate strip: upper triangle at k={k} folds onto the base wall")
+        if (b, b_next) in bent:
+            raise InvariantError(f"opposite wall bends at k={k}")
+    a, b = strip.a, strip.b
+    check_wall_sequence(presentation, a)
+    check_wall_sequence(presentation, b)
+    pe = strip.period
+    if pe % minimal_period(a) != 0 or pe % minimal_period(b) != 0:
+        raise InvariantError("strip period is not a multiple of its wall periods")
+
+
+def reference_enumerate(presentation, wall):
+    a = tuple(wall)
+    check_wall_sequence(presentation, a)
+    found = []
+    for (s0, t0) in presentation.starting[a[0]]:
+        completions = []
+        _reference_extend(presentation.starting, presentation.completion, a, 0, s0, t0, [],
+                          completions)
+        if len(completions) > 1:
+            raise AmbiguousStrip((a[0], s0, t0))
+        if completions:
+            strip = Strip.from_rows(completions[0])
+            reference_validate_strip(presentation, strip)
+            found.append(strip)
+    return found
+
+
+def _reference_extend(starting, completion, a, k, sk, tk, rows, completions):
+    ak = a[k]
+    last = k == len(a) - 1
+    complete_next = completion[a[0] if last else a[k + 1]]
+    for (bk, uk) in starting[sk]:
+        if bk == tk and uk == ak:
+            continue
+        s_next = complete_next[uk]
+        if s_next is None:
+            continue
+        row = (ak, sk, tk, bk, uk)
+        if last:
+            _a0, s0, t0, _b0, _u0 = rows[0] if rows else row
+            if s_next == s0 and uk == t0:
+                completions.append((*rows, row))
+        else:
+            rows.append(row)
+            _reference_extend(starting, completion, a, k + 1, s_next, uk, rows, completions)
+            rows.pop()
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type, arguments and message of what it raised."""
+    try:
+        return fn(*args)
+    except (AmbiguousStrip, InvariantError, NotAWallWord, ValueError) as exc:
+        return (type(exc), exc.args, str(exc))
+
+
+def check_enumerate_equals_reference(presentation, walls):
+    """Same strips in the same order (or the same exception) at every
+    rotation of every wall."""
+    outcomes = []
+    for wall in walls:
+        for r in range(len(wall)):
+            rotated = wall[r:] + wall[:r]
+            got = outcome(enumerate_periodic_strips, presentation, rotated)
+            assert got == outcome(reference_enumerate, presentation, rotated), rotated
+            outcomes.append(got)
+    return outcomes
+
+
+def test_enumerate_equals_reference_through_length_6():
+    check_enumerate_equals_reference(C1, [w for n in range(1, 7) for w in wall_necklaces(C1, n)])
+
+
+@pytest.mark.slow
+def test_enumerate_equals_reference_at_length_7():
+    check_enumerate_equals_reference(C1, wall_necklaces(C1, 7))
+
+
+def relabelled_c1(seed):
+    """c1 with its generators renamed by a seeded permutation."""
+    perm = list(range(7))
+    random.Random(seed).shuffle(perm)
+    doc = BUILTIN_PRESENTATIONS["c1"]
+    return load({"generators": 7, "relators": [[perm[x] for x in t] for t in doc["relators"]]})
+
+
+def test_enumerate_equals_reference_on_relabelled_c1():
+    pres = relabelled_c1(20111)
+    assert pres.rotation_classes != C1.rotation_classes
+    walls = [w for n in range(1, 7) for w in wall_necklaces(pres, n)]
+    outcomes = check_enumerate_equals_reference(pres, walls)
+    assert sum(len(found) for found in outcomes) > 1000
+
+
+# pair-unique with uniform q=2, but the link has girth 4: partial strips
+# branch, and some initial triangles close two strips
+NON_BUILDING = load({"generators": 4, "relators": [[3, 0, 1], [3, 1, 2], [0, 2, 1], [3, 2, 0]]},
+                    strict=False)
+
+
+def test_enumerate_equals_reference_where_strips_branch():
+    walls = [w for n in range(1, 7) for w in wall_necklaces(NON_BUILDING, n)]
+    outcomes = check_enumerate_equals_reference(NON_BUILDING, walls)
+    assert any(isinstance(got, tuple) and got[0] is AmbiguousStrip for got in outcomes)
+    assert any(isinstance(got, list) and got for got in outcomes)
+
+
+# every valid c1 strip of length 1-7 at a canonical wall
+STRIPS_BY_LENGTH = {n: [s for w in wall_necklaces(C1, n) for s in enumerate_periodic_strips(C1, w)]
+                    for n in range(1, 8)}
+# every row whose two triangles are rotations, folds included
+TRIANGLE_ROWS = [(a, s, t, b, u) for (a, s, t) in sorted(C1.rotation_set)
+                 for (b, u) in C1.starting[s]]
+
+
+def replace_row(strip, k, row):
+    rows = list(strip.rows())
+    rows[k] = row
+    return Strip.from_rows(tuple(rows))
+
+
+@st.composite
+def mutated_strip(draw):
+    """A valid c1 strip of length 1-7 at a drawn phase, with one mutation:
+    a label changed (7 is out of range), a broken seam (another upper
+    triangle at row k), a fold, or a bent wall (another row whose seams
+    match where they can); or none."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    strip = shift(draw(st.sampled_from(STRIPS_BY_LENGTH[n])), draw(st.integers(0, n - 1)))
+    k = draw(st.integers(0, n - 1))
+    a, s, t, b, u = row = strip.rows()[k]
+    kind = draw(st.sampled_from(["none", "label", "seam", "fold", "bent"]))
+    if kind == "label":
+        column = draw(st.integers(0, 4))
+        label = draw(st.integers(0, 7).filter(lambda x: x != row[column]))
+        return replace_row(strip, k, row[:column] + (label,) + row[column + 1:])
+    if kind == "seam":
+        b2, u2 = draw(st.sampled_from([bu for bu in C1.starting[s] if bu != (b, u)]))
+        return replace_row(strip, k, (a, s, t, b2, u2))
+    if kind == "fold":
+        return replace_row(strip, k, (a, s, t, t, a))
+    if kind == "bent":
+        before, after = strip.rows()[k - 1][4], strip.rows()[(k + 1) % n][2]
+        valid = [r for r in TRIANGLE_ROWS if r != row and not (r[3] == r[2] and r[4] == r[0])]
+        sealed = [r for r in valid if r[2] == before and r[4] == after]
+        return replace_row(strip, k, draw(st.sampled_from(sealed or valid)))
+    return strip
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_strip())
+def test_validate_strip_equals_reference_on_mutations(strip):
+    assert outcome(validate_strip, C1, strip) == outcome(reference_validate_strip, C1, strip)
+
+
+def test_validate_strip_equals_reference_on_every_single_change():
+    """Every label change and every row substitution at every row of the
+    strips of length 1-3; between them they fail every row, seam and
+    opposite-wall check.  (No such change bends the base wall alone: valid
+    rows with closed seams keep it straight, in every presentation tried.)"""
+    prefixes = ("lower triangle", "upper triangle", "seam mismatch", "degenerate strip",
+                "opposite wall bends")
+    failures = set()
+    for strip in ALL_STRIPS:
+        for k, row in enumerate(strip.rows()):
+            changed = [row[:c] + (x,) + row[c + 1:] for c in range(5) for x in range(8)]
+            for new in changed + TRIANGLE_ROWS:
+                mutant = replace_row(strip, k, new)
+                got = outcome(validate_strip, C1, mutant)
+                assert got == outcome(reference_validate_strip, C1, mutant), mutant
+                if got is not None:
+                    failures.add((got[0], next(p for p in prefixes if got[2].startswith(p))))
+    assert failures == {(InvariantError, p) for p in prefixes}
+
+
+def test_validate_strip_equals_reference_on_all_short_row_sequences():
+    """Every sequence of 1-3 non-folding rows of a non-building presentation."""
+    rows = [(a, s, t, b, u) for (a, s, t), uppers in NON_BUILDING.steps.items()
+            for (b, u) in uppers]
+    accepted = 0
+    for n in (1, 2, 3):
+        for combo in itertools.product(rows, repeat=n):
+            strip = Strip.from_rows(combo)
+            got = outcome(validate_strip, NON_BUILDING, strip)
+            assert got == outcome(reference_validate_strip, NON_BUILDING, strip), combo
+            accepted += got is None
+    assert accepted > 0
+
+
+def test_validate_empty_strip_equals_reference():
+    empty = Strip((), (), (), (), ())
+    with pytest.raises(ValueError, match="empty word"):
+        validate_strip(C1, empty)
+    assert outcome(validate_strip, C1, empty) == outcome(reference_validate_strip, C1, empty)
