@@ -13,7 +13,6 @@ a usage error the same way.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
@@ -56,10 +55,10 @@ def _parse_word(text: str, pres: TrianglePresentation):
     return word
 
 
-def _presentation_id(name: str) -> str:
-    pres = load_named(name)
-    digest = hashlib.sha256(pres.dumps().encode()).hexdigest()[:12]
-    return digest
+def _presentation_id(pres: TrianglePresentation) -> str:
+    """The first 12 hex digits of the sha256 of the presentation's document."""
+    import hashlib  # only the text format prints the id
+    return hashlib.sha256(pres.dumps().encode()).hexdigest()[:12]
 
 
 def _emit(text: str, out: str | None):
@@ -122,7 +121,7 @@ def cmd_centralizer(args) -> int:
         _emit(graph.to_dot(), args.out)
     else:
         lines = []
-        lines.append(f"presentation {args.presentation} (sha256 {_presentation_id(args.presentation)})")
+        lines.append(f"presentation {args.presentation} (sha256 {_presentation_id(pres)})")
         lines.append(f"element g = {','.join(str(x) for x in word)}  |g| = {graph.n} edges")
         lines.append(f"classification: {graph.classification}")
         if graph.classification == "single_axis":

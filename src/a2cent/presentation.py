@@ -46,14 +46,19 @@ BUILTIN_PRESENTATIONS = {
 class TrianglePresentation:
     """Validated triangle presentation; immutable after construction.
 
-    The lookup tables are built once by load() and never change:
-    ``rotation_set`` holds all 3*|classes| rotations, ``starting[i]`` the
-    sorted (j, k) with rotation (i, j, k), ``completion[i][k]`` the unique j
-    with rotation (i, j, k) or None, and ``bent_pairs`` the (i, j) that lie
-    on a common triangle.  Two tables serve the strip layer:
+    The lookup tables are built once by load() and never change, and each
+    holds O(|rotations|) entries (times a factor of q), never one per pair of
+    generators: ``rotation_set`` holds all 3*|classes| rotations,
+    ``starting[i]`` the sorted (j, k) with rotation (i, j, k),
+    ``completion[i]`` a read-only mapping from each k with some rotation
+    (i, ., k) to that unique j, and ``bent_pairs`` the (i, j) that lie on a
+    common triangle.  Three tables serve the strip layer:
     ``steps[(a, s, t)]`` maps each lower triangle (a rotation) to its
-    non-folding upper choices (b, u), in the order of ``starting[s]``, and
-    ``row_pairs`` holds every valid consecutive strip row pair
+    non-folding upper choices (b, u), in the order of ``starting[s]``;
+    ``transitions[(a, s, t, a')]`` holds, in the same order, the
+    ``(row, s', u)`` for each such choice whose next lower triangle
+    (a', s', u) exists, where row is (a, s, t, b, u), and has no empty
+    entries; and ``row_pairs`` holds every valid consecutive strip row pair
     ((a, s, t, b, u), (a', s', t', b', u')): both rows are valid, t' == u,
     and neither (a, a') nor (b, b') is bent.  Strips and walls read the
     tables directly; the query methods below add the generator range check.
@@ -64,9 +69,10 @@ class TrianglePresentation:
     thickness_q: int
     rotation_set: frozenset = field(repr=False, compare=False)
     starting: tuple = field(repr=False, compare=False)  # of tuples of (j, k)
-    completion: tuple = field(repr=False, compare=False)  # m x m grid
+    completion: tuple = field(repr=False, compare=False)  # of mappings k -> j
     bent_pairs: frozenset = field(repr=False, compare=False)
     steps: MappingProxyType = field(repr=False, compare=False)  # (a, s, t) -> ((b, u), ...)
+    transitions: MappingProxyType = field(repr=False, compare=False)  # (a, s, t, a') -> ((row, s', u), ...)
     row_pairs: frozenset = field(repr=False, compare=False)
     warnings: tuple = ()
 
@@ -92,7 +98,7 @@ class TrianglePresentation:
         """The unique j with rotation (i, j, k), or None."""
         self._check_index(i)
         self._check_index(k)
-        return self.completion[i][k]
+        return self.completion[i].get(k)
 
     def relators_starting_with(self, i: int):
         """The q+1 rotations (i, j, k), returned as sorted (j, k) pairs."""
@@ -271,6 +277,9 @@ def load(document, strict: bool = True) -> TrianglePresentation:
         issues.append(f"thickness q={q} < 2: every generator must head q+1 >= 3 rotations")
         raise PresentationError(issues)
     starting = tuple(tuple(starting[i]) for i in range(m))
+    completion_rows = [{} for _ in range(m)]
+    for (i, k), j in completion.items():
+        completion_rows[i][k] = j
 
     # link condition: (q+1)-biregular bipartite graph of girth 6 and diameter 3
     nodes, degrees, girth, diameter = _link_stats(_link_graph(starting))
@@ -288,23 +297,25 @@ def load(document, strict: bool = True) -> TrianglePresentation:
                 [f"link condition failure ({nodes} nodes): " + "; ".join(link_issues)])
         warnings.extend(link_issues)
 
-    steps, row_pairs = _strip_tables(rotations, starting, first_pairs)
+    steps, transitions, row_pairs = _strip_tables(rotations, starting, first_pairs)
     return TrianglePresentation(
         generator_count=m,
         rotation_classes=frozenset(classes),
         thickness_q=q,
         rotation_set=frozenset(rotations),
         starting=starting,
-        completion=tuple(tuple(completion.get((i, k)) for k in range(m)) for i in range(m)),
+        completion=tuple(MappingProxyType(row) for row in completion_rows),
         bent_pairs=frozenset(first_pairs),
         steps=steps,
+        transitions=transitions,
         row_pairs=row_pairs,
         warnings=tuple(warnings),
     )
 
 
 def _strip_tables(rotations, starting, bent):
-    """The step table and the valid consecutive row pairs of strips.
+    """The step and transition tables and the valid consecutive row pairs
+    of strips.
 
     A row (a, s, t, b, u) is valid when (a, s, t) and (s, b, u) are
     rotations and the upper triangle does not fold onto the lower one
@@ -312,14 +323,24 @@ def _strip_tables(rotations, starting, bent):
     """
     steps = {(a, s, t): tuple((b, u) for (b, u) in starting[s] if not (b == t and u == a))
              for (a, s, t) in sorted(rotations)}
+    ending = defaultdict(list)  # u -> the (a', s') with rotation (a', s', u)
+    for (a, s, t) in sorted(rotations):
+        ending[t].append((a, s))
+    transitions = defaultdict(list)
     by_seam = defaultdict(list)  # t -> valid rows with that t
     for (a, s, t), uppers in steps.items():
-        by_seam[t].extend((a, s, t, b, u) for (b, u) in uppers)
+        for (b, u) in uppers:
+            row = (a, s, t, b, u)
+            by_seam[t].append(row)
+            for (a_next, s_next) in ending[u]:
+                transitions[a, s, t, a_next].append((row, s_next, u))
     row_pairs = frozenset(
         (row, nxt)
         for rows in by_seam.values() for row in rows for nxt in by_seam[row[4]]
         if (row[0], nxt[0]) not in bent and (row[3], nxt[3]) not in bent)
-    return MappingProxyType(steps), row_pairs
+    return (MappingProxyType(steps),
+            MappingProxyType({key: tuple(entry) for key, entry in transitions.items()}),
+            row_pairs)
 
 
 def loads(text: str, strict: bool = True) -> TrianglePresentation:

@@ -8,20 +8,25 @@ graph, edges are deduplicated by the canonical edge key, so back-edges,
 loops and parallel edges are all handled uniformly.
 
 All witness words are relative to the base vertex of the canonical rotation
-of the input element.
+of the input element.  The BFS records a witness tree: each new wall vertex
+keeps its parent and the short reduced suffix x_{t_0}^-1 x_{b_0} ...
+x_{b_{dd-1}} that carries the parent's base vertex to its own.  A vertex's
+base witness is the product of the suffixes along its tree path; it is
+spelled only when an output word needs it (a stabilizer generator, a
+median glide or a non-tree conjugator), and then once.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 
 from .errors import InvariantError
 from .presentation import TrianglePresentation
 from .strips import (Strip, canonical_edge_key, enumerate_periodic_strips,
-                     flip_shifts, group_by_wall_shifts, median_order, shift)
-from .walls import (Necklace, canonical_rotation, minimal_period,
+                     flip_shifts, group_by_wall_shifts, median_order)
+from .walls import (Necklace, canonical_rotation, least_rotation, minimal_period,
                     stabilizer_generator_word, stabilizer_order, wall_word)
 from .words import FormalWord
 
@@ -39,7 +44,6 @@ class QuotientVertex:
     # wall vertices only
     sequence: tuple[int, ...] = ()
     period: int = 0
-    base_witness: FormalWord = field(default_factory=FormalWord)
 
     def to_json(self):
         return {
@@ -134,26 +138,17 @@ def _median_display_label(strip: Strip) -> str:
     The label is minimized over anchor phases and rotations.
     """
     d = flip_shifts(strip)[0]
-    n = strip.length
+    rows = strip.rows()
     candidates = []
-    for k0 in range(n):
-        sp = shift(strip, k0)
+    for k0 in range(len(rows)):
+        sp = rows[k0:] + rows[:k0]
         if d == 0:
-            word = (sp.t[0],)
+            word = (sp[0][2],)
         else:
-            word = tuple(sp.a[:d]) + (sp.a[d], sp.s[d])
+            word = tuple([row[0] for row in sp[:d]]) + sp[d][:2]
         candidates.append(canonical_rotation(word))
     best = min(candidates)
     return "[" + ",".join(str(x) for x in best) + "]"
-
-
-def _anchor_shift(sequence, canon) -> int:
-    """Minimal dd with sequence rotated by dd equal to the canonical rotation."""
-    n = len(sequence)
-    for dd in range(n):
-        if sequence[dd:] + sequence[:dd] == canon:
-            return dd
-    raise AssertionError("canonical rotation is always reachable")
 
 
 def build_quotient(presentation: TrianglePresentation, element) -> QuotientGraphOfGroups:
@@ -166,24 +161,44 @@ def build_quotient(presentation: TrianglePresentation, element) -> QuotientGraph
     wall_ids: dict[tuple, int] = {}
     median_ids: dict[tuple, int] = {}
     edge_keys: set = set()
+    # witness tree: wall vertex -> (parent, suffix); spelled base witnesses
+    tree_links: dict[int, tuple[int, FormalWord]] = {}
+    spelled: dict[int, FormalWord] = {}
 
-    def new_wall_vertex(sequence, witness) -> int:
+    def base_witness(vid) -> FormalWord:
+        """The base witness of a wall vertex, spelled from its nearest
+        spelled ancestor in the witness tree."""
+        suffixes = []
+        top = vid
+        while top not in spelled:
+            top, suffix = tree_links[top]
+            suffixes.append(suffix)
+        if suffixes:
+            suffixes.append(spelled[top])
+            spelled[vid] = FormalWord.product(reversed(suffixes))
+        return spelled[vid]
+
+    def new_wall_vertex(sequence, parent=None, suffix=None) -> int:
+        vid = len(vertices)
+        if parent is None:
+            spelled[vid] = FormalWord.identity()
+        else:
+            tree_links[vid] = (parent, suffix)
         p = minimal_period(sequence)
         order = stabilizer_order(n, p)
-        gen = (stabilizer_generator_word(witness, sequence, p)
-               if order > 1 else FormalWord())
-        v = QuotientVertex(
-            index=len(vertices), kind="wall", key=sequence,
+        gen = (stabilizer_generator_word(base_witness(vid), sequence, p)
+               if order > 1 else FormalWord.identity())
+        vertices.append(QuotientVertex(
+            index=vid, kind="wall", key=sequence,
             group_order=order, generator_witness=gen,
             display_label=Necklace(sequence, p).display_label,
-            sequence=sequence, period=p, base_witness=witness)
-        vertices.append(v)
-        wall_ids[sequence] = v.index
+            sequence=sequence, period=p))
+        wall_ids[sequence] = vid
         if len(vertices) > VERTEX_CAP:
             raise InvariantError("vertex cap exceeded; BFS failed to terminate")
-        return v.index
+        return vid
 
-    base = new_wall_vertex(neck.labels, FormalWord())
+    base = new_wall_vertex(neck.labels)
     queue = deque([base])
     seen_any_strip = False
 
@@ -211,11 +226,12 @@ def build_quotient(presentation: TrianglePresentation, element) -> QuotientGraph
                 mu_med = 2 * pe // (2 * d + 1)
                 if 2 * pe % (2 * d + 1) != 0:
                     raise InvariantError("median inclusion multiplier is not integral")
-                glide_core = FormalWord.from_indices(rep.a[:d]) * \
-                    FormalWord.generator(rep.t[d], -1)
-                glide = glide_core.conjugate_by(v.base_witness)
                 is_new = key not in median_ids
                 if is_new:
+                    witness = base_witness(vid)
+                    glide = FormalWord.product((
+                        witness, FormalWord.from_indices(rep.a[:d]),
+                        FormalWord.generator(rep.t[d], -1), witness.inverse()))
                     mv = QuotientVertex(
                         index=len(vertices), kind="median", key=key,
                         group_order=m_order, generator_witness=glide,
@@ -226,23 +242,23 @@ def build_quotient(presentation: TrianglePresentation, element) -> QuotientGraph
                 edges.append(QuotientEdge(
                     index=len(edges), endpoints=(vid, mid), key=key,
                     group_order=edge_order, multipliers=(mu_wall, mu_med),
-                    conjugator_witness=FormalWord(), in_spanning_tree=is_new,
+                    conjugator_witness=FormalWord.identity(), in_spanning_tree=is_new,
                     strip=rep))
             else:
-                canon_b = canonical_rotation(rep.b)
-                dd = _anchor_shift(rep.b, canon_b)
+                b = rep.b
+                canon_b, dd = least_rotation(b)
                 # x_{t_0}^-1 x_{b_0} ... x_{b_{dd-1}} is reduced: t_0 == b_0
                 # would make the upper triangle (s_0, t_0, a_0), the fold
-                lift_witness = v.base_witness * FormalWord(
-                    ((rep.t[0], -1),) + tuple([(x, 1) for x in rep.b[:dd]]))
+                suffix = FormalWord(((rep.rows()[0][2], -1),) + tuple([(x, 1) for x in b[:dd]]))
                 is_new = canon_b not in wall_ids
                 if is_new:
-                    other = new_wall_vertex(canon_b, lift_witness)
+                    other = new_wall_vertex(canon_b, vid, suffix)
                     queue.append(other)
-                    conj = FormalWord()
+                    conj = FormalWord.identity()
                 else:
                     other = wall_ids[canon_b]
-                    conj = lift_witness * vertices[other].base_witness.inverse()
+                    conj = FormalWord.product(
+                        (base_witness(vid), suffix, base_witness(other).inverse()))
                 mu_wall = pe // v.period
                 mu_other = pe // vertices[other].period
                 edges.append(QuotientEdge(

@@ -17,14 +17,18 @@ reflection, so its tree edge is inverted and acquires a median vertex.
 
 In memory a strip is the tuple of its n rows (a_k, s_k, t_k, b_k, u_k),
 returned by ``rows()``; the five sequences are columns read from it.  A
-shift is a rotation of the rows, and ``canonical_edge_key`` is the least
-rotation of the rows or of the swapped rows.
+strip computes its period and its swapped rows (the rows read from the
+opposite wall) at most once.  A shift is a rotation of the rows, and
+``canonical_edge_key`` is the least rotation of the rows or of the swapped
+rows.
 
 Enumeration and validation read two tables that ``presentation.load``
-builds once: ``steps`` gives the non-folding upper choices of each lower
-triangle, so the strips along a wall are found by one walk that extends
-rows across seams, and ``row_pairs`` holds the valid consecutive row pairs,
-so a valid strip is recognized by a set containment over its cyclic pairs.
+builds once: ``transitions`` gives, for a lower triangle and the next base
+label, each non-folding row together with the next lower triangle across
+its seam, so the strips along a wall are found by one walk that extends
+rows one table lookup at a time, and ``row_pairs`` holds the valid
+consecutive row pairs, so a valid strip is recognized by a set containment
+over its cyclic pairs.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import itertools
 
 from .errors import AmbiguousStrip, InvariantError, NotAWallWord
 from .presentation import TrianglePresentation
-from .walls import canonical_rotation, check_wall_sequence, minimal_period
+from .walls import canonical_rotation, check_wall_sequence, is_period, minimal_period
 
 ORACLE_MAX_LENGTH = 6  # (q+1)^(2n) blowup guard for the brute-force oracle
 
@@ -46,18 +50,20 @@ def _column(index, name):
 class Strip:
     """A periodic strip at one g-period, stored as its rows (a, s, t, b, u)."""
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_rows", "_period", "_swapped")
 
     def __init__(self, a, s, t, b, u):
         if not len(a) == len(s) == len(t) == len(b) == len(u):
             raise InvariantError("sequence lengths differ")
         self._rows = tuple(zip(a, s, t, b, u))
+        self._period = self._swapped = None
 
     @classmethod
     def from_rows(cls, rows: tuple) -> "Strip":
         """The strip with these (a, s, t, b, u) rows, given as a tuple."""
         strip = cls.__new__(cls)
         strip._rows = rows
+        strip._period = strip._swapped = None
         return strip
 
     a = _column(0, "base-wall")
@@ -84,10 +90,18 @@ class Strip:
     @property
     def period(self) -> int:
         """Minimal p_e with all five sequences invariant under shift by p_e."""
-        return minimal_period(self._rows)
+        if self._period is None:
+            self._period = minimal_period(self._rows)
+        return self._period
 
     def rows(self):
         return self._rows
+
+    def swapped_rows(self):
+        """The rows of ``swap(self)``."""
+        if self._swapped is None:
+            self._swapped = _swapped_rows(self._rows)
+        return self._swapped
 
     def lower_triangle(self, k: int):
         a, s, t, _b, _u = self._rows[k]
@@ -121,7 +135,7 @@ def swap(strip: Strip) -> Strip:
 
     swap(swap(strip)) == shift(strip, 1).
     """
-    return Strip.from_rows(_swapped_rows(strip.rows()))
+    return Strip.from_rows(strip.swapped_rows())
 
 
 def validate_strip(presentation: TrianglePresentation, strip: Strip) -> None:
@@ -156,9 +170,11 @@ def validate_strip(presentation: TrianglePresentation, strip: Strip) -> None:
                 raise InvariantError(f"opposite wall bends at k={k}")
         check_wall_sequence(presentation, strip.a)
         check_wall_sequence(presentation, strip.b)
-    # wall periods refine the strip period
+    # wall periods refine the strip period: as p_e divides n, each wall is
+    # invariant under the shift by p_e iff p_e is a multiple of its period
     pe = strip.period
-    if pe % minimal_period(strip.a) != 0 or pe % minimal_period(strip.b) != 0:
+    a, _s, _t, b, _u = zip(*rows)
+    if not (is_period(a, pe) and is_period(b, pe)):
         raise InvariantError("strip period is not a multiple of its wall periods")
 
 
@@ -169,9 +185,11 @@ def enumerate_periodic_strips(presentation: TrianglePresentation, wall) -> list[
     One walk along the wall carries every partial strip, starting from each
     of the q+1 initial lower triangles (a_0, s_0, t_0).  At position k a
     partial strip ending in lower triangle (a_k, s_k, t_k) extends by each
-    non-folding upper choice (b_k, u_k) in ``presentation.steps``; the next
-    lower triangle (a_{k+1}, s_{k+1}, u_k) is forced across the seam, and
-    the extension dies when it does not exist.  After n steps a strip closes
+    non-folding upper choice (b_k, u_k); the next lower triangle
+    (a_{k+1}, s_{k+1}, u_k) is forced across the seam, and the extension
+    dies when it does not exist.  ``presentation.transitions`` lists the
+    surviving extensions of each lower triangle for each next base label, so
+    a step is one lookup per partial strip.  After n steps a strip closes
     when that next lower triangle is its initial one.  Each initial triangle
     closes at most one strip (asserted; AmbiguousStrip otherwise), and every
     strip found is validated.  Strips come in the order of their initial
@@ -179,15 +197,12 @@ def enumerate_periodic_strips(presentation: TrianglePresentation, wall) -> list[
     """
     a = tuple(wall)
     check_wall_sequence(presentation, a)
-    steps = presentation.steps
-    completion = presentation.completion
+    transitions = presentation.transitions
     walks = [((), s0, t0) for (s0, t0) in presentation.starting[a[0]]]  # (rows, s_k, t_k)
     for ak, a_next in zip(a, a[1:] + a[:1]):
-        complete_next = completion[a_next]
-        walks = [(rows + ((ak, sk, tk, bk, uk),), s_next, uk)
+        walks = [(rows + (row,), s_next, u)
                  for rows, sk, tk in walks
-                 for bk, uk in steps[ak, sk, tk]
-                 if (s_next := complete_next[uk]) is not None]
+                 for row, s_next, u in transitions.get((ak, sk, tk, a_next), ())]
         if not walks:
             return []
     closed = [rows for rows, sk, tk in walks if rows[0][1] == sk and rows[0][2] == tk]
@@ -234,8 +249,7 @@ def canonical_edge_key(strip: Strip):
     Equal keys identify the same quotient edge (strip orbits up to the
     translation and wall-swap symmetries).  The key is a tuple of rows.
     """
-    rows = strip.rows()
-    return min(canonical_rotation(rows), canonical_rotation(_swapped_rows(rows)))
+    return min(canonical_rotation(strip.rows()), canonical_rotation(strip.swapped_rows()))
 
 
 def flip_shifts(strip: Strip) -> list[int]:
@@ -246,7 +260,7 @@ def flip_shifts(strip: Strip) -> list[int]:
     median vertex group order 2n/(2d+1).
     """
     rows = strip.rows()
-    sw = _swapped_rows(rows)
+    sw = strip.swapped_rows()
     return [d for d, row in enumerate(sw) if row == rows[0] and sw[d:] + sw[:d] == rows]
 
 

@@ -26,6 +26,27 @@ def canonical_rotation(labels):
     return min(seq[r:] + seq[:r] for r, x in enumerate(seq) if x == first)
 
 
+def least_rotation(labels):
+    """The canonical rotation of the sequence and the least r with the
+    sequence rotated by r equal to it, from one pass over the rotations.
+
+    canonical_rotation does without r, as every edge key needs two of it.
+    """
+    seq = tuple(labels)
+    first = min(seq)
+    return min((seq[r:] + seq[:r], r) for r, x in enumerate(seq) if x == first)
+
+
+def is_period(labels, p: int) -> bool:
+    """True iff the cyclic sequence is invariant under the shift by p.
+
+    For p dividing the length this holds iff p is a multiple of the
+    minimal period.
+    """
+    seq = tuple(labels)
+    return seq[p:] + seq[:p] == seq
+
+
 def minimal_period(labels):
     seq = tuple(labels)
     n = len(seq)
@@ -67,13 +88,14 @@ def check_wall_sequence(presentation: TrianglePresentation, labels) -> None:
     seq = tuple(labels)
     if not seq:
         raise ValueError("empty word")
-    out_of_range = [i for i in seq if not 0 <= i < presentation.generator_count]
-    if out_of_range:
-        presentation._check_index(out_of_range[0])
+    m = presentation.generator_count
+    if min(seq) < 0 or max(seq) >= m:
+        presentation._check_index(next(i for i in seq if not 0 <= i < m))
+    pairs = tuple(zip(seq, seq[1:] + seq[:1]))
     bent = presentation.bent_pairs
-    for k, pair in enumerate(zip(seq, seq[1:] + seq[:1])):
-        if pair in bent:
-            raise NotAWallWord(k, pair)
+    if not bent.isdisjoint(pairs):
+        k = next(k for k, pair in enumerate(pairs) if pair in bent)
+        raise NotAWallWord(k, pairs[k])
 
 
 def wall_necklaces(presentation: TrianglePresentation, n: int) -> list[tuple[int, ...]]:

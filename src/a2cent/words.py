@@ -25,7 +25,7 @@ class FormalWord:
 
     @staticmethod
     def identity() -> "FormalWord":
-        return FormalWord()
+        return _IDENTITY
 
     @staticmethod
     def from_indices(indices) -> "FormalWord":
@@ -36,21 +36,32 @@ class FormalWord:
     def generator(i: int, exp: int = 1) -> "FormalWord":
         return FormalWord(((i, exp),))
 
+    @staticmethod
+    def product(factors) -> "FormalWord":
+        """The reduced product of reduced words, validated once.
+
+        Each factor cancels against the end of the product so far until a
+        seam pair does not cancel; a factor may cancel completely.
+        """
+        out = []
+        for factor in factors:
+            right = factor.letters
+            c, most = 0, len(right)
+            while c < most and out and out[-1][0] == right[c][0] and out[-1][1] == -right[c][1]:
+                out.pop()
+                c += 1
+            out.extend(right[c:])
+        return FormalWord(tuple(out))
+
     def __mul__(self, other: "FormalWord") -> "FormalWord":
-        # both factors are reduced, so cancellation stops at the first seam
-        # pair that does not cancel
-        left, right = self.letters, other.letters
-        c, most = 0, min(len(left), len(right))
-        while c < most and left[-1 - c][0] == right[c][0] and left[-1 - c][1] == -right[c][1]:
-            c += 1
-        return FormalWord(left[:len(left) - c] + right[c:])
+        return FormalWord.product((self, other))
 
     def inverse(self) -> "FormalWord":
         return FormalWord(tuple((g, -e) for g, e in reversed(self.letters)))
 
     def conjugate_by(self, c: "FormalWord") -> "FormalWord":
         """c * self * c^-1."""
-        return c * self * c.inverse()
+        return FormalWord.product((c, self, c.inverse()))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -68,3 +79,6 @@ class FormalWord:
 
     def to_json(self):
         return [[g, e] for g, e in self.letters]
+
+
+_IDENTITY = FormalWord()

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import subprocess
 import sys
 
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 
 from a2cent.cli import (EXIT_INTERNAL, EXIT_OK, EXIT_UNSUPPORTED,
                         EXIT_VALIDATION, main, run_centralizer)
-from a2cent.walls import wall_necklaces
+from a2cent.presentation import BUILTIN_PRESENTATIONS, load_named
+from a2cent.walls import canonical_rotation, minimal_period, wall_necklaces
 
 
 def run(capsys, *argv):
@@ -47,6 +49,41 @@ def test_centralizer_text(capsys):
     assert "first Betti number: 1" in out
     assert "isomorphism type: Z * (Z/2)^{*2} * (Z/4)" in out
     assert "x6^-1 x2 x6" in out
+
+
+def test_centralizer_text_presentation_id(capsys, tmp_path, monkeypatch):
+    """The id line is the parent's for builtin:c1 and the same for a JSON
+    copy of c1, and the presentation is loaded once per run."""
+    from a2cent import cli
+    calls = []
+
+    def counting_load_named(*args, **kwargs):
+        calls.append(args)
+        return load_named(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_named", counting_load_named)
+    code, out, _err = run(capsys, "centralizer", "builtin:c1", "--word", "0,5")
+    assert code == EXIT_OK
+    assert out.splitlines()[0] == "presentation builtin:c1 (sha256 94e3d05979bf)"
+    assert len(calls) == 1
+    path = tmp_path / "c1.json"
+    path.write_text(json.dumps(BUILTIN_PRESENTATIONS["c1"]))
+    code, out, _err = run(capsys, "centralizer", str(path), "--word", "0,5")
+    assert code == EXIT_OK
+    assert out.splitlines()[0] == f"presentation {path} (sha256 94e3d05979bf)"
+    assert len(calls) == 2
+
+
+def test_structured_and_dot_runs_do_not_import_hashlib():
+    code = ("import contextlib, io, sys\n"
+            "from a2cent.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    for fmt in ('structured', 'dot'):\n"
+            "        main(['centralizer', 'builtin:c1', '--word', '0,5', '--format', fmt])\n"
+            "print('hashlib' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_centralizer_single_axis(capsys):
@@ -273,6 +310,40 @@ def test_structured_output_byte_stable_through_length_6(c1):
             digest.update((json.dumps(report, indent=2, sort_keys=True) + "\n").encode())
     assert digest.hexdigest() == \
         "2f2ba0b47a2b37d59b65a56224356990d7e3274612fc66fd580a1522148a6da4"
+
+
+def deep_walls(pres, count=20, seed=12, lengths=(12, 13, 14)):
+    """``count`` distinct primitive wall words of the given lengths, as
+    canonical rotations of seeded random closed walks in the straight
+    digraph."""
+    rng = random.Random(seed)
+    m = pres.generator_count
+    succ = [[j for j in range(m) if (i, j) not in pres.bent_pairs] for i in range(m)]
+    walls = []
+    while len(walls) < count:
+        n = rng.choice(lengths)
+        walk = [rng.randrange(m)]
+        while len(walk) < n:
+            walk.append(rng.choice(succ[walk[-1]]))
+        word = canonical_rotation(walk)
+        if (walk[-1], walk[0]) in pres.bent_pairs or minimal_period(word) != n \
+                or word in walls:
+            continue
+        walls.append(word)
+    return walls
+
+
+def test_structured_output_byte_stable_on_deep_walls(c1):
+    """sha256 of the structured reports of 20 seeded primitive c1 walls of
+    length 12-14, two of them with quotients of 784 and 876 vertices and
+    BFS trees of depth 102 and 221, as produced before witness words were
+    spelled on demand."""
+    digest = hashlib.sha256()
+    for word in deep_walls(c1):
+        report = run_centralizer(c1, word)[0]
+        digest.update((json.dumps(report, indent=2, sort_keys=True) + "\n").encode())
+    assert digest.hexdigest() == \
+        "23a7a18b4636f5d1f78f888d39dab89e497c2267c1f07fb108ad4cea2759343a"
 
 
 def test_entry_point_error_has_no_traceback():

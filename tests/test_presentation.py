@@ -29,6 +29,11 @@ def test_straight(c1):
     assert not c1.straight(1, 5)
 
 
+def test_completion_is_sparse(c1):
+    assert [dict(row) for row in c1.completion] == [
+        {k: j for (i2, j, k) in c1.rotations if i2 == i} for i in range(7)]
+
+
 def test_complete(c1):
     assert c1.complete(0, 6) == 0
     assert c1.complete(0, 3) == 2
@@ -91,15 +96,56 @@ def check_strip_tables(pres):
                               and (row[3], nxt[3]) in straight}
 
 
+def check_transitions(pres):
+    """transitions against its definition, from the rotations: the rows
+    (a, s, t, b, u) of each lower triangle, in the order of their upper
+    triangles, whose next lower triangle (a', s', u) exists; no empty
+    entries."""
+    rotations = sorted(pres.rotation_set)
+    expected = {}
+    for (a, s, t) in rotations:
+        for a_next in range(pres.generator_count):
+            entry = tuple(((a, s, t, b, u), s_next, u)
+                          for (s2, b, u) in rotations if s2 == s and (b, u) != (t, a)
+                          for (a2, s_next, u2) in rotations if a2 == a_next and u2 == u)
+            if entry:
+                expected[a, s, t, a_next] = entry
+    assert dict(pres.transitions) == expected
+    assert all(pres.transitions.values())
+
+
 def test_strip_tables_of_c1(c1):
     check_strip_tables(c1)
+    check_transitions(c1)
+    assert len(c1.transitions) == 105
     assert sum(len(uppers) for uppers in c1.steps.values()) == 42  # q of q+1 per triangle
     assert len(c1.row_pairs) == 168
 
 
 def test_strip_tables_of_a_non_building():
-    check_strip_tables(load(_doc([[3, 0, 1], [3, 1, 2], [0, 2, 1], [3, 2, 0]], m=4),
-                            strict=False))
+    pres = load(_doc([[3, 0, 1], [3, 1, 2], [0, 2, 1], [3, 2, 0]], m=4), strict=False)
+    check_strip_tables(pres)
+    check_transitions(pres)
+
+
+def copies_of_c1(k):
+    """k disjoint copies of c1, copy c on the generators 7c..7c+6."""
+    return _doc([[7 * c + x for x in t] for c in range(k)
+                 for t in BUILTIN_PRESENTATIONS["c1"]["relators"]], m=7 * k)
+
+
+def test_disjoint_copies_load_with_tables_linear_in_the_generators(c1):
+    # 2800 generators; the link graph is 400 disjoint Fano incidence graphs,
+    # so only the lenient load accepts it
+    pres = load(copies_of_c1(400), strict=False)
+    assert pres.warnings == ("link graph diameter is None, expected 3",)
+    assert len(pres.completion) == 2800
+    assert all(len(row) == 3 for row in pres.completion)  # q+1 entries per generator
+    assert pres.complete(0, 7) is None and pres.complete(2793, 2799) == 2793
+    for name in ("rotation_set", "steps", "transitions", "row_pairs"):
+        assert len(getattr(pres, name)) == 400 * len(getattr(c1, name)), name
+    assert max(len(pres.rotation_set), len(pres.steps), len(pres.transitions),
+               len(pres.row_pairs)) == len(pres.row_pairs) == 24 * 2800
 
 
 def test_round_trip(c1):

@@ -1,7 +1,7 @@
 import pytest
 
 from a2cent.errors import NotAWallWord
-from a2cent.presentation import load_named
+from a2cent.presentation import BUILTIN_PRESENTATIONS, load, load_named
 from a2cent.quotient import build_quotient, vertex_witnesses
 from a2cent.walls import wall_necklaces
 
@@ -130,3 +130,24 @@ def test_to_json_round_trips_labels():
     assert doc["base_vertex"] == "(0,5)"
     assert doc["betti_number"] == 1
     assert len(doc["vertices"]) == 7 and len(doc["edges"]) == 7
+
+
+def test_quotient_in_the_last_of_disjoint_copies_of_c1():
+    """The sparse tables at high generator indices: in the last of 50
+    disjoint copies of c1, the quotient of the copy of (0, 5) is the c1
+    quotient with every label shifted."""
+    relators = BUILTIN_PRESENTATIONS["c1"]["relators"]
+    pres = load({"generators": 350, "relators": [[7 * c + x for x in t] for c in range(50)
+                                                 for t in relators]}, strict=False)
+    off = 7 * 49
+
+    def shifted(word):
+        return [(g + off, e) for g, e in word.letters]
+
+    got, ref = build_quotient(pres, (off, off + 5)), build_quotient(C1, (0, 5))
+    assert [(v.kind, v.group_order, shifted(v.generator_witness)) for v in ref.vertices] == \
+        [(v.kind, v.group_order, list(v.generator_witness.letters)) for v in got.vertices]
+    assert [(e.endpoints, e.group_order, e.multipliers, shifted(e.conjugator_witness),
+             [tuple(x + off for x in row) for row in e.strip.rows()]) for e in ref.edges] == \
+        [(e.endpoints, e.group_order, e.multipliers, list(e.conjugator_witness.letters),
+          list(e.strip.rows())) for e in got.edges]

@@ -307,7 +307,7 @@ def _reference_extend(starting, completion, a, k, sk, tk, rows, completions):
     for (bk, uk) in starting[sk]:
         if bk == tk and uk == ak:
             continue
-        s_next = complete_next[uk]
+        s_next = complete_next.get(uk)
         if s_next is None:
             continue
         row = (ak, sk, tk, bk, uk)

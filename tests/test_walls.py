@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from a2cent import walls
 from a2cent.errors import NotAWallWord
 from a2cent.walls import (Necklace, canonical_rotation, check_wall_sequence,
                           minimal_period, stabilizer_generator_word,
@@ -47,6 +48,32 @@ def test_minimal_period_divides_and_tiles(seq):
     p = minimal_period(seq)
     assert len(seq) % p == 0
     assert tuple(seq) == tuple(seq[:p]) * (len(seq) // p)
+
+
+@given(st.one_of(
+    st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=12),
+    st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=12).map(lambda x: x * 2),
+    st.lists(st.tuples(*[st.integers(min_value=0, max_value=1)] * 5), min_size=1, max_size=8)))
+def test_least_rotation_gives_the_least_anchor(seq):
+    """walls.least_rotation returns the canonical rotation and the least
+    shift that reaches it."""
+    canon, r = walls.least_rotation(seq)
+    seq = tuple(seq)
+    assert canon == least_rotation(seq)
+    assert r == min(k for k in range(len(seq)) if seq[k:] + seq[:k] == canon)
+
+
+@given(st.one_of(
+    st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=12),
+    st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=6)
+    .flatmap(lambda x: st.integers(min_value=1, max_value=4).map(lambda k: x * k))))
+def test_is_period_agrees_with_minimal_period(seq):
+    """For every p dividing the length, shift invariance by p is p being a
+    multiple of the minimal period (the form validate_strip checks)."""
+    n = len(seq)
+    for p in range(1, n + 1):
+        if n % p == 0:
+            assert walls.is_period(seq, p) == (p % minimal_period(seq) == 0)
 
 
 def test_minimal_period_examples():

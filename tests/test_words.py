@@ -79,3 +79,36 @@ def test_product_equals_stack_reduction(p1, p2, k):
     right = FormalWord(reference_product(cancelled.letters, p2))
     for a, b in ((left, right), (right, left), (left, left.inverse()), (left, cancelled)):
         assert (a * b).letters == reference_product(a.letters, b.letters)
+
+
+def fold(factors):
+    """The left fold of ``*`` over the factors."""
+    w = FormalWord()
+    for factor in factors:
+        w = w * factor
+    return w
+
+
+@given(st.lists(few_letters, max_size=5), st.integers(min_value=0, max_value=5),
+       st.integers(min_value=0, max_value=14))
+def test_n_ary_product_equals_fold(parts, at, k):
+    """FormalWord.product equals the left fold of * and the stack reduction,
+    also with a middle factor that cancels completely: at position ``at`` the
+    inverse of the last k letters of the product so far is inserted, and the
+    original factors stay around it."""
+    factors = [FormalWord(reference_product((), p)) for p in parts]
+    at = min(at, len(factors))
+    so_far = fold(factors[:at])
+    cancelling = FormalWord(so_far.letters[len(so_far) - min(k, len(so_far)):]).inverse()
+    for case in (factors, factors[:at] + [cancelling] + factors[at:],
+                 factors[:at] + [cancelling, cancelling.inverse()] + factors[at:]):
+        expected = ()
+        for factor in case:
+            expected = reference_product(expected, factor.letters)
+        assert FormalWord.product(case).letters == expected
+        assert FormalWord.product(case) == fold(case)
+
+
+def test_n_ary_product_of_nothing_is_the_identity():
+    assert FormalWord.product(()) == FormalWord.identity()
+    assert FormalWord.product(iter([FormalWord.generator(1)])).letters == ((1, 1),)
