@@ -94,8 +94,12 @@ class IsoType:
         return " * ".join(parts) if parts else "1"
 
     def abelianization(self):
-        """(free rank, invariant factors) of the abelianized free product."""
-        return _invariant_factors(self.free_rank, list(self.cyclic_orders))
+        """(free rank, invariant factors) of the abelianized free product:
+        Z^r plus the Smith normal form of the diagonal matrix of the orders."""
+        orders = self.cyclic_orders
+        diagonal = [[o if i == j else 0 for j in range(len(orders))] for i, o in enumerate(orders)]
+        factors = smith_diagonal(diagonal) if orders else []
+        return self.free_rank, tuple(d for d in factors if d > 1)
 
 
 @dataclass(frozen=True)
@@ -269,11 +273,6 @@ def simplify(graph: QuotientGraphOfGroups, order_hint=None):
 
 
 # -- abelianization ---------------------------------------------------------
-
-def _invariant_factors(free_rank: int, orders):
-    factors = sorted(o for o in orders if o > 1)
-    return free_rank, tuple(factors)
-
 
 def smith_diagonal(rows) -> list[int]:
     """Diagonal of the Smith normal form of an integer matrix.

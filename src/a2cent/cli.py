@@ -22,7 +22,7 @@ from .errors import AmbiguousStrip, InvariantError, NotAWallWord, PresentationEr
 from .presentation import TrianglePresentation, load_named
 from .quotient import build_quotient, vertex_witnesses
 from .strips import enumerate_periodic_strips, flip_shifts, group_by_wall_shifts
-from .walls import minimal_period, wall_word
+from .walls import wall_word
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -163,7 +163,7 @@ def cmd_strips(args) -> int:
     seq = word * (n // len(word))
     neck = wall_word(pres, seq)
     strips = enumerate_periodic_strips(pres, neck.labels)
-    classes = group_by_wall_shifts(strips, minimal_period(neck.labels))
+    classes = group_by_wall_shifts(strips, neck.period)
     if args.format == "structured":
         payload = {
             "wall": list(neck.labels),
@@ -226,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser("validate", help="validate a presentation document")
     p_val.add_argument("presentation", help="path or builtin:<id> (builtin:c1)")
     p_val.add_argument("--lenient", action="store_true",
-                       help="downgrade the link girth/diameter check to a warning")
+                       help="downgrade the link check (a projective plane of order q) to a warning")
     p_val.set_defaults(func=cmd_validate)
 
     p_cen = sub.add_parser("centralizer", help="compute the centralizer graph of groups")

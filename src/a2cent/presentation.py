@@ -5,6 +5,13 @@ x_i x_j x_k = 1 stored as rotation classes.  The derived lookup tables answer
 the two local questions everything else is built on: does a pair of
 consecutive edge labels continue straight (no common triangle), and what is
 the unique third label completing a given (first, last) pair.
+
+The vertex link is the incidence graph with a point t and a line s for each
+generator, t on s iff some rotation (s, t, .) exists.  The presentation
+defines an A~2 building iff the link is a projective plane of order q: no two
+lines share two points, and m = q^2 + q + 1.  load() checks those two facts by
+counting point pairs, in O(m q^2); they force the link's girth 6 and diameter
+3, which link_stats() computes by BFS for display only.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ from __future__ import annotations
 import json
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
+from itertools import combinations
 from types import MappingProxyType
 
 from .errors import PresentationError
@@ -52,13 +60,12 @@ class TrianglePresentation:
     ``starting[i]`` the sorted (j, k) with rotation (i, j, k),
     ``completion[i]`` a read-only mapping from each k with some rotation
     (i, ., k) to that unique j, and ``bent_pairs`` the (i, j) that lie on a
-    common triangle.  Three tables serve the strip layer:
-    ``steps[(a, s, t)]`` maps each lower triangle (a rotation) to its
-    non-folding upper choices (b, u), in the order of ``starting[s]``;
-    ``transitions[(a, s, t, a')]`` holds, in the same order, the
-    ``(row, s', u)`` for each such choice whose next lower triangle
-    (a', s', u) exists, where row is (a, s, t, b, u), and has no empty
-    entries; and ``row_pairs`` holds every valid consecutive strip row pair
+    common triangle.  Two tables serve the strip layer:
+    ``transitions[(a, s, t, a')]`` holds, for the lower triangle (a, s, t)
+    (a rotation) and each upper choice (b, u) in ``starting[s]`` that does
+    not fold onto it, in that order, the ``(row, s', u)`` whose next lower
+    triangle (a', s', u) exists, where row is (a, s, t, b, u), and has no
+    empty entries; and ``row_pairs`` holds every valid consecutive strip row pair
     ((a, s, t, b, u), (a', s', t', b', u')): both rows are valid, t' == u,
     and neither (a, a') nor (b, b') is bent.  Strips and walls read the
     tables directly; the query methods below add the generator range check.
@@ -71,7 +78,6 @@ class TrianglePresentation:
     starting: tuple = field(repr=False, compare=False)  # of tuples of (j, k)
     completion: tuple = field(repr=False, compare=False)  # of mappings k -> j
     bent_pairs: frozenset = field(repr=False, compare=False)
-    steps: MappingProxyType = field(repr=False, compare=False)  # (a, s, t) -> ((b, u), ...)
     transitions: MappingProxyType = field(repr=False, compare=False)  # (a, s, t, a') -> ((row, s', u), ...)
     row_pairs: frozenset = field(repr=False, compare=False)
     warnings: tuple = ()
@@ -112,17 +118,15 @@ class TrianglePresentation:
 
     # -- link graph --------------------------------------------------------
 
-    def link_graph(self):
-        """Bipartite incidence graph of the vertex link.
-
-        Nodes are ("P", t) and ("L", s); ("P", t) ~ ("L", s) iff some rotation
-        (s, t, .) exists.  Returns adjacency dict.
-        """
-        return _link_graph(self.starting)
-
     def link_stats(self):
-        """(node count, degree set, girth, diameter) of the link graph."""
-        return _link_stats(self.link_graph())
+        """(node count, degree set, girth, diameter) of the vertex link.
+
+        The link is the bipartite incidence graph with a point t and a line s
+        per generator, t on s iff some rotation (s, t, .) exists.  Girth and
+        diameter are exact, from one BFS per node, so this takes time
+        quadratic in m; load() does not call it.
+        """
+        return _link_stats(self.starting)
 
     # -- serialization -----------------------------------------------------
 
@@ -136,25 +140,18 @@ class TrianglePresentation:
         return json.dumps(self.to_document(), indent=2) + "\n"
 
 
-def _link_graph(starting):
-    adj = {("P", t): set() for t in range(len(starting))}
-    adj.update({("L", s): set() for s in range(len(starting))})
+def _link_stats(starting):
+    """(node count, degree set, girth, diameter) of the incidence graph of
+    ``starting``; girth is None if it is acyclic, diameter None if it is
+    disconnected."""
+    m = len(starting)
+    adj = [[] for _ in range(2 * m)]  # node t is the point t, m + s the line s
     for s, row in enumerate(starting):
         for (t, _k) in row:
-            adj[("L", s)].add(("P", t))
-            adj[("P", t)].add(("L", s))
-    return adj
-
-
-def _link_stats(adj):
-    degrees = {len(v) for v in adj.values()}
-    return (len(adj), degrees, _girth(adj), _diameter(adj))
-
-
-def _girth(adj):
-    """Length of a shortest cycle (BFS from every node); None if acyclic."""
-    best = None
-    for root in adj:
+            adj[m + s].append(t)
+            adj[t].append(m + s)
+    girth, diameter = None, 0
+    for root in range(2 * m):
         dist = {root: 0}
         parent = {root: None}
         queue = deque([root])
@@ -167,26 +164,13 @@ def _girth(adj):
                     queue.append(nb)
                 elif parent[node] != nb:
                     cycle = dist[node] + dist[nb] + 1
-                    if best is None or cycle < best:
-                        best = cycle
-    return best
-
-
-def _diameter(adj):
-    best = 0
-    for root in adj:
-        dist = {root: 0}
-        queue = deque([root])
-        while queue:
-            node = queue.popleft()
-            for nb in adj[node]:
-                if nb not in dist:
-                    dist[nb] = dist[node] + 1
-                    queue.append(nb)
-        if len(dist) < len(adj):
-            return None  # disconnected
-        best = max(best, max(dist.values()))
-    return best
+                    if girth is None or cycle < girth:
+                        girth = cycle
+        if len(dist) < 2 * m:
+            diameter = None  # disconnected
+        elif diameter is not None:
+            diameter = max(diameter, max(dist.values()))
+    return 2 * m, {len(nbs) for nbs in adj}, girth, diameter
 
 
 def load(document, strict: bool = True) -> TrianglePresentation:
@@ -194,11 +178,11 @@ def load(document, strict: bool = True) -> TrianglePresentation:
 
     ``document`` is a dict with fields ``generators`` (int) and ``relators``
     (list of integer triples, one representative per rotation class).  With
-    ``strict=False`` the link girth/diameter check is downgraded to a warning,
-    for experimenting with non-building presentations.
+    ``strict=False`` the link check (a projective plane of order q) is
+    downgraded to a warning, for experimenting with non-building
+    presentations.
     """
     issues = []
-    warnings = []
 
     if not isinstance(document, dict):
         raise PresentationError(
@@ -261,43 +245,38 @@ def load(document, strict: bool = True) -> TrianglePresentation:
     if issues:
         raise PresentationError(issues)
 
-    # uniform thickness
-    counts_first = {i: len(starting[i]) for i in range(m)}
-    counts_last = {i: 0 for i in range(m)}
-    for (_i, _j, k) in rotations:
-        counts_last[k] += 1
-    distinct = set(counts_first.values()) | set(counts_last.values())
-    if len(distinct) != 1:
-        issues.append(
-            f"non-uniform thickness: rotation counts per generator are "
-            f"first={counts_first}, last={counts_last}")
-        raise PresentationError(issues)
-    q = distinct.pop() - 1
+    # uniform thickness: rotating (i, j, k) to (k, i, j) matches the rotations
+    # ending in k with those starting with k, so counting starts suffices
+    counts = {i: len(starting[i]) for i in range(m)}
+    if len(set(counts.values())) != 1:
+        raise PresentationError(
+            [f"non-uniform thickness: rotation counts per first generator are {counts}"])
+    q = counts[0] - 1
     if q < 2:
-        issues.append(f"thickness q={q} < 2: every generator must head q+1 >= 3 rotations")
-        raise PresentationError(issues)
+        raise PresentationError(
+            [f"thickness q={q} < 2: every generator must head q+1 >= 3 rotations"])
     starting = tuple(tuple(starting[i]) for i in range(m))
     completion_rows = [{} for _ in range(m)]
     for (i, k), j in completion.items():
         completion_rows[i][k] = j
 
-    # link condition: (q+1)-biregular bipartite graph of girth 6 and diameter 3
-    nodes, degrees, girth, diameter = _link_stats(_link_graph(starting))
-    link_issues = []
-    if degrees != {q + 1}:
-        link_issues.append(
-            f"link graph is not ({q + 1})-regular (degrees {sorted(degrees)})")
-    if girth != 6:
-        link_issues.append(f"link graph girth is {girth}, expected 6")
-    if diameter != 3:
-        link_issues.append(f"link graph diameter is {diameter}, expected 3")
-    if link_issues:
-        if strict:
-            raise PresentationError(
-                [f"link condition failure ({nodes} nodes): " + "; ".join(link_issues)])
-        warnings.extend(link_issues)
+    # link condition: the link is a projective plane of order q.  Line s holds
+    # the q+1 distinct points t of the rotations (s, t, .), and each point lies
+    # on q+1 lines.  Two lines sharing two points close a 4-cycle.  Otherwise
+    # the m (q+1) q / 2 point pairs on lines are distinct, so they are all
+    # m (m-1) / 2 pairs, and every two points (and dually every two lines)
+    # meet exactly once, iff m = q^2 + q + 1: girth 6 and diameter 3.
+    pairs = [pair for row in starting for pair in combinations([t for (t, _k) in row], 2)]
+    link_issue = None
+    if len(set(pairs)) < len(pairs):
+        link_issue = "link graph girth is 4, expected 6"
+    elif m != q * q + q + 1:
+        link_issue = (f"link graph is not a projective plane: m = {m}, "
+                      f"expected q^2+q+1 = {q * q + q + 1}")
+    if link_issue and strict:
+        raise PresentationError([f"link condition failure ({2 * m} nodes): {link_issue}"])
 
-    steps, transitions, row_pairs = _strip_tables(rotations, starting, first_pairs)
+    transitions, row_pairs = _strip_tables(rotations, starting, first_pairs)
     return TrianglePresentation(
         generator_count=m,
         rotation_classes=frozenset(classes),
@@ -306,30 +285,29 @@ def load(document, strict: bool = True) -> TrianglePresentation:
         starting=starting,
         completion=tuple(MappingProxyType(row) for row in completion_rows),
         bent_pairs=frozenset(first_pairs),
-        steps=steps,
         transitions=transitions,
         row_pairs=row_pairs,
-        warnings=tuple(warnings),
+        warnings=(link_issue,) if link_issue else (),
     )
 
 
 def _strip_tables(rotations, starting, bent):
-    """The step and transition tables and the valid consecutive row pairs
-    of strips.
+    """The transition table and the valid consecutive row pairs of strips.
 
     A row (a, s, t, b, u) is valid when (a, s, t) and (s, b, u) are
     rotations and the upper triangle does not fold onto the lower one
     (b == t and u == a).
     """
-    steps = {(a, s, t): tuple((b, u) for (b, u) in starting[s] if not (b == t and u == a))
-             for (a, s, t) in sorted(rotations)}
+    lowers = sorted(rotations)
     ending = defaultdict(list)  # u -> the (a', s') with rotation (a', s', u)
-    for (a, s, t) in sorted(rotations):
+    for (a, s, t) in lowers:
         ending[t].append((a, s))
     transitions = defaultdict(list)
     by_seam = defaultdict(list)  # t -> valid rows with that t
-    for (a, s, t), uppers in steps.items():
-        for (b, u) in uppers:
+    for (a, s, t) in lowers:
+        for (b, u) in starting[s]:
+            if b == t and u == a:
+                continue
             row = (a, s, t, b, u)
             by_seam[t].append(row)
             for (a_next, s_next) in ending[u]:
@@ -338,8 +316,7 @@ def _strip_tables(rotations, starting, bent):
         (row, nxt)
         for rows in by_seam.values() for row in rows for nxt in by_seam[row[4]]
         if (row[0], nxt[0]) not in bent and (row[3], nxt[3]) not in bent)
-    return (MappingProxyType(steps),
-            MappingProxyType({key: tuple(entry) for key, entry in transitions.items()}),
+    return (MappingProxyType({key: tuple(entry) for key, entry in transitions.items()}),
             row_pairs)
 
 

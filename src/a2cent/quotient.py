@@ -37,7 +37,6 @@ VERTEX_CAP = 10_000  # safety net; the fixtures stay well under 100
 class QuotientVertex:
     index: int
     kind: str  # "wall" | "median"
-    key: tuple
     group_order: int
     generator_witness: FormalWord
     display_label: str
@@ -59,7 +58,6 @@ class QuotientVertex:
 class QuotientEdge:
     index: int
     endpoints: tuple[int, int]
-    key: tuple
     group_order: int
     multipliers: tuple[int, int]
     conjugator_witness: FormalWord
@@ -189,7 +187,7 @@ def build_quotient(presentation: TrianglePresentation, element) -> QuotientGraph
         gen = (stabilizer_generator_word(base_witness(vid), sequence, p)
                if order > 1 else FormalWord.identity())
         vertices.append(QuotientVertex(
-            index=vid, kind="wall", key=sequence,
+            index=vid, kind="wall",
             group_order=order, generator_witness=gen,
             display_label=Necklace(sequence, p).display_label,
             sequence=sequence, period=p))
@@ -233,14 +231,14 @@ def build_quotient(presentation: TrianglePresentation, element) -> QuotientGraph
                         witness, FormalWord.from_indices(rep.a[:d]),
                         FormalWord.generator(rep.t[d], -1), witness.inverse()))
                     mv = QuotientVertex(
-                        index=len(vertices), kind="median", key=key,
+                        index=len(vertices), kind="median",
                         group_order=m_order, generator_witness=glide,
                         display_label=_median_display_label(rep))
                     vertices.append(mv)
                     median_ids[key] = mv.index
                 mid = median_ids[key]
                 edges.append(QuotientEdge(
-                    index=len(edges), endpoints=(vid, mid), key=key,
+                    index=len(edges), endpoints=(vid, mid),
                     group_order=edge_order, multipliers=(mu_wall, mu_med),
                     conjugator_witness=FormalWord.identity(), in_spanning_tree=is_new,
                     strip=rep))
@@ -262,7 +260,7 @@ def build_quotient(presentation: TrianglePresentation, element) -> QuotientGraph
                 mu_wall = pe // v.period
                 mu_other = pe // vertices[other].period
                 edges.append(QuotientEdge(
-                    index=len(edges), endpoints=(vid, other), key=key,
+                    index=len(edges), endpoints=(vid, other),
                     group_order=edge_order, multipliers=(mu_wall, mu_other),
                     conjugator_witness=conj, in_spanning_tree=is_new,
                     strip=rep))

@@ -258,6 +258,19 @@ def test_abelianization_examples():
     assert abelianization(fundamental_group(g)) == (2, (2, 2, 2, 2, 2))
 
 
+def test_isotype_abelianization_merges_coprime_orders():
+    # a q=2 presentation other than c1 whose quotient at 5,5,5 simplifies to
+    # (Z/2) * (Z/3): its abelianization is Z/6, not Z/2 + Z/3
+    pres = load({"generators": 7, "relators": [[0, 0, 1], [0, 2, 3], [1, 4, 5], [1, 5, 6],
+                                               [2, 2, 4], [3, 3, 6], [4, 6, 5]]})
+    g = build_quotient(pres, (5, 5, 5))
+    iso = simplify(g)
+    assert iso.render() == "(Z/2) * (Z/3)"
+    assert iso.abelianization() == abelianization(fundamental_group(g)) == (0, (6,))
+    assert IsoType(2, (2, 4, 6, 9)).abelianization() == (2, (2, 6, 36))
+    assert IsoType(1, ()).abelianization() == (1, ())
+
+
 def test_smith_diagonal_matches_sympy():
     sympy = pytest.importorskip("sympy")
     from sympy.matrices.normalforms import smith_normal_form

@@ -1,9 +1,11 @@
 import json
+import random
 
 import pytest
 
+from a2cent import presentation
 from a2cent.errors import PresentationError
-from a2cent.presentation import (BUILTIN_PRESENTATIONS, _canonical_class, load,
+from a2cent.presentation import (BUILTIN_PRESENTATIONS, _canonical_class, _rotations, load,
                                  load_named, loads)
 
 
@@ -81,12 +83,8 @@ def test_link_is_fano_incidence(c1):
 
 
 def check_strip_tables(pres):
-    """steps and row_pairs against their definitions, from the rotations."""
+    """row_pairs against its definition, from the rotations."""
     rotations = sorted(pres.rotation_set)
-    assert set(pres.steps) == set(rotations)
-    for (a, s, t) in rotations:
-        assert pres.steps[a, s, t] == tuple(
-            (b, u) for (s2, b, u) in rotations if s2 == s and (b, u) != (t, a))
     rows = [(a, s, t, b, u) for (a, s, t) in rotations for (s2, b, u) in rotations
             if s2 == s and (b, u) != (t, a)]
     straight = {(i, j) for i in range(pres.generator_count)
@@ -118,7 +116,6 @@ def test_strip_tables_of_c1(c1):
     check_strip_tables(c1)
     check_transitions(c1)
     assert len(c1.transitions) == 105
-    assert sum(len(uppers) for uppers in c1.steps.values()) == 42  # q of q+1 per triangle
     assert len(c1.row_pairs) == 168
 
 
@@ -138,13 +135,14 @@ def test_disjoint_copies_load_with_tables_linear_in_the_generators(c1):
     # 2800 generators; the link graph is 400 disjoint Fano incidence graphs,
     # so only the lenient load accepts it
     pres = load(copies_of_c1(400), strict=False)
-    assert pres.warnings == ("link graph diameter is None, expected 3",)
+    assert pres.warnings == ("link graph is not a projective plane: m = 2800, "
+                             "expected q^2+q+1 = 7",)
     assert len(pres.completion) == 2800
     assert all(len(row) == 3 for row in pres.completion)  # q+1 entries per generator
     assert pres.complete(0, 7) is None and pres.complete(2793, 2799) == 2793
-    for name in ("rotation_set", "steps", "transitions", "row_pairs"):
+    for name in ("rotation_set", "transitions", "row_pairs"):
         assert len(getattr(pres, name)) == 400 * len(getattr(c1, name)), name
-    assert max(len(pres.rotation_set), len(pres.steps), len(pres.transitions),
+    assert max(len(pres.rotation_set), len(pres.transitions),
                len(pres.row_pairs)) == len(pres.row_pairs) == 24 * 2800
 
 
@@ -232,3 +230,127 @@ def test_issue_report_lists_all_problems():
 def test_dumps_is_json(c1):
     doc = json.loads(c1.dumps())
     assert doc["generators"] == 7
+
+
+# -- the counting link check against the exact BFS of link_stats ------------------
+
+def check_counting_equals_bfs(doc):
+    """load's link check against the girth and diameter of link_stats():
+    strict load accepts iff the link has girth 6 and diameter 3, the lenient
+    warning is the girth-4 message iff two lines share two points, and the
+    link is always (q+1)-regular.  Returns whether the link is a plane."""
+    pres = load(doc, strict=False)
+    _nodes, degrees, girth, diameter = pres.link_stats()
+    q, m = pres.thickness_q, pres.generator_count
+    assert degrees == {q + 1}
+    building = girth == 6 and diameter == 3
+    if building:
+        expected = ()
+    elif girth == 4:
+        expected = ("link graph girth is 4, expected 6",)
+    else:
+        expected = (f"link graph is not a projective plane: m = {m}, "
+                    f"expected q^2+q+1 = {q * q + q + 1}",)
+    assert pres.warnings == expected, doc
+    try:
+        load(doc)
+    except PresentationError as exc:
+        assert not building and exc.issues == [f"link condition failure ({2 * m} nodes): "
+                                               f"{expected[0]}"]
+    else:
+        assert building, doc
+    return building
+
+
+def relabelled_c1_document(seed):
+    perm = list(range(7))
+    random.Random(seed).shuffle(perm)
+    return _doc([[perm[x] for x in t] for t in BUILTIN_PRESENTATIONS["c1"]["relators"]])
+
+
+def shifted_triples(m):
+    """The relators [i, i+1, i+3] mod m: pair-unique with q = 2, and a plane
+    (the Fano plane of the difference set {0, 1, 3}) only at m = 7."""
+    return _doc([[i, (i + 1) % m, (i + 3) % m] for i in range(m)], m=m)
+
+
+def backtracked_q2_relators(rng):
+    """Seven rotation classes on the generators 0..6, found by a backtracking
+    search in the order of ``rng``, such that each generator heads three
+    rotations and no first pair or (first, last) pair repeats: a document
+    that passes pair uniqueness and uniform thickness with q = 2."""
+    heads = [0] * 7
+    firsts, ends, classes = set(), set(), []
+    pairs = [(j, k) for j in range(7) for k in range(7)]
+
+    def extend():
+        if len(classes) == 7:
+            return True
+        i = next(g for g in range(7) if heads[g] < 3)
+        for (j, k) in rng.sample(pairs, len(pairs)):
+            c = _canonical_class((i, j, k))
+            rots = _rotations(c)
+            new_firsts = {(a, b) for (a, b, _c) in rots}
+            new_ends = {(a, c) for (a, _b, c) in rots}
+            if i == j == k or c in classes or new_firsts & firsts or new_ends & ends:
+                continue
+            for (a, _b, _c) in rots:
+                heads[a] += 1
+            if max(heads) <= 3:
+                classes.append(c)
+                firsts.update(new_firsts)
+                ends.update(new_ends)
+                if extend():
+                    return True
+                classes.pop()
+                firsts.difference_update(new_firsts)
+                ends.difference_update(new_ends)
+            for (a, _b, _c) in rots:
+                heads[a] -= 1
+        return False
+
+    assert extend()
+    return [list(c) for c in classes]
+
+
+def test_counting_equals_bfs_on_c1_and_relabellings():
+    assert check_counting_equals_bfs(BUILTIN_PRESENTATIONS["c1"])
+    for seed in range(20):
+        assert check_counting_equals_bfs(relabelled_c1_document(seed))
+
+
+def test_counting_equals_bfs_on_the_lenient_documents():
+    assert not check_counting_equals_bfs(_doc([[0, 0, 1], [0, 2, 2], [1, 1, 2]], m=3))
+    assert not check_counting_equals_bfs(_doc([[3, 0, 1], [3, 1, 2], [0, 2, 1], [3, 2, 0]],
+                                              m=4))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_counting_equals_bfs_on_disjoint_copies_of_c1(k):
+    assert not check_counting_equals_bfs(copies_of_c1(k))
+
+
+def test_counting_equals_bfs_on_shifted_triples():
+    assert [m for m in range(7, 61) if check_counting_equals_bfs(shifted_triples(m))] == [7]
+
+
+def test_counting_equals_bfs_on_backtracked_q2_documents():
+    rng = random.Random(6)
+    verdicts = [check_counting_equals_bfs(_doc(backtracked_q2_relators(rng)))
+                for _ in range(2000)]
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_load_runs_no_bfs_on_a_large_connected_non_building(monkeypatch):
+    # 2800 generators and a connected link of girth 6 and diameter > 3;
+    # a BFS from every link node here took minutes
+    def no_bfs(_starting):
+        raise AssertionError("load must not run the link BFS")
+
+    monkeypatch.setattr(presentation, "_link_stats", no_bfs)
+    doc = shifted_triples(2800)
+    with pytest.raises(PresentationError, match="not a projective plane: m = 2800"):
+        load(doc)
+    pres = load(doc, strict=False)
+    assert pres.warnings == ("link graph is not a projective plane: m = 2800, "
+                             "expected q^2+q+1 = 7",)
