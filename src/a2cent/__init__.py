@@ -17,7 +17,7 @@ from .presentation import (BUILTIN_PRESENTATIONS, TrianglePresentation, load,
 from .quotient import (QuotientEdge, QuotientGraphOfGroups, QuotientVertex,
                        build_quotient, vertex_witnesses)
 from .strips import (Strip, canonical_edge_key, enumerate_periodic_strips,
-                     flip_shifts, oracle_enumerate, shift, swap)
+                     flip_shifts, shift, swap)
 from .walls import (Necklace, canonical_rotation, minimal_period,
                     stabilizer_generator_word, stabilizer_order, wall_word)
 from .words import FormalWord
@@ -31,7 +31,7 @@ __all__ = [
     "build_quotient", "canonical_edge_key", "canonical_rotation",
     "enumerate_periodic_strips", "flip_shifts", "full_centralizer_presentation",
     "fundamental_group", "load", "load_named", "loads", "minimal_period",
-    "oracle_enumerate", "shift", "simplify", "stabilizer_generator_word",
+    "shift", "simplify", "stabilizer_generator_word",
     "stabilizer_order", "swap", "vertex_witnesses", "wall_word",
 ]
 

@@ -17,29 +17,34 @@ still takes the least collapsible edge in the choice order (see simplify).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from math import gcd
 
 from .errors import InvariantError
+from .frozen import Frozen
 from .quotient import QuotientGraphOfGroups
 
 
 Word = tuple  # of (symbol, exponent) pairs
 
 
-@dataclass(frozen=True)
-class GroupPresentation:
-    generators: tuple[str, ...]
-    relations: tuple[Word, ...]
-    central: str | None = None  # name of the central letter, if any
+class GroupPresentation(Frozen):
+    __slots__ = ("generators", "relations", "central")
 
-    def __post_init__(self):
-        declared = set(self.generators)
-        for rel in self.relations:
+    def __init__(self, generators: tuple[str, ...], relations: tuple[Word, ...],
+                 central: str | None = None):
+        """``central`` names the central letter, if any."""
+        declared = set(generators)
+        for rel in relations:
             for sym, _e in rel:
                 if sym not in declared:
                     raise InvariantError(f"relation mentions undeclared generator {sym}")
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "relations", relations)
+        object.__setattr__(self, "central", central)
+
+    def _key(self):
+        return (self.generators, self.relations, self.central)
 
     def render(self) -> str:
         gens = ", ".join(self.generators)
@@ -63,18 +68,21 @@ def render_word(word: Word) -> str:
     return "*".join(parts)
 
 
-@dataclass(frozen=True)
-class IsoType:
+class IsoType(Frozen):
     """Free product of cyclics: Z^{*a} * (Z/n1) * ... with orders sorted."""
 
-    free_rank: int
-    cyclic_orders: tuple[int, ...]
+    __slots__ = ("free_rank", "cyclic_orders")
 
-    def __post_init__(self):
-        if any(o < 2 for o in self.cyclic_orders):
+    def __init__(self, free_rank: int, cyclic_orders: tuple[int, ...]):
+        if any(o < 2 for o in cyclic_orders):
             raise ValueError("cyclic orders must be >= 2")
-        if tuple(sorted(self.cyclic_orders)) != self.cyclic_orders:
+        if tuple(sorted(cyclic_orders)) != cyclic_orders:
             raise ValueError("cyclic orders must be sorted ascending")
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "cyclic_orders", cyclic_orders)
+
+    def _key(self):
+        return (self.free_rank, self.cyclic_orders)
 
     def render(self) -> str:
         parts = []
@@ -102,11 +110,16 @@ class IsoType:
         return self.free_rank, tuple(d for d in factors if d > 1)
 
 
-@dataclass(frozen=True)
-class Unsimplified:
+class Unsimplified(Frozen):
     """A nontrivial non-collapsible edge group remained."""
 
-    presentation: GroupPresentation
+    __slots__ = ("presentation",)
+
+    def __init__(self, presentation: GroupPresentation):
+        object.__setattr__(self, "presentation", presentation)
+
+    def _key(self):
+        return (self.presentation,)
 
 
 def _vertex_symbol(label: str) -> str:

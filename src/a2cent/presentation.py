@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict, deque
-from dataclasses import dataclass, field
 from itertools import combinations
 from types import MappingProxyType
 
 from .errors import PresentationError
+from .frozen import Frozen
 
 
 def _rotations(triple):
@@ -50,8 +50,7 @@ BUILTIN_PRESENTATIONS = {
 }
 
 
-@dataclass(frozen=True)
-class TrianglePresentation:
+class TrianglePresentation(Frozen):
     """Validated triangle presentation; immutable after construction.
 
     The lookup tables are built once by load() and never change, and each
@@ -69,18 +68,32 @@ class TrianglePresentation:
     ((a, s, t, b, u), (a', s', t', b', u')): both rows are valid, t' == u,
     and neither (a, a') nor (b, b') is bent.  Strips and walls read the
     tables directly; the query methods below add the generator range check.
+    ``rotation_classes`` holds the canonical (least) rotation of each class.
+    Equality and hashing read only ``generator_count``, ``rotation_classes``,
+    ``thickness_q`` and ``warnings``: the tables follow from the first two.
     """
 
-    generator_count: int
-    rotation_classes: frozenset  # canonical representatives (least rotation)
-    thickness_q: int
-    rotation_set: frozenset = field(repr=False, compare=False)
-    starting: tuple = field(repr=False, compare=False)  # of tuples of (j, k)
-    completion: tuple = field(repr=False, compare=False)  # of mappings k -> j
-    bent_pairs: frozenset = field(repr=False, compare=False)
-    transitions: MappingProxyType = field(repr=False, compare=False)  # (a, s, t, a') -> ((row, s', u), ...)
-    row_pairs: frozenset = field(repr=False, compare=False)
-    warnings: tuple = ()
+    __slots__ = ("generator_count", "rotation_classes", "thickness_q", "rotation_set",
+                 "starting", "completion", "bent_pairs", "transitions", "row_pairs",
+                 "warnings")
+
+    def __init__(self, generator_count: int, rotation_classes: frozenset, thickness_q: int,
+                 rotation_set: frozenset, starting: tuple, completion: tuple,
+                 bent_pairs: frozenset, transitions: MappingProxyType, row_pairs: frozenset,
+                 warnings: tuple = ()):
+        object.__setattr__(self, "generator_count", generator_count)
+        object.__setattr__(self, "rotation_classes", rotation_classes)
+        object.__setattr__(self, "thickness_q", thickness_q)
+        object.__setattr__(self, "rotation_set", rotation_set)
+        object.__setattr__(self, "starting", starting)
+        object.__setattr__(self, "completion", completion)
+        object.__setattr__(self, "bent_pairs", bent_pairs)
+        object.__setattr__(self, "transitions", transitions)
+        object.__setattr__(self, "row_pairs", row_pairs)
+        object.__setattr__(self, "warnings", warnings)
+
+    def _key(self):
+        return (self.generator_count, self.rotation_classes, self.thickness_q, self.warnings)
 
     # -- queries -----------------------------------------------------------
 

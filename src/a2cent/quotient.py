@@ -19,7 +19,6 @@ median glide or a non-tree conjugator), and then once.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from math import gcd
 
 from .errors import InvariantError
@@ -33,16 +32,21 @@ from .words import FormalWord
 VERTEX_CAP = 10_000  # safety net; the fixtures stay well under 100
 
 
-@dataclass
 class QuotientVertex:
-    index: int
-    kind: str  # "wall" | "median"
-    group_order: int
-    generator_witness: FormalWord
-    display_label: str
-    # wall vertices only
-    sequence: tuple[int, ...] = ()
-    period: int = 0
+    __slots__ = ("index", "kind", "group_order", "generator_witness", "display_label",
+                 "sequence", "period")
+
+    def __init__(self, index: int, kind: str, group_order: int,
+                 generator_witness: FormalWord, display_label: str,
+                 sequence: tuple[int, ...] = (), period: int = 0):
+        self.index = index
+        self.kind = kind  # "wall" | "median"
+        self.group_order = group_order
+        self.generator_witness = generator_witness
+        self.display_label = display_label
+        # wall vertices only
+        self.sequence = sequence
+        self.period = period
 
     def to_json(self):
         return {
@@ -54,15 +58,20 @@ class QuotientVertex:
         }
 
 
-@dataclass
 class QuotientEdge:
-    index: int
-    endpoints: tuple[int, int]
-    group_order: int
-    multipliers: tuple[int, int]
-    conjugator_witness: FormalWord
-    in_spanning_tree: bool
-    strip: Strip
+    __slots__ = ("index", "endpoints", "group_order", "multipliers", "conjugator_witness",
+                 "in_spanning_tree", "strip")
+
+    def __init__(self, index: int, endpoints: tuple[int, int], group_order: int,
+                 multipliers: tuple[int, int], conjugator_witness: FormalWord,
+                 in_spanning_tree: bool, strip: Strip):
+        self.index = index
+        self.endpoints = endpoints
+        self.group_order = group_order
+        self.multipliers = multipliers
+        self.conjugator_witness = conjugator_witness
+        self.in_spanning_tree = in_spanning_tree
+        self.strip = strip
 
     def to_json(self, graph):
         return {
@@ -76,15 +85,20 @@ class QuotientEdge:
         }
 
 
-@dataclass
 class QuotientGraphOfGroups:
-    presentation: TrianglePresentation
-    element: tuple[int, ...]
-    n: int
-    classification: str  # "single_axis" | "graph_of_groups"
-    vertices: list[QuotientVertex]
-    edges: list[QuotientEdge]
-    base_vertex: int = 0
+    __slots__ = ("presentation", "element", "n", "classification", "vertices", "edges",
+                 "base_vertex")
+
+    def __init__(self, presentation: TrianglePresentation, element: tuple[int, ...], n: int,
+                 classification: str, vertices: list[QuotientVertex],
+                 edges: list[QuotientEdge], base_vertex: int = 0):
+        self.presentation = presentation
+        self.element = element
+        self.n = n
+        self.classification = classification  # "single_axis" | "graph_of_groups"
+        self.vertices = vertices
+        self.edges = edges
+        self.base_vertex = base_vertex
 
     @property
     def betti_number(self) -> int:

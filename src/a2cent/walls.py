@@ -9,9 +9,8 @@ period.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InvariantError, NotAWallWord
+from .frozen import Frozen
 from .presentation import TrianglePresentation
 from .words import FormalWord
 
@@ -56,19 +55,22 @@ def minimal_period(labels):
     raise AssertionError("unreachable: n is always a period")
 
 
-@dataclass(frozen=True)
-class Necklace:
+class Necklace(Frozen):
     """Canonical cyclic label sequence of an oriented wall, at g-length n."""
 
-    labels: tuple[int, ...]  # the canonical rotation, length n
-    period: int
+    __slots__ = ("labels", "period")
 
-    def __post_init__(self):
-        if not self.labels:
+    def __init__(self, labels: tuple[int, ...], period: int):
+        """``labels`` is the canonical rotation, of length n."""
+        if not labels:
             raise ValueError("necklace must be nonempty")
-        if len(self.labels) % self.period != 0:
-            raise InvariantError(
-                f"period {self.period} does not divide length {len(self.labels)}")
+        if len(labels) % period != 0:
+            raise InvariantError(f"period {period} does not divide length {len(labels)}")
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "period", period)
+
+    def _key(self):
+        return (self.labels, self.period)
 
     @property
     def length(self) -> int:

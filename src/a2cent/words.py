@@ -6,22 +6,25 @@ representing the same group element need not compare equal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .frozen import Frozen
 
 
-@dataclass(frozen=True)
-class FormalWord:
+class FormalWord(Frozen):
     """A freely reduced word; letters are (generator index, exponent in {+1,-1})."""
 
-    letters: tuple[tuple[int, int], ...] = ()
+    __slots__ = ("letters",)
 
-    def __post_init__(self):
-        for gen, exp in self.letters:
+    def __init__(self, letters: tuple[tuple[int, int], ...] = ()):
+        for gen, exp in letters:
             if exp not in (1, -1):
                 raise ValueError(f"exponent must be +-1, got {exp}")
-        for (g1, e1), (g2, e2) in zip(self.letters, self.letters[1:]):
+        for (g1, e1), (g2, e2) in zip(letters, letters[1:]):
             if g1 == g2 and e1 == -e2:
                 raise ValueError("word is not freely reduced")
+        object.__setattr__(self, "letters", letters)
+
+    def _key(self):
+        return (self.letters,)
 
     @staticmethod
     def identity() -> "FormalWord":

@@ -8,9 +8,10 @@ import time
 
 from a2cent import (IsoType, abelianization, build_quotient,
                     enumerate_periodic_strips, flip_shifts, fundamental_group,
-                    load_named, oracle_enumerate, simplify, vertex_witnesses)
+                    load_named, simplify, vertex_witnesses)
 from a2cent.strips import Strip
 from a2cent.walls import wall_necklaces
+from strip_oracle import oracle_enumerate
 
 C1 = load_named("c1")
 WALL_WORDS_3 = [w for n in (1, 2, 3) for w in wall_necklaces(C1, n)]

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from a2cent.errors import AmbiguousStrip, InvariantError, NotAWallWord
 from a2cent.presentation import BUILTIN_PRESENTATIONS, load, load_named
 from a2cent.strips import (Strip, canonical_edge_key, enumerate_periodic_strips,
-                           flip_shifts, group_by_wall_shifts, median_order,
-                           oracle_enumerate, shift, swap, validate_strip)
+                           flip_shifts, group_by_wall_shifts, median_order, shift, swap,
+                           validate_strip)
 from a2cent.walls import check_wall_sequence, minimal_period, wall_necklaces
+from strip_oracle import oracle_enumerate
 
 C1 = load_named("c1")
 
