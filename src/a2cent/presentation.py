@@ -186,6 +186,11 @@ def _link_stats(starting):
     return 2 * m, {len(nbs) for nbs in adj}, girth, diameter
 
 
+def _is_int(x) -> bool:
+    """True for an int that is not a bool (JSON true/false load as bools)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def load(document, strict: bool = True) -> TrianglePresentation:
     """Validate a presentation document and build the lookup tables.
 
@@ -201,7 +206,7 @@ def load(document, strict: bool = True) -> TrianglePresentation:
         raise PresentationError(
             [f"presentation document must be an object, got {type(document).__name__}"])
     m = document.get("generators")
-    if not isinstance(m, int) or m < 1:
+    if not _is_int(m) or m < 1:
         raise PresentationError([f"generators must be a positive integer, got {m!r}"])
     raw = document.get("relators")
     if not raw:
@@ -212,7 +217,7 @@ def load(document, strict: bool = True) -> TrianglePresentation:
     classes = set()
     for triple in raw:
         if not isinstance(triple, (list, tuple)) or len(triple) != 3 or \
-                not all(isinstance(x, int) for x in triple):
+                not all(_is_int(x) for x in triple):
             issues.append(f"relator {triple!r} is not an integer triple")
             continue
         t = tuple(triple)

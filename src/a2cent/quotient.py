@@ -1,11 +1,11 @@
 """BFS construction of the quotient graph of groups.
 
 Vertices are orbits of axial walls (keyed by their necklace) and of median
-lines of flip-symmetric strips (keyed by the strip's canonical edge key);
-edges are orbits of strips.  At a wall vertex, strips are identified under
-the wall stabilizer (shifts by multiples of the wall period); across the
-graph, edges are deduplicated by the canonical edge key, so back-edges,
-loops and parallel edges are all handled uniformly.
+lines of flip-symmetric strips (one per such strip orbit); edges are orbits
+of strips.  Edges are deduplicated by the canonical edge key alone: a shift
+by a multiple of the wall period (the wall stabilizer) is a row rotation,
+and a back-edge or the second end of a loop is the swapped reading, so all
+of them repeat a seen key, while parallel edges keep distinct keys.
 
 All witness words are relative to the base vertex of the canonical rotation
 of the input element.  The BFS records a witness tree: each new wall vertex
@@ -23,8 +23,7 @@ from math import gcd
 
 from .errors import InvariantError
 from .presentation import TrianglePresentation
-from .strips import (Strip, canonical_edge_key, enumerate_periodic_strips,
-                     flip_shifts, group_by_wall_shifts, median_order)
+from .strips import Strip, canonical_edge_key, enumerate_periodic_strips, flip_shifts
 from .walls import (Necklace, canonical_rotation, least_rotation, minimal_period,
                     stabilizer_generator_word, stabilizer_order, wall_word)
 from .words import FormalWord
@@ -141,15 +140,15 @@ class QuotientGraphOfGroups:
         return "\n".join(lines) + "\n"
 
 
-def _median_display_label(strip: Strip) -> str:
+def _median_display_label(strip: Strip, d: int) -> str:
     """Bracketed positive word conjugate to the glide, e.g. "[0]" or "[2,3,5]".
 
-    For glide step d the core word is a_0..a_{d-1} x_{t_d}^-1; with d = 0
-    the positive representative is the single letter t_0 (the inverse glide),
-    otherwise x_{t_d}^-1 expands through the lower triangle to x_{a_d} x_{s_d}.
+    For the least flip shift d (the glide step) the core word is
+    a_0..a_{d-1} x_{t_d}^-1; with d = 0 the positive representative is the
+    single letter t_0 (the inverse glide), otherwise x_{t_d}^-1 expands
+    through the lower triangle to x_{a_d} x_{s_d}.
     The label is minimized over anchor phases and rotations.
     """
-    d = flip_shifts(strip)[0]
     rows = strip.rows()
     candidates = []
     for k0 in range(len(rows)):
@@ -171,7 +170,6 @@ def build_quotient(presentation: TrianglePresentation, element) -> QuotientGraph
     vertices: list[QuotientVertex] = []
     edges: list[QuotientEdge] = []
     wall_ids: dict[tuple, int] = {}
-    median_ids: dict[tuple, int] = {}
     edge_keys: set = set()
     # witness tree: wall vertex -> (parent, suffix); spelled base witnesses
     tree_links: dict[int, tuple[int, FormalWord]] = {}
@@ -212,7 +210,6 @@ def build_quotient(presentation: TrianglePresentation, element) -> QuotientGraph
 
     base = new_wall_vertex(neck.labels)
     queue = deque([base])
-    seen_any_strip = False
 
     while queue:
         vid = queue.popleft()
@@ -220,48 +217,37 @@ def build_quotient(presentation: TrianglePresentation, element) -> QuotientGraph
         strips = enumerate_periodic_strips(presentation, v.sequence)
         if len(strips) > presentation.thickness_q + 1:
             raise InvariantError("more strips than the valency bound q+1")
-        if vid == base and strips:
-            seen_any_strip = True
-        for cls in group_by_wall_shifts(strips, v.period):
-            rep = cls[0]
-            key = canonical_edge_key(rep)
+        # strips come sorted by rows, so the first strip with a new key is
+        # the least of its wall-stabilizer class; later members of the class,
+        # back-edges and the second end of a loop all repeat a seen key
+        for strip in strips:
+            key = canonical_edge_key(strip)
             if key in edge_keys:
-                continue  # back-edge or the second end of a loop
+                continue
             edge_keys.add(key)
-            pe = rep.period
-            edge_order = n // pe
-            ds = flip_shifts(rep)
+            pe = strip.period
+            ds = flip_shifts(strip)
             if ds:
+                # swap(swap(strip)) is the shift by 1, so a flip at d gives
+                # pe | 2d+1; the least d is below pe, so 2d+1 == pe
                 d = ds[0]
-                m_order = median_order(rep)
-                mu_wall = pe // v.period
-                mu_med = 2 * pe // (2 * d + 1)
-                if 2 * pe % (2 * d + 1) != 0:
-                    raise InvariantError("median inclusion multiplier is not integral")
-                is_new = key not in median_ids
-                if is_new:
-                    witness = base_witness(vid)
-                    glide = FormalWord.product((
-                        witness, FormalWord.from_indices(rep.a[:d]),
-                        FormalWord.generator(rep.t[d], -1), witness.inverse()))
-                    mv = QuotientVertex(
-                        index=len(vertices), kind="median",
-                        group_order=m_order, generator_witness=glide,
-                        display_label=_median_display_label(rep))
-                    vertices.append(mv)
-                    median_ids[key] = mv.index
-                mid = median_ids[key]
-                edges.append(QuotientEdge(
-                    index=len(edges), endpoints=(vid, mid),
-                    group_order=edge_order, multipliers=(mu_wall, mu_med),
-                    conjugator_witness=FormalWord.identity(), in_spanning_tree=is_new,
-                    strip=rep))
+                if 2 * d + 1 != pe:
+                    raise InvariantError(f"glide step 2*{d}+1 is not the strip period {pe}")
+                witness = base_witness(vid)
+                glide = FormalWord.product((
+                    witness, FormalWord.from_indices(strip.a[:d]),
+                    FormalWord.generator(strip.t[d], -1), witness.inverse()))
+                other = len(vertices)
+                vertices.append(QuotientVertex(
+                    index=other, kind="median", group_order=2 * n // pe,
+                    generator_witness=glide, display_label=_median_display_label(strip, d)))
+                mu_other, conj, is_new = 2, FormalWord.identity(), True
             else:
-                b = rep.b
-                canon_b, dd = least_rotation(b)
+                canon_b, dd = least_rotation(strip.b)
                 # x_{t_0}^-1 x_{b_0} ... x_{b_{dd-1}} is reduced: t_0 == b_0
                 # would make the upper triangle (s_0, t_0, a_0), the fold
-                suffix = FormalWord(((rep.rows()[0][2], -1),) + tuple([(x, 1) for x in b[:dd]]))
+                suffix = FormalWord(((strip.rows()[0][2], -1),)
+                                    + tuple([(x, 1) for x in strip.b[:dd]]))
                 is_new = canon_b not in wall_ids
                 if is_new:
                     other = new_wall_vertex(canon_b, vid, suffix)
@@ -271,15 +257,14 @@ def build_quotient(presentation: TrianglePresentation, element) -> QuotientGraph
                     other = wall_ids[canon_b]
                     conj = FormalWord.product(
                         (base_witness(vid), suffix, base_witness(other).inverse()))
-                mu_wall = pe // v.period
                 mu_other = pe // vertices[other].period
-                edges.append(QuotientEdge(
-                    index=len(edges), endpoints=(vid, other),
-                    group_order=edge_order, multipliers=(mu_wall, mu_other),
-                    conjugator_witness=conj, in_spanning_tree=is_new,
-                    strip=rep))
+            edges.append(QuotientEdge(
+                index=len(edges), endpoints=(vid, other), group_order=n // pe,
+                multipliers=(pe // v.period, mu_other), conjugator_witness=conj,
+                in_spanning_tree=is_new, strip=strip))
 
-    classification = "graph_of_groups" if seen_any_strip else "single_axis"
+    # a strip at the base vertex always makes an edge, the first one
+    classification = "graph_of_groups" if edges else "single_axis"
     graph = QuotientGraphOfGroups(
         presentation=presentation, element=neck.labels, n=n,
         classification=classification, vertices=vertices, edges=edges)

@@ -225,25 +225,13 @@ def flip_shifts(strip: Strip) -> list[int]:
     """All d in [0, n) such that shift(swap(strip), d) == strip.
 
     Nonempty iff the strip carries a glide reflection exchanging its two
-    walls; the minimal d gives glide translation d + 1/2 base edges and
-    median vertex group order 2n/(2d+1).
+    walls; the minimal d gives glide translation d + 1/2 base edges, and
+    2d+1 is the strip period, as swap(swap(strip)) is the shift by 1.  The
+    median vertex group has order 2n/(2d+1).
     """
     rows = strip.rows()
     sw = strip.swapped_rows()
     return [d for d, row in enumerate(sw) if row == rows[0] and sw[d:] + sw[:d] == rows]
-
-
-def median_order(strip: Strip) -> int:
-    """Order 2n/(2d+1) of the glide image in the quotient (d = minimal flip shift)."""
-    ds = flip_shifts(strip)
-    if not ds:
-        raise InvariantError("strip is not flip-symmetric")
-    d = ds[0]
-    n = strip.length
-    if (2 * n) % (2 * d + 1) != 0 or n % (2 * d + 1) != 0:
-        raise InvariantError(
-            f"glide step 2*{d}+1 does not divide 2n=2*{n}; invariant violation")
-    return 2 * n // (2 * d + 1)
 
 
 def group_by_wall_shifts(strips: list[Strip], wall_period: int) -> list[list[Strip]]:

@@ -199,6 +199,26 @@ def test_presentation_document_of_the_wrong_shape(capsys, tmp_path, document, me
     assert err.startswith("error: ") and message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("document, message", [
+    ({"generators": 7, "relators": [[False if x == 0 else x for x in t]
+                                    for t in BUILTIN_PRESENTATIONS["c1"]["relators"]]},
+     "error: relator [False, False, 6] is not an integer triple\n"
+     "error: relator [False, 2, 3] is not an integer triple\n"),
+    ({"generators": True, "relators": [[0, 0, 0]]},
+     "error: generators must be a positive integer, got True\n"),
+], ids=["false-for-0", "generators-true"])
+@pytest.mark.parametrize("command", [["validate"], ["centralizer", "--word", "0,5"]],
+                         ids=["validate", "centralizer"])
+def test_presentation_document_with_json_booleans(capsys, tmp_path, document, message, command):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(document))
+    assert "false" in path.read_text() or "true" in path.read_text()
+    code, out, err = run(capsys, command[0], str(path), *command[1:])
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert err == message
+
+
 @pytest.mark.parametrize("length", ["0", "-2"])
 def test_strips_length_not_positive(capsys, length):
     code, out, err = run(capsys, "strips", "builtin:c1", "--wall", "0,5", "--length", length)

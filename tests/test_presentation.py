@@ -202,6 +202,27 @@ def test_reject_more_generators_than_rotations_before_building_tables():
         load(_doc([[1, 1, 1]], m=400_000))
 
 
+def c1_with_false_for_0():
+    """c1 with JSON false in place of each generator 0; false == 0 in Python."""
+    return _doc([[False if x == 0 else x for x in t]
+                 for t in BUILTIN_PRESENTATIONS["c1"]["relators"]])
+
+
+def test_reject_booleans_as_generator_indices():
+    doc = c1_with_false_for_0()
+    assert doc["relators"] == BUILTIN_PRESENTATIONS["c1"]["relators"]
+    with pytest.raises(PresentationError) as exc:
+        load(doc)
+    assert exc.value.issues == ["relator [False, False, 6] is not an integer triple",
+                                "relator [False, 2, 3] is not an integer triple"]
+
+
+def test_reject_boolean_generator_count():
+    with pytest.raises(PresentationError) as exc:
+        load({"generators": True, "relators": [[0, 0, 0]]})
+    assert exc.value.issues == ["generators must be a positive integer, got True"]
+
+
 def test_reject_thin_presentation():
     with pytest.raises(PresentationError, match="q=0 < 2"):
         load(_doc([[0, 1, 2]], m=3))

@@ -1,0 +1,37 @@
+"""Smoke tests of the scripts under scripts/, each run as a fresh process."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from a2cent import build_quotient
+from a2cent.walls import wall_necklaces
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_export_figures(tmp_path, c1):
+    proc = run_script("export_figures.py", "--out-dir", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["quotient_014.dot", "quotient_05.dot"]
+    for name, word in (("quotient_05", (0, 5)), ("quotient_014", (0, 1, 4))):
+        assert (tmp_path / f"{name}.dot").read_text() == build_quotient(c1, word).to_dot()
+
+
+def test_scan_wall_words(c1):
+    proc = run_script("scan_wall_words.py", "--max-len", "2")
+    assert proc.returncode == 0, proc.stderr
+    words = [w for n in (1, 2) for w in wall_necklaces(c1, n)]
+    assert len(words) == 16
+    rows = proc.stdout.split("\n\n")[0].splitlines()
+    assert [row.split("  ")[0].strip() for row in rows] == [str(w) for w in words]
+    assert "classification counts: {'graph_of_groups': 11, 'single_axis': 5}" in proc.stdout

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from a2cent.errors import AmbiguousStrip, InvariantError, NotAWallWord
 from a2cent.presentation import BUILTIN_PRESENTATIONS, load, load_named
 from a2cent.strips import (Strip, canonical_edge_key, enumerate_periodic_strips,
-                           flip_shifts, group_by_wall_shifts, median_order, shift, swap,
+                           flip_shifts, group_by_wall_shifts, shift, swap,
                            validate_strip)
 from a2cent.walls import check_wall_sequence, minimal_period, wall_necklaces
 from strip_oracle import oracle_enumerate
@@ -86,18 +86,17 @@ def test_edge_key_invariant_under_shift_and_swap(s):
 def test_flip_shifts_examples():
     const = Strip((6, 6), (0, 0), (0, 0), (6, 6), (0, 0))
     assert flip_shifts(const) == [0, 1]
-    assert median_order(const) == 4
     assert flip_shifts(FIG3_STRIPS[0]) == []
-    with pytest.raises(InvariantError):
-        median_order(FIG3_STRIPS[0])
 
 
 @pytest.mark.parametrize("s", [s for s in ALL_STRIPS if flip_shifts(s)],
                          ids=lambda s: str(s.a))
 def test_median_divisibility(s):
-    d = flip_shifts(s)[0]
-    assert (2 * s.length) % (2 * d + 1) == 0
-    assert median_order(s) == 2 * s.length // (2 * d + 1)
+    """The least flip shift d of a flip strip has 2d+1 equal to its period:
+    swap(swap(s)) is the shift by 1, so the period divides 2d+1, and d is
+    below the period."""
+    assert s.period % 2 == 1
+    assert flip_shifts(s)[0] == (s.period - 1) // 2
 
 
 @pytest.mark.parametrize(
@@ -379,6 +378,52 @@ def test_enumerate_equals_reference_where_strips_branch():
     outcomes = check_enumerate_equals_reference(NON_BUILDING, walls)
     assert any(isinstance(got, tuple) and got[0] is AmbiguousStrip for got in outcomes)
     assert any(isinstance(got, list) and got for got in outcomes)
+
+
+def check_strip_facts(presentation, walls):
+    """At every rotation of every wall: the strips come sorted by rows, each
+    wall-stabilizer class has period // wall_period members sharing one edge
+    key, and each flip strip has an odd period p and least flip shift
+    (p - 1) // 2.  Walls with an ambiguous strip are skipped.  Returns the
+    numbers of walls, strips and flip strips checked."""
+    walls_seen = strips_seen = flips_seen = 0
+    for wall in walls:
+        for r in range(len(wall)):
+            rotated = wall[r:] + wall[:r]
+            try:
+                strips = enumerate_periodic_strips(presentation, rotated)
+            except AmbiguousStrip:
+                continue
+            walls_seen += 1
+            strips_seen += len(strips)
+            assert [s.rows() for s in strips] == sorted(s.rows() for s in strips), rotated
+            wall_period = minimal_period(rotated)
+            for cls in group_by_wall_shifts(strips, wall_period):
+                assert len(cls) == cls[0].period // wall_period, rotated
+                assert len({canonical_edge_key(s) for s in cls}) == 1, rotated
+            for s in strips:
+                ds = flip_shifts(s)
+                if ds:
+                    flips_seen += 1
+                    assert s.period % 2 == 1 and ds[0] == (s.period - 1) // 2, rotated
+    return walls_seen, strips_seen, flips_seen
+
+
+def test_strip_facts_through_length_6():
+    assert check_strip_facts(C1, [w for n in range(1, 7) for w in wall_necklaces(C1, n)]) \
+        == (5678, 6126, 76)
+
+
+def test_strip_facts_on_relabelled_c1():
+    pres = relabelled_c1(20111)
+    assert check_strip_facts(pres, [w for n in range(1, 7) for w in wall_necklaces(pres, n)]) \
+        == (5678, 6126, 76)
+
+
+def test_strip_facts_where_strips_branch():
+    # no strip of this presentation through length 6 is flip-symmetric
+    walls = [w for n in range(1, 7) for w in wall_necklaces(NON_BUILDING, n)]
+    assert check_strip_facts(NON_BUILDING, walls) == (12, 36, 0)
 
 
 # every valid c1 strip of length 1-7 at a canonical wall
