@@ -35,10 +35,12 @@ class UnsupportedInput(Exception):
 
 
 def _load(name: str, strict: bool = True) -> TrianglePresentation:
-    """load_named, with an unreadable or malformed file as a PresentationError."""
+    """load_named, with an unreadable or malformed file as a PresentationError:
+    one that cannot be opened, is not UTF-8, is not JSON or nests too deep
+    for the decoder."""
     try:
         return load_named(name, strict=strict)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise PresentationError([f"cannot read presentation {name!r}: {exc}"]) from exc
 
 

@@ -2,10 +2,14 @@
 
 Vertices are orbits of axial walls (keyed by their necklace) and of median
 lines of flip-symmetric strips (one per such strip orbit); edges are orbits
-of strips.  Edges are deduplicated by the canonical edge key alone: a shift
-by a multiple of the wall period (the wall stabilizer) is a row rotation,
-and a back-edge or the second end of a loop is the swapped reading, so all
-of them repeat a seen key, while parallel edges keep distinct keys.
+of strips.  Edges are deduplicated by their anchored readings: the rows of
+every shift of a kept strip, or of its swap, that reads off a canonical
+wall.  Every strip is enumerated at a canonical wall, and two strips lie in
+one orbit iff one is a shift of the other or of its swap, so a kept edge's
+readings are exactly the strips of its orbit that the BFS meets: the later
+members of its wall-stabilizer class, the back-edge at the other wall and
+the second end of a loop.  Each of them is dropped by one set lookup on its
+rows, while a parallel edge, a different orbit, is kept.
 
 All witness words are relative to the base vertex of the canonical rotation
 of the input element.  The BFS records a witness tree: each new wall vertex
@@ -23,7 +27,7 @@ from math import gcd
 
 from .errors import InvariantError
 from .presentation import TrianglePresentation
-from .strips import Strip, canonical_edge_key, enumerate_periodic_strips, flip_shifts
+from .strips import Strip, anchored_readings, enumerate_periodic_strips, flip_shifts
 from .walls import (Necklace, canonical_rotation, least_rotation, minimal_period,
                     stabilizer_generator_word, stabilizer_order, wall_word)
 from .words import FormalWord
@@ -170,7 +174,7 @@ def build_quotient(presentation: TrianglePresentation, element) -> QuotientGraph
     vertices: list[QuotientVertex] = []
     edges: list[QuotientEdge] = []
     wall_ids: dict[tuple, int] = {}
-    edge_keys: set = set()
+    readings: set = set()  # anchored readings of the kept edges
     # witness tree: wall vertex -> (parent, suffix); spelled base witnesses
     tree_links: dict[int, tuple[int, FormalWord]] = {}
     spelled: dict[int, FormalWord] = {}
@@ -217,14 +221,13 @@ def build_quotient(presentation: TrianglePresentation, element) -> QuotientGraph
         strips = enumerate_periodic_strips(presentation, v.sequence)
         if len(strips) > presentation.thickness_q + 1:
             raise InvariantError("more strips than the valency bound q+1")
-        # strips come sorted by rows, so the first strip with a new key is
-        # the least of its wall-stabilizer class; later members of the class,
-        # back-edges and the second end of a loop all repeat a seen key
+        # strips come sorted by rows, so the first strip of an orbit seen is
+        # the least of its wall-stabilizer class; registering the orbit's
+        # anchored readings drops the later members of the class here, the
+        # second end of a loop here and the back-edge at the other wall
         for strip in strips:
-            key = canonical_edge_key(strip)
-            if key in edge_keys:
+            if strip.rows() in readings:
                 continue
-            edge_keys.add(key)
             pe = strip.period
             ds = flip_shifts(strip)
             if ds:
@@ -242,6 +245,7 @@ def build_quotient(presentation: TrianglePresentation, element) -> QuotientGraph
                     index=other, kind="median", group_order=2 * n // pe,
                     generator_witness=glide, display_label=_median_display_label(strip, d)))
                 mu_other, conj, is_new = 2, FormalWord.identity(), True
+                readings.update(anchored_readings(strip, v.period))
             else:
                 canon_b, dd = least_rotation(strip.b)
                 # x_{t_0}^-1 x_{b_0} ... x_{b_{dd-1}} is reduced: t_0 == b_0
@@ -257,7 +261,9 @@ def build_quotient(presentation: TrianglePresentation, element) -> QuotientGraph
                     other = wall_ids[canon_b]
                     conj = FormalWord.product(
                         (base_witness(vid), suffix, base_witness(other).inverse()))
-                mu_other = pe // vertices[other].period
+                p_other = vertices[other].period
+                mu_other = pe // p_other
+                readings.update(anchored_readings(strip, v.period, dd, p_other))
             edges.append(QuotientEdge(
                 index=len(edges), endpoints=(vid, other), group_order=n // pe,
                 multipliers=(pe // v.period, mu_other), conjugator_witness=conj,

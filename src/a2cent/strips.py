@@ -20,7 +20,8 @@ returned by ``rows()``; the five sequences are columns read from it.  A
 strip computes its period and its swapped rows (the rows read from the
 opposite wall) at most once.  A shift is a rotation of the rows, and
 ``canonical_edge_key`` is the least rotation of the rows or of the swapped
-rows.
+rows; ``anchored_readings`` lists the rotations that read off a canonical
+wall.
 
 Enumeration and validation read two tables that ``presentation.load``
 builds once: ``transitions`` gives, for a lower triangle and the next base
@@ -219,6 +220,29 @@ def canonical_edge_key(strip: Strip):
     translation and wall-swap symmetries).  The key is a tuple of rows.
     """
     return min(canonical_rotation(strip.rows()), canonical_rotation(strip.swapped_rows()))
+
+
+def anchored_readings(strip: Strip, wall_period: int, swap_shift: int | None = None,
+                      other_period: int = 0) -> list[tuple]:
+    """The rows of every shift of the strip, and of its swap, that reads off
+    a canonical wall: its edge orbit as enumerated at its two walls.
+
+    The strip reads off a canonical wall of period ``wall_period``, so its
+    shift by r does iff r is a multiple of that period.  Its swap reads off
+    the opposite wall b; with ``(canon_b, swap_shift) = least_rotation(b)``
+    and ``other_period`` the period of canon_b, the swap shifted by r reads
+    off canon_b iff r is swap_shift plus a multiple of other_period.  A glide
+    strip (``swap_shift`` None) has no other readings, as its swap is one of
+    its own shifts.  Shifts run over one strip period, so the readings are
+    distinct.
+    """
+    rows = strip.rows()
+    pe = strip.period
+    readings = [rows[r:] + rows[:r] for r in range(0, pe, wall_period)]
+    if swap_shift is not None:
+        sw = strip.swapped_rows()
+        readings += [sw[r:] + sw[:r] for r in range(swap_shift, pe, other_period)]
+    return readings
 
 
 def flip_shifts(strip: Strip) -> list[int]:

@@ -9,9 +9,10 @@ from a2cent.bassserre import (GroupPresentation, IsoType, Unsimplified,
                               fundamental_group, render_word, simplify,
                               smith_diagonal)
 from a2cent.errors import InvariantError
-from a2cent.presentation import BUILTIN_PRESENTATIONS, load, load_named
+from a2cent.presentation import load, load_named
 from a2cent.quotient import build_quotient
 from a2cent.walls import minimal_period, wall_necklaces
+from presentations import OTHER_Q2, relabelled_c1
 
 C1 = load_named("c1")
 
@@ -203,22 +204,14 @@ def test_abelianization_matches_isotype(word):
     assert abelianization(fundamental_group(g)) == iso.abelianization()
 
 
-def relabelled_c1(seed):
-    """c1 with its generators renamed by a seeded permutation."""
-    perm = list(range(7))
-    random.Random(seed).shuffle(perm)
-    return load({"generators": 7, "relators": [[perm[x] for x in t]
-                                               for t in BUILTIN_PRESENTATIONS["c1"]["relators"]]})
-
-
 def check_cross_checks(pres, lengths):
-    """For every wall necklace of the given lengths: the SNF abelianization of
-    the fundamental group equals that of the simplified isomorphism type, and
-    a result that stays Unsimplified comes from a proper power.  Returns the
-    number of Unsimplified results per length."""
+    """For every wall necklace of the given lengths, the SNF abelianization of
+    the fundamental group equals that of the simplified isomorphism type.
+    Returns, per length, the numbers of Unsimplified results from proper
+    powers and from primitive words."""
     unsimplified = {}
     for n in lengths:
-        unsimplified[n] = 0
+        powers = primitives = 0
         for word in wall_necklaces(pres, n):
             g = build_quotient(pres, word)
             result = simplify(g)
@@ -226,29 +219,42 @@ def check_cross_checks(pres, lengths):
                 assert abelianization(fundamental_group(g)) == result.abelianization(), word
             else:
                 assert isinstance(result, Unsimplified)
-                assert minimal_period(word) < n, word
-                unsimplified[n] += 1
+                if minimal_period(word) < n:
+                    powers += 1
+                else:
+                    primitives += 1
+        unsimplified[n] = (powers, primitives)
     return unsimplified
 
 
 def test_cross_checks_through_length_5():
-    assert check_cross_checks(C1, range(1, 6)) == {1: 0, 2: 0, 3: 0, 4: 6, 5: 0}
+    assert check_cross_checks(C1, range(1, 6)) == \
+        {1: (0, 0), 2: (0, 0), 3: (0, 0), 4: (6, 0), 5: (0, 0)}
 
 
 def test_cross_checks_on_relabelled_c1_through_length_5():
     pres = relabelled_c1(20111)
     assert pres.rotation_classes != C1.rotation_classes
-    assert check_cross_checks(pres, range(1, 6)) == {1: 0, 2: 0, 3: 0, 4: 6, 5: 0}
+    assert check_cross_checks(pres, range(1, 6)) == \
+        {1: (0, 0), 2: (0, 0), 3: (0, 0), 4: (6, 0), 5: (0, 0)}
+
+
+def test_cross_checks_on_other_q2_through_length_5():
+    # (0,4), (0,5) and (0,6) are primitive and their quotients do not simplify
+    assert check_cross_checks(OTHER_Q2, range(1, 6)) == \
+        {1: (0, 0), 2: (6, 3), 3: (6, 0), 4: (9, 0), 5: (6, 0)}
+    for word in ((0, 4), (0, 5), (0, 6)):
+        assert isinstance(simplify(build_quotient(OTHER_Q2, word)), Unsimplified), word
 
 
 @pytest.mark.slow
 def test_cross_checks_at_lengths_6_and_7():
-    assert check_cross_checks(C1, (6, 7)) == {6: 13, 7: 0}
+    assert check_cross_checks(C1, (6, 7)) == {6: (13, 0), 7: (0, 0)}
 
 
 @pytest.mark.slow
 def test_cross_checks_on_relabelled_c1_at_lengths_6_and_7():
-    assert check_cross_checks(relabelled_c1(20111), (6, 7)) == {6: 13, 7: 0}
+    assert check_cross_checks(relabelled_c1(20111), (6, 7)) == {6: (13, 0), 7: (0, 0)}
 
 
 def test_abelianization_examples():

@@ -14,6 +14,7 @@ from a2cent.cli import (EXIT_INTERNAL, EXIT_OK, EXIT_UNSUPPORTED,
                         EXIT_VALIDATION, main, run_centralizer)
 from a2cent.presentation import BUILTIN_PRESENTATIONS, load_named
 from a2cent.walls import canonical_rotation, minimal_period, wall_necklaces
+from presentations import OTHER_Q2, relabelled_c1
 
 
 def run(capsys, *argv):
@@ -169,6 +170,20 @@ def test_malformed_presentation_file(capsys, tmp_path):
     assert err.startswith("error: cannot read presentation")
 
 
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe{}",
+    b"[" * 100_000 + b"]" * 100_000,
+], ids=["not-utf8", "nested-too-deep"])
+def test_undecodable_presentation_file(capsys, tmp_path, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert err.startswith("error: cannot read presentation")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["centralizer", "builtin:c1", "--word", "0,5", "--format", "structured"],
     ["centralizer", "builtin:c1", "--word", "0,5"],
@@ -321,17 +336,40 @@ def test_link(capsys):
     assert out.strip() == "link graph: 14 nodes, 3-regular, girth 6, diameter 3"
 
 
+def structured_digest(pres, words):
+    """The number of words and the sha256 of their structured reports, in order."""
+    digest = hashlib.sha256()
+    count = 0
+    for word in words:
+        report = run_centralizer(pres, word)[0]
+        digest.update((json.dumps(report, indent=2, sort_keys=True) + "\n").encode())
+        count += 1
+    return count, digest.hexdigest()
+
+
+def necklaces_through(pres, length):
+    """Every wall necklace of length 1..length, by length then lexicographically."""
+    return [w for n in range(1, length + 1) for w in wall_necklaces(pres, n)]
+
+
 def test_structured_output_byte_stable_through_length_6(c1):
     """sha256 of the structured reports of every c1 wall necklace of length
-    1-6, by length then lexicographically, as produced before strips were
-    stored as rows."""
-    digest = hashlib.sha256()
-    for n in range(1, 7):
-        for word in wall_necklaces(c1, n):
-            report = run_centralizer(c1, word)[0]
-            digest.update((json.dumps(report, indent=2, sort_keys=True) + "\n").encode())
-    assert digest.hexdigest() == \
+    1-6, as produced before strips were stored as rows."""
+    assert structured_digest(c1, necklaces_through(c1, 6))[1] == \
         "2f2ba0b47a2b37d59b65a56224356990d7e3274612fc66fd580a1522148a6da4"
+
+
+@pytest.mark.parametrize("pres, expected", [
+    (relabelled_c1(20111),
+     (1029, "ed58f142d40e2ee9cf050cdbf3b794cfbb71e04eea67327feb528041ea52ee04")),
+    (OTHER_Q2,
+     (1034, "49ba5f4e909a2ab28a57b32540e3638bdaa4d0b20e2541153b853f2ef205e57e")),
+], ids=["relabelled_c1", "other_q2"])
+def test_structured_output_byte_stable_on_other_presentations(pres, expected):
+    """Number and sha256 of the structured reports of every wall necklace of
+    length 1-6, as produced before edges were deduplicated by their anchored
+    readings."""
+    assert structured_digest(pres, necklaces_through(pres, 6)) == expected
 
 
 def deep_walls(pres, count=20, seed=12, lengths=(12, 13, 14)):
@@ -360,11 +398,7 @@ def test_structured_output_byte_stable_on_deep_walls(c1):
     length 12-14, two of them with quotients of 784 and 876 vertices and
     BFS trees of depth 102 and 221, as produced before witness words were
     spelled on demand."""
-    digest = hashlib.sha256()
-    for word in deep_walls(c1):
-        report = run_centralizer(c1, word)[0]
-        digest.update((json.dumps(report, indent=2, sort_keys=True) + "\n").encode())
-    assert digest.hexdigest() == \
+    assert structured_digest(c1, deep_walls(c1))[1] == \
         "23a7a18b4636f5d1f78f888d39dab89e497c2267c1f07fb108ad4cea2759343a"
 
 

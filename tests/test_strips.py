@@ -1,5 +1,4 @@
 import itertools
-import random
 from math import gcd
 
 import pytest
@@ -7,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from a2cent.errors import AmbiguousStrip, InvariantError, NotAWallWord
-from a2cent.presentation import BUILTIN_PRESENTATIONS, load, load_named
-from a2cent.strips import (Strip, canonical_edge_key, enumerate_periodic_strips,
-                           flip_shifts, group_by_wall_shifts, shift, swap,
-                           validate_strip)
-from a2cent.walls import check_wall_sequence, minimal_period, wall_necklaces
+from a2cent.presentation import load_named
+from a2cent.strips import (Strip, anchored_readings, canonical_edge_key,
+                           enumerate_periodic_strips, flip_shifts, group_by_wall_shifts,
+                           shift, swap, validate_strip)
+from a2cent.walls import check_wall_sequence, least_rotation, minimal_period, wall_necklaces
+from presentations import NON_BUILDING, OTHER_Q2, relabelled_c1
 from strip_oracle import oracle_enumerate
 
 C1 = load_named("c1")
@@ -351,26 +351,12 @@ def test_enumerate_equals_reference_at_length_7():
     check_enumerate_equals_reference(C1, wall_necklaces(C1, 7))
 
 
-def relabelled_c1(seed):
-    """c1 with its generators renamed by a seeded permutation."""
-    perm = list(range(7))
-    random.Random(seed).shuffle(perm)
-    doc = BUILTIN_PRESENTATIONS["c1"]
-    return load({"generators": 7, "relators": [[perm[x] for x in t] for t in doc["relators"]]})
-
-
 def test_enumerate_equals_reference_on_relabelled_c1():
     pres = relabelled_c1(20111)
     assert pres.rotation_classes != C1.rotation_classes
     walls = [w for n in range(1, 7) for w in wall_necklaces(pres, n)]
     outcomes = check_enumerate_equals_reference(pres, walls)
     assert sum(len(found) for found in outcomes) > 1000
-
-
-# pair-unique with uniform q=2, but the link has girth 4: partial strips
-# branch, and some initial triangles close two strips
-NON_BUILDING = load({"generators": 4, "relators": [[3, 0, 1], [3, 1, 2], [0, 2, 1], [3, 2, 0]]},
-                    strict=False)
 
 
 def test_enumerate_equals_reference_where_strips_branch():
@@ -424,6 +410,53 @@ def test_strip_facts_where_strips_branch():
     # no strip of this presentation through length 6 is flip-symmetric
     walls = [w for n in range(1, 7) for w in wall_necklaces(NON_BUILDING, n)]
     assert check_strip_facts(NON_BUILDING, walls) == (12, 36, 0)
+
+
+def check_anchored_readings(presentation, walls):
+    """For every strip S at every canonical wall W: the anchored readings
+    that the quotient BFS registers when it keeps S are the strips
+    enumerated at W and at the canonical rotation of S's opposite wall whose
+    edge key is S's, each listed once.  Walls W with an ambiguous strip are
+    skipped.  Returns the numbers of strips checked and of those with both
+    walls on one necklace."""
+    enumerated = {}
+
+    def strips_at(wall):
+        if wall not in enumerated:
+            enumerated[wall] = enumerate_periodic_strips(presentation, wall)
+        return enumerated[wall]
+
+    checked = one_necklace = 0
+    for wall in walls:
+        try:
+            strips = strips_at(wall)
+        except AmbiguousStrip:
+            continue
+        for s in strips:
+            canon_b, dd = least_rotation(s.b)
+            if flip_shifts(s):
+                readings = anchored_readings(s, minimal_period(wall))
+            else:
+                readings = anchored_readings(s, minimal_period(wall), dd, minimal_period(canon_b))
+            key = canonical_edge_key(s)
+            orbit = {t.rows() for w in {wall, canon_b} for t in strips_at(w)
+                     if canonical_edge_key(t) == key}
+            assert len(readings) == len(set(readings)), (wall, s)
+            assert set(readings) == orbit, (wall, s)
+            checked += 1
+            one_necklace += canon_b == wall
+    return checked, one_necklace
+
+
+@pytest.mark.parametrize("pres, expected", [
+    (C1, (1120, 22)),
+    (relabelled_c1(20111), (1120, 22)),
+    (OTHER_Q2, (1127, 22)),
+    (NON_BUILDING, (24, 0)),
+], ids=["c1", "relabelled_c1", "other_q2", "non_building"])
+def test_anchored_readings_are_the_enumerated_orbit(pres, expected):
+    walls = [w for n in range(1, 7) for w in wall_necklaces(pres, n)]
+    assert check_anchored_readings(pres, walls) == expected
 
 
 # every valid c1 strip of length 1-7 at a canonical wall
