@@ -16,8 +16,7 @@ from .presentation import (BUILTIN_PRESENTATIONS, TrianglePresentation, load,
                            load_named, loads)
 from .quotient import (QuotientEdge, QuotientGraphOfGroups, QuotientVertex,
                        build_quotient, vertex_witnesses)
-from .strips import (Strip, canonical_edge_key, enumerate_periodic_strips,
-                     flip_shifts, shift, swap)
+from .strips import Strip, enumerate_periodic_strips, flip_shifts, shift, swap
 from .walls import (Necklace, canonical_rotation, minimal_period,
                     stabilizer_generator_word, stabilizer_order, wall_word)
 from .words import FormalWord
@@ -28,7 +27,7 @@ __all__ = [
     "NotAWallWord", "PresentationError", "QuotientEdge",
     "QuotientGraphOfGroups", "QuotientVertex", "Strip",
     "TrianglePresentation", "Unsimplified", "abelianization",
-    "build_quotient", "canonical_edge_key", "canonical_rotation",
+    "build_quotient", "canonical_rotation",
     "enumerate_periodic_strips", "flip_shifts", "full_centralizer_presentation",
     "fundamental_group", "load", "load_named", "loads", "minimal_period",
     "shift", "simplify", "stabilizer_generator_word",

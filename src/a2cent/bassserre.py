@@ -183,14 +183,6 @@ def full_centralizer_presentation(graph: QuotientGraphOfGroups) -> GroupPresenta
 
 # -- simplification ---------------------------------------------------------
 
-def _collapse_state(graph: QuotientGraphOfGroups):
-    orders = {v.index: v.group_order for v in graph.vertices}
-    edges = {e.index: (e.endpoints[0], e.endpoints[1], e.group_order,
-                       e.multipliers[0], e.multipliers[1], e.in_spanning_tree)
-             for e in graph.edges}
-    return orders, edges
-
-
 def simplify(graph: QuotientGraphOfGroups, order_hint=None):
     """Collapse edges with surjective inclusions; classify if possible.
 
@@ -210,7 +202,10 @@ def simplify(graph: QuotientGraphOfGroups, order_hint=None):
     dropped edge is pushed again whenever it could.  So each step takes the
     least collapsible edge in the choice order, as a scan of all edges would.
     """
-    orders, edges = _collapse_state(graph)
+    orders = {v.index: v.group_order for v in graph.vertices}
+    edges = {e.index: (e.endpoints[0], e.endpoints[1], e.group_order,
+                       e.multipliers[0], e.multipliers[1], e.in_spanning_tree)
+             for e in graph.edges}
     pref = {idx: pos for pos, idx in enumerate(order_hint or [])}
     rank = {idx: (pref.get(idx, len(pref)), idx) for idx in edges}
     incident = {v: set() for v in orders}

@@ -21,7 +21,7 @@ from . import bassserre
 from .errors import AmbiguousStrip, InvariantError, NotAWallWord, PresentationError
 from .presentation import TrianglePresentation, load_named
 from .quotient import build_quotient, vertex_witnesses
-from .strips import enumerate_periodic_strips, flip_shifts, group_by_wall_shifts
+from .strips import anchored_readings, enumerate_periodic_strips, flip_shifts
 from .walls import wall_word
 
 EXIT_OK = 0
@@ -165,7 +165,14 @@ def cmd_strips(args) -> int:
     seq = word * (n // len(word))
     neck = wall_word(pres, seq)
     strips = enumerate_periodic_strips(pres, neck.labels)
-    classes = group_by_wall_shifts(strips, neck.period)
+    # wall-stabilizer classes, in enumeration order, by the readings that
+    # build_quotient registers for an edge at its own wall
+    classes, class_of = [], {}  # anchored reading -> index in classes
+    for strip in strips:
+        if strip.rows() not in class_of:
+            class_of.update(dict.fromkeys(anchored_readings(strip, neck.period), len(classes)))
+            classes.append([])
+        classes[class_of[strip.rows()]].append(strip)
     if args.format == "structured":
         payload = {
             "wall": list(neck.labels),
@@ -204,7 +211,7 @@ def cmd_strips(args) -> int:
 def cmd_link(args) -> int:
     pres = _load(args.presentation)
     nodes, degrees, girth, diameter = pres.link_stats()
-    regular = f"{degrees.pop()}-regular" if len(degrees | set()) <= 1 else f"degrees {sorted(degrees)}"
+    regular = f"{min(degrees)}-regular" if len(degrees) == 1 else f"degrees {sorted(degrees)}"
     print(f"link graph: {nodes} nodes, {regular}, girth {girth}, diameter {diameter}")
     return EXIT_OK
 

@@ -2,9 +2,9 @@
 
 A triangle presentation has generators x_0..x_{m-1} and relators
 x_i x_j x_k = 1 stored as rotation classes.  The derived lookup tables answer
-the two local questions everything else is built on: does a pair of
-consecutive edge labels continue straight (no common triangle), and what is
-the unique third label completing a given (first, last) pair.
+the two local questions everything else is built on: which rotations start
+with a given label, and does a pair of consecutive edge labels continue
+straight (no common triangle).
 
 The vertex link is the incidence graph with a point t and a line s for each
 generator, t on s iff some rotation (s, t, .) exists.  The presentation
@@ -56,37 +56,33 @@ class TrianglePresentation(Frozen):
     The lookup tables are built once by load() and never change, and each
     holds O(|rotations|) entries (times a factor of q), never one per pair of
     generators: ``rotation_set`` holds all 3*|classes| rotations,
-    ``starting[i]`` the sorted (j, k) with rotation (i, j, k),
-    ``completion[i]`` a read-only mapping from each k with some rotation
-    (i, ., k) to that unique j, and ``bent_pairs`` the (i, j) that lie on a
-    common triangle.  Two tables serve the strip layer:
-    ``transitions[(a, s, t, a')]`` holds, for the lower triangle (a, s, t)
-    (a rotation) and each upper choice (b, u) in ``starting[s]`` that does
-    not fold onto it, in that order, the ``(row, s', u)`` whose next lower
-    triangle (a', s', u) exists, where row is (a, s, t, b, u), and has no
-    empty entries; and ``row_pairs`` holds every valid consecutive strip row pair
-    ((a, s, t, b, u), (a', s', t', b', u')): both rows are valid, t' == u,
-    and neither (a, a') nor (b, b') is bent.  Strips and walls read the
-    tables directly; the query methods below add the generator range check.
+    ``starting[i]`` the sorted (j, k) with rotation (i, j, k), and
+    ``bent_pairs`` the (i, j) that lie on a common triangle.  Two tables
+    serve the strip layer: ``transitions[(a, s, t, a')]`` holds, for the
+    lower triangle (a, s, t) (a rotation) and each upper choice (b, u) in
+    ``starting[s]`` that does not fold onto it, in that order, the
+    ``(row, s', u)`` whose next lower triangle (a', s', u) exists, where row
+    is (a, s, t, b, u), and has no empty entries; and ``row_pairs`` holds
+    every valid consecutive strip row pair ((a, s, t, b, u),
+    (a', s', t', b', u')): both rows are valid, t' == u, and neither
+    (a, a') nor (b, b') is bent.  Strips and walls read the tables
+    directly; ``straight`` adds the generator range check.
     ``rotation_classes`` holds the canonical (least) rotation of each class.
     Equality and hashing read only ``generator_count``, ``rotation_classes``,
     ``thickness_q`` and ``warnings``: the tables follow from the first two.
     """
 
     __slots__ = ("generator_count", "rotation_classes", "thickness_q", "rotation_set",
-                 "starting", "completion", "bent_pairs", "transitions", "row_pairs",
-                 "warnings")
+                 "starting", "bent_pairs", "transitions", "row_pairs", "warnings")
 
     def __init__(self, generator_count: int, rotation_classes: frozenset, thickness_q: int,
-                 rotation_set: frozenset, starting: tuple, completion: tuple,
-                 bent_pairs: frozenset, transitions: MappingProxyType, row_pairs: frozenset,
-                 warnings: tuple = ()):
+                 rotation_set: frozenset, starting: tuple, bent_pairs: frozenset,
+                 transitions: MappingProxyType, row_pairs: frozenset, warnings: tuple = ()):
         object.__setattr__(self, "generator_count", generator_count)
         object.__setattr__(self, "rotation_classes", rotation_classes)
         object.__setattr__(self, "thickness_q", thickness_q)
         object.__setattr__(self, "rotation_set", rotation_set)
         object.__setattr__(self, "starting", starting)
-        object.__setattr__(self, "completion", completion)
         object.__setattr__(self, "bent_pairs", bent_pairs)
         object.__setattr__(self, "transitions", transitions)
         object.__setattr__(self, "row_pairs", row_pairs)
@@ -97,32 +93,11 @@ class TrianglePresentation(Frozen):
 
     # -- queries -----------------------------------------------------------
 
-    @property
-    def rotations(self):
-        """All 3*|classes| rotations as a sorted list of triples."""
-        return sorted(self.rotation_set)
-
-    @property
-    def first_table(self):
-        """For each i, the sorted j with some rotation (i, j, .)."""
-        return {i: [j for (j, _k) in row] for i, row in enumerate(self.starting)}
-
     def straight(self, i: int, j: int) -> bool:
         """True iff edges labelled i then j continue a wall (no triangle (i,j,.))."""
         self._check_index(i)
         self._check_index(j)
         return (i, j) not in self.bent_pairs
-
-    def complete(self, i: int, k: int):
-        """The unique j with rotation (i, j, k), or None."""
-        self._check_index(i)
-        self._check_index(k)
-        return self.completion[i].get(k)
-
-    def relators_starting_with(self, i: int):
-        """The q+1 rotations (i, j, k), returned as sorted (j, k) pairs."""
-        self._check_index(i)
-        return list(self.starting[i])
 
     def _check_index(self, i):
         """Raise IndexError unless 0 <= i < generator_count."""
@@ -246,16 +221,16 @@ def load(document, strict: bool = True) -> TrianglePresentation:
         rotations.update(_rotations(c))
 
     # pair uniqueness
-    completion = {}
+    middle = {}  # (i, k) -> the j of the rotation (i, j, k)
     starting = {i: [] for i in range(m)}
     first_pairs = set()
     for (i, j, k) in sorted(rotations):
-        if (i, k) in completion:
+        if (i, k) in middle:
             issues.append(
-                f"pair-uniqueness violation: rotations ({i},{completion[(i, k)]},{k}) "
+                f"pair-uniqueness violation: rotations ({i},{middle[(i, k)]},{k}) "
                 f"and ({i},{j},{k}) share first/last pair ({i},{k})")
         else:
-            completion[(i, k)] = j
+            middle[(i, k)] = j
         if (i, j) in first_pairs:
             issues.append(f"pair-uniqueness violation: two rotations start with ({i},{j})")
         first_pairs.add((i, j))
@@ -274,9 +249,6 @@ def load(document, strict: bool = True) -> TrianglePresentation:
         raise PresentationError(
             [f"thickness q={q} < 2: every generator must head q+1 >= 3 rotations"])
     starting = tuple(tuple(starting[i]) for i in range(m))
-    completion_rows = [{} for _ in range(m)]
-    for (i, k), j in completion.items():
-        completion_rows[i][k] = j
 
     # link condition: the link is a projective plane of order q.  Line s holds
     # the q+1 distinct points t of the rotations (s, t, .), and each point lies
@@ -301,7 +273,6 @@ def load(document, strict: bool = True) -> TrianglePresentation:
         thickness_q=q,
         rotation_set=frozenset(rotations),
         starting=starting,
-        completion=tuple(MappingProxyType(row) for row in completion_rows),
         bent_pairs=frozenset(first_pairs),
         transitions=transitions,
         row_pairs=row_pairs,

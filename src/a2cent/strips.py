@@ -19,9 +19,8 @@ In memory a strip is the tuple of its n rows (a_k, s_k, t_k, b_k, u_k),
 returned by ``rows()``; the five sequences are columns read from it.  A
 strip computes its period and its swapped rows (the rows read from the
 opposite wall) at most once.  A shift is a rotation of the rows, and
-``canonical_edge_key`` is the least rotation of the rows or of the swapped
-rows; ``anchored_readings`` lists the rotations that read off a canonical
-wall.
+``anchored_readings`` lists the shifts of the rows and of the swapped rows
+that read off a canonical wall.
 
 Enumeration and validation read two tables that ``presentation.load``
 builds once: ``transitions`` gives, for a lower triangle and the next base
@@ -36,7 +35,7 @@ from __future__ import annotations
 
 from .errors import AmbiguousStrip, InvariantError
 from .presentation import TrianglePresentation
-from .walls import canonical_rotation, check_wall_sequence, is_period, minimal_period
+from .walls import check_wall_sequence, is_period, minimal_period
 
 def _column(index, name):
     return property(lambda self: tuple([row[index] for row in self._rows]),
@@ -98,14 +97,6 @@ class Strip:
         if self._swapped is None:
             self._swapped = _swapped_rows(self._rows)
         return self._swapped
-
-    def lower_triangle(self, k: int):
-        a, s, t, _b, _u = self._rows[k]
-        return (a, s, t)
-
-    def upper_triangle(self, k: int):
-        _a, s, _t, b, u = self._rows[k]
-        return (s, b, u)
 
     def to_json(self):
         return {"a": list(self.a), "s": list(self.s), "t": list(self.t),
@@ -213,15 +204,6 @@ def enumerate_periodic_strips(presentation: TrianglePresentation, wall) -> list[
     return found
 
 
-def canonical_edge_key(strip: Strip):
-    """Least representative over all shifts of the strip and of its swap.
-
-    Equal keys identify the same quotient edge (strip orbits up to the
-    translation and wall-swap symmetries).  The key is a tuple of rows.
-    """
-    return min(canonical_rotation(strip.rows()), canonical_rotation(strip.swapped_rows()))
-
-
 def anchored_readings(strip: Strip, wall_period: int, swap_shift: int | None = None,
                       other_period: int = 0) -> list[tuple]:
     """The rows of every shift of the strip, and of its swap, that reads off
@@ -231,9 +213,10 @@ def anchored_readings(strip: Strip, wall_period: int, swap_shift: int | None = N
     shift by r does iff r is a multiple of that period.  Its swap reads off
     the opposite wall b; with ``(canon_b, swap_shift) = least_rotation(b)``
     and ``other_period`` the period of canon_b, the swap shifted by r reads
-    off canon_b iff r is swap_shift plus a multiple of other_period.  A glide
-    strip (``swap_shift`` None) has no other readings, as its swap is one of
-    its own shifts.  Shifts run over one strip period, so the readings are
+    off canon_b iff r is swap_shift plus a multiple of other_period.  With
+    ``swap_shift`` None only the shifts are listed, its wall-stabilizer
+    class; a glide strip has no other readings, as its swap is one of its
+    own shifts.  Shifts run over one strip period, so the readings are
     distinct.
     """
     rows = strip.rows()
@@ -256,21 +239,3 @@ def flip_shifts(strip: Strip) -> list[int]:
     rows = strip.rows()
     sw = strip.swapped_rows()
     return [d for d, row in enumerate(sw) if row == rows[0] and sw[d:] + sw[:d] == rows]
-
-
-def group_by_wall_shifts(strips: list[Strip], wall_period: int) -> list[list[Strip]]:
-    """Partition anchored strips into wall-stabilizer orbits.
-
-    Two strips at the same wall are identified iff they agree up to a shift
-    by a multiple of the wall period (the action of the wall stabilizer).
-    Classes are sorted by their least member; so are the members.
-    """
-    n = strips[0].length if strips else 0
-    remaining = sorted(strips, key=Strip.rows)
-    classes = []
-    while remaining:
-        rows = remaining[0].rows()
-        orbit = {rows[j:] + rows[:j] for j in range(0, n, wall_period)}
-        classes.append([st for st in remaining if st.rows() in orbit])
-        remaining = [st for st in remaining if st.rows() not in orbit]
-    return classes

@@ -28,8 +28,6 @@ def canonical_rotation(labels):
 def least_rotation(labels):
     """The canonical rotation of the sequence and the least r with the
     sequence rotated by r equal to it, from one pass over the rotations.
-
-    canonical_rotation does without r, as every edge key needs two of it.
     """
     seq = tuple(labels)
     first = min(seq)

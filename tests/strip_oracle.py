@@ -1,11 +1,13 @@
-"""The brute-force strip enumeration that the strip walk is checked against."""
+"""References the strip layer is checked against: a brute-force strip
+enumeration, the edge key that names a strip orbit, and a grouping of the
+strips at one wall into wall-stabilizer classes."""
 
 import itertools
 
 from a2cent.errors import InvariantError, NotAWallWord
 from a2cent.presentation import TrianglePresentation
 from a2cent.strips import Strip, validate_strip
-from a2cent.walls import check_wall_sequence
+from a2cent.walls import canonical_rotation, check_wall_sequence
 
 ORACLE_MAX_LENGTH = 6  # (q+1)^(2n) blowup guard for the brute-force oracle
 
@@ -19,11 +21,11 @@ def oracle_enumerate(presentation: TrianglePresentation, wall) -> list[Strip]:
         raise ValueError(f"oracle guarded to length <= {ORACLE_MAX_LENGTH}")
     check_wall_sequence(presentation, a)
     out = []
-    lower_choices = [presentation.relators_starting_with(a[k]) for k in range(n)]
+    lower_choices = [presentation.starting[a[k]] for k in range(n)]
     for lowers in itertools.product(*lower_choices):
         s = tuple(jk[0] for jk in lowers)
         t = tuple(jk[1] for jk in lowers)
-        upper_choices = [presentation.relators_starting_with(s[k]) for k in range(n)]
+        upper_choices = [presentation.starting[s[k]] for k in range(n)]
         for uppers in itertools.product(*upper_choices):
             b = tuple(jk[0] for jk in uppers)
             u = tuple(jk[1] for jk in uppers)
@@ -34,3 +36,30 @@ def oracle_enumerate(presentation: TrianglePresentation, wall) -> list[Strip]:
                 continue
             out.append(strip)
     return out
+
+
+def canonical_edge_key(strip: Strip):
+    """Least representative over all shifts of the strip and of its swap.
+
+    Equal keys identify the same quotient edge (strip orbits up to the
+    translation and wall-swap symmetries).  The key is a tuple of rows.
+    """
+    return min(canonical_rotation(strip.rows()), canonical_rotation(strip.swapped_rows()))
+
+
+def group_by_wall_shifts(strips: list[Strip], wall_period: int) -> list[list[Strip]]:
+    """Partition the strips at one wall into wall-stabilizer orbits.
+
+    Two strips at the same wall are identified iff they agree up to a shift
+    by a multiple of the wall period (the action of the wall stabilizer).
+    Classes are sorted by their least member; so are the members.
+    """
+    n = strips[0].length if strips else 0
+    remaining = sorted(strips, key=Strip.rows)
+    classes = []
+    while remaining:
+        rows = remaining[0].rows()
+        orbit = {rows[j:] + rows[:j] for j in range(0, n, wall_period)}
+        classes.append([st for st in remaining if st.rows() in orbit])
+        remaining = [st for st in remaining if st.rows() not in orbit]
+    return classes

@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 from a2cent.cli import (EXIT_INTERNAL, EXIT_OK, EXIT_UNSUPPORTED,
                         EXIT_VALIDATION, main, run_centralizer)
 from a2cent.presentation import BUILTIN_PRESENTATIONS, load_named
-from a2cent.walls import canonical_rotation, minimal_period, wall_necklaces
+from a2cent.strips import enumerate_periodic_strips
+from a2cent.walls import canonical_rotation, minimal_period, wall_necklaces, wall_word
 from presentations import OTHER_Q2, relabelled_c1
+from strip_oracle import group_by_wall_shifts
 
 
 def run(capsys, *argv):
@@ -400,6 +402,63 @@ def test_structured_output_byte_stable_on_deep_walls(c1):
     spelled on demand."""
     assert structured_digest(c1, deep_walls(c1))[1] == \
         "23a7a18b4636f5d1f78f888d39dab89e497c2267c1f07fb108ad4cea2759343a"
+
+
+def strips_digest(capsys, presentation, walls):
+    """The number of runs and the sha256 of ``a2cent strips`` output over
+    the walls in order, each at --length n and 2n in both formats."""
+    digest = hashlib.sha256()
+    runs = 0
+    for wall in walls:
+        for length in (len(wall), 2 * len(wall)):
+            for fmt in ("text", "structured"):
+                code, out, err = run(capsys, "strips", presentation,
+                                     "--wall", ",".join(map(str, wall)),
+                                     "--length", str(length), "--format", fmt)
+                assert code == EXIT_OK, err
+                digest.update(out.encode())
+                runs += 1
+    return runs, digest.hexdigest()
+
+
+@pytest.mark.parametrize("name, expected", [
+    ("c1", (1300, "9465acef06c56f1a49f39703cd5675a8019a7165f1c2ba24557681945a14bd0d")),
+    ("other_q2", (1332, "86d8afc0c0e232407160458613416a9bc6e0c878b84e6886f27cf13037370ada")),
+])
+def test_strips_output_byte_stable_through_length_5(capsys, tmp_path, name, expected):
+    """Number of runs and sha256 of the strips output at every wall
+    necklace of length 1-5 of c1 and of OTHER_Q2, read from a file, as
+    produced while the classes were grouped by wall shifts."""
+    if name == "c1":
+        pres, argument = load_named("c1"), "builtin:c1"
+    else:
+        pres, argument = OTHER_Q2, str(tmp_path / "other_q2.json")
+        (tmp_path / "other_q2.json").write_text(OTHER_Q2.dumps())
+    assert strips_digest(capsys, argument, necklaces_through(pres, 5)) == expected
+
+
+def test_strips_classes_equal_wall_shift_reference(capsys, tmp_path):
+    """On a relabelled c1, read from a file, the structured strips output at
+    every wall necklace of length 1-5, at --length n and 2n, lists the
+    classes of the reference grouping by wall shifts: same representatives,
+    same sizes, same order."""
+    pres = relabelled_c1(20111)
+    path = tmp_path / "relabelled_c1.json"
+    path.write_text(pres.dumps())
+    classes_seen = strips_seen = 0
+    for wall in necklaces_through(pres, 5):
+        for length in (len(wall), 2 * len(wall)):
+            code, out, err = run(capsys, "strips", str(path), "--wall", ",".join(map(str, wall)),
+                                 "--length", str(length), "--format", "structured")
+            assert code == EXIT_OK, err
+            neck = wall_word(pres, wall * (length // len(wall)))
+            expected = group_by_wall_shifts(enumerate_periodic_strips(pres, neck.labels),
+                                            neck.period)
+            assert [(c["representative"], c["phases"]) for c in json.loads(out)["strip_classes"]] \
+                == [(cls[0].to_json(), len(cls)) for cls in expected], (wall, length)
+            classes_seen += len(expected)
+            strips_seen += sum(len(cls) for cls in expected)
+    assert (classes_seen, strips_seen) == (882, 1048)
 
 
 def test_entry_point_error_has_no_traceback():

@@ -17,11 +17,6 @@ def test_c1_shape(c1):
     assert (1, 3, 5) in c1.rotation_classes
 
 
-def test_first_table_row_zero(c1):
-    # the "values of j" table: rotations starting with 0 are (0,0,.), (0,2,.), (0,6,.)
-    assert c1.first_table[0] == [0, 2, 6]
-
-
 def test_straight(c1):
     assert c1.straight(0, 5)
     assert c1.straight(5, 0)
@@ -31,28 +26,19 @@ def test_straight(c1):
     assert not c1.straight(1, 5)
 
 
-def test_completion_is_sparse(c1):
-    assert [dict(row) for row in c1.completion] == [
-        {k: j for (i2, j, k) in c1.rotations if i2 == i} for i in range(7)]
-
-
-def test_complete(c1):
-    assert c1.complete(0, 6) == 0
-    assert c1.complete(0, 3) == 2
-    assert c1.complete(2, 6) is None
-
-
 def test_relators_starting_with(c1):
-    assert c1.relators_starting_with(0) == [(0, 6), (2, 3), (6, 0)]
+    # rotations starting with 0 are (0,0,6), (0,2,3), (0,6,0)
+    assert c1.starting[0] == ((0, 6), (2, 3), (6, 0))
     for i in range(7):
-        assert len(c1.relators_starting_with(i)) == c1.thickness_q + 1
+        assert len(c1.starting[i]) == c1.thickness_q + 1
+        assert list(c1.starting[i]) == sorted(c1.starting[i])
 
 
 def test_index_range(c1):
     with pytest.raises(IndexError):
         c1.straight(7, 0)
     with pytest.raises(IndexError):
-        c1.complete(0, -1)
+        c1.straight(0, -1)
 
 
 def test_straight_count_per_generator(c1):
@@ -62,16 +48,21 @@ def test_straight_count_per_generator(c1):
 
 
 def test_rotations_closed_under_rotation(c1):
-    rots = set(c1.rotations)
+    rots = c1.rotation_set
     assert len(rots) == 21
     for (i, j, k) in rots:
         assert (j, k, i) in rots and (k, i, j) in rots
 
 
 def test_completion_consistent_with_rotations(c1):
-    for (i, j, k) in c1.rotations:
-        assert c1.complete(i, k) == j
+    # each rotation (i, j, k) is the only one with first/last pair (i, k),
+    # and is listed in starting[i]
+    middle = {}
+    for (i, j, k) in c1.rotation_set:
+        assert middle.setdefault((i, k), j) == j
+        assert (j, k) in c1.starting[i]
         assert not c1.straight(i, j)
+    assert sum(len(row) for row in c1.starting) == len(c1.rotation_set)
 
 
 def test_link_is_fano_incidence(c1):
@@ -137,9 +128,10 @@ def test_disjoint_copies_load_with_tables_linear_in_the_generators(c1):
     pres = load(copies_of_c1(400), strict=False)
     assert pres.warnings == ("link graph is not a projective plane: m = 2800, "
                              "expected q^2+q+1 = 7",)
-    assert len(pres.completion) == 2800
-    assert all(len(row) == 3 for row in pres.completion)  # q+1 entries per generator
-    assert pres.complete(0, 7) is None and pres.complete(2793, 2799) == 2793
+    assert len(pres.starting) == 2800
+    assert all(len(row) == 3 for row in pres.starting)  # q+1 entries per generator
+    assert 7 not in [k for (_j, k) in pres.starting[0]]
+    assert (2793, 2799) in pres.starting[2793]
     for name in ("rotation_set", "transitions", "row_pairs"):
         assert len(getattr(pres, name)) == 400 * len(getattr(c1, name)), name
     assert max(len(pres.rotation_set), len(pres.transitions),

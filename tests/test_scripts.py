@@ -1,4 +1,5 @@
-"""Smoke tests of the scripts under scripts/, each run as a fresh process."""
+"""Smoke tests of the scripts under scripts/ and of the benchmark's
+self-test, each run as a fresh process."""
 
 import os
 import subprocess
@@ -35,3 +36,12 @@ def test_scan_wall_words(c1):
     rows = proc.stdout.split("\n\n")[0].splitlines()
     assert [row.split("  ")[0].strip() for row in rows] == [str(w) for w in words]
     assert "classification counts: {'graph_of_groups': 11, 'single_axis': 5}" in proc.stdout
+
+
+def test_benchmark_selftest():
+    """perfbench/ reads a2cent names such as TrianglePresentation.straight;
+    its self-test fails if one of them is gone."""
+    proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "selftest.py")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "selftest ok"

@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 
 from a2cent.errors import AmbiguousStrip, InvariantError, NotAWallWord
 from a2cent.presentation import load_named
-from a2cent.strips import (Strip, anchored_readings, canonical_edge_key,
-                           enumerate_periodic_strips, flip_shifts, group_by_wall_shifts,
+from a2cent.strips import (Strip, anchored_readings, enumerate_periodic_strips, flip_shifts,
                            shift, swap, validate_strip)
 from a2cent.walls import check_wall_sequence, least_rotation, minimal_period, wall_necklaces
 from presentations import NON_BUILDING, OTHER_Q2, relabelled_c1
-from strip_oracle import oracle_enumerate
+from strip_oracle import canonical_edge_key, group_by_wall_shifts, oracle_enumerate
 
 C1 = load_named("c1")
 
@@ -43,14 +42,6 @@ def test_enumerate_at_constant_wall():
     assert len(strips) == 3
     classes = group_by_wall_shifts(strips, wall_period=1)
     assert sorted(len(c) for c in classes) == [1, 2]
-
-
-def test_triangle_readings():
-    s = FIG3_STRIPS[0]
-    assert s.lower_triangle(0) == (0, 0, 6)
-    assert s.upper_triangle(0) == (0, 2, 3)
-    assert s.lower_triangle(1) == (5, 1, 3)
-    assert s.upper_triangle(1) == (1, 2, 6)
 
 
 def test_shift_and_period():
@@ -286,11 +277,14 @@ def reference_validate_strip(presentation, strip):
 def reference_enumerate(presentation, wall):
     a = tuple(wall)
     check_wall_sequence(presentation, a)
+    # completion[i][k] is the unique j with rotation (i, j, k)
+    completion = [{} for _ in range(presentation.generator_count)]
+    for (i, j, k) in presentation.rotation_set:
+        completion[i][k] = j
     found = []
     for (s0, t0) in presentation.starting[a[0]]:
         completions = []
-        _reference_extend(presentation.starting, presentation.completion, a, 0, s0, t0, [],
-                          completions)
+        _reference_extend(presentation.starting, completion, a, 0, s0, t0, [], completions)
         if len(completions) > 1:
             raise AmbiguousStrip((a[0], s0, t0))
         if completions:
