@@ -18,20 +18,19 @@ from .quotient import (QuotientEdge, QuotientGraphOfGroups, QuotientVertex,
                        build_quotient, vertex_witnesses)
 from .strips import Strip, enumerate_periodic_strips, flip_shifts, shift, swap
 from .walls import (Necklace, canonical_rotation, minimal_period,
-                    stabilizer_generator_word, stabilizer_order, wall_word)
+                    stabilizer_generator_word, wall_word)
 from .words import FormalWord
 
 __all__ = [
     "A2CentError", "AmbiguousStrip", "BUILTIN_PRESENTATIONS", "FormalWord",
     "GroupPresentation", "InvariantError", "IsoType", "Necklace",
     "NotAWallWord", "PresentationError", "QuotientEdge",
-    "QuotientGraphOfGroups", "QuotientVertex", "Strip",
-    "TrianglePresentation", "Unsimplified", "abelianization",
-    "build_quotient", "canonical_rotation",
-    "enumerate_periodic_strips", "flip_shifts", "full_centralizer_presentation",
-    "fundamental_group", "load", "load_named", "loads", "minimal_period",
-    "shift", "simplify", "stabilizer_generator_word",
-    "stabilizer_order", "swap", "vertex_witnesses", "wall_word",
+    "QuotientGraphOfGroups", "QuotientVertex", "Strip", "TrianglePresentation",
+    "Unsimplified", "abelianization", "build_quotient", "canonical_rotation",
+    "enumerate_periodic_strips", "flip_shifts",
+    "full_centralizer_presentation", "fundamental_group", "load", "load_named",
+    "loads", "minimal_period", "shift", "simplify",
+    "stabilizer_generator_word", "swap", "vertex_witnesses", "wall_word",
 ]
 
 __version__ = "0.1.0"

@@ -7,12 +7,12 @@ whose edge group surjects onto an endpoint group; when only trivial edge
 groups remain the result is a free product of cyclics with an explicit free
 rank.
 
-The collapse runs off a worklist: a heap of edges in choice order, an
+The collapse runs off a worklist: a heap of edge indices, an
 incidence set per vertex and a count per vertex of incident edges with a
 nontrivial group.  A collapse rewrites only the edges at the absorbed vertex
 and revisits only the edges at the vertex that absorbed it, so a step costs
 time in the degrees of those two vertices, not in the edge count.  Each step
-still takes the least collapsible edge in the choice order (see simplify).
+still takes the collapsible edge of least index (see simplify).
 """
 
 from __future__ import annotations
@@ -183,31 +183,26 @@ def full_centralizer_presentation(graph: QuotientGraphOfGroups) -> GroupPresenta
 
 # -- simplification ---------------------------------------------------------
 
-def simplify(graph: QuotientGraphOfGroups, order_hint=None):
+def simplify(graph: QuotientGraphOfGroups):
     """Collapse edges with surjective inclusions; classify if possible.
 
     Returns an IsoType when every surviving edge group is trivial, otherwise
-    Unsimplified wrapping the raw presentation.  ``order_hint`` (a sequence of
-    edge indices) steers which collapsible edge is taken first; used by the
-    confluence tests, irrelevant to the result.
+    Unsimplified wrapping the raw presentation.
 
-    The choice order is (position in ``order_hint``, edge index), edges not
-    in the hint after those in it, and every edge starts on a heap in that
-    order.  Each step pops entries until one names an edge that still exists
-    and is collapsible now, and collapses it; the entries popped before it
-    are dropped.  A collapse of ``gone`` into ``kept`` rewrites only the
-    edges that were at ``gone`` and pushes every edge now at ``kept`` again.
-    No other edge changes its endpoints, its multipliers or the nontrivial
-    counts at its endpoints, so no other edge can become collapsible, and a
-    dropped edge is pushed again whenever it could.  So each step takes the
-    least collapsible edge in the choice order, as a scan of all edges would.
+    Every edge index starts on a heap.  Each step pops indices until one
+    names an edge that still exists and is collapsible now, and collapses
+    it; the indices popped before it are dropped.  A collapse of ``gone``
+    into ``kept`` rewrites only the edges that were at ``gone`` and pushes
+    every edge now at ``kept`` again.  No other edge changes its endpoints,
+    its multipliers or the nontrivial counts at its endpoints, so no other
+    edge can become collapsible, and a dropped edge is pushed again whenever
+    it could.  So each step takes the collapsible edge of least index, as a
+    scan of all edges would.
     """
     orders = {v.index: v.group_order for v in graph.vertices}
     edges = {e.index: (e.endpoints[0], e.endpoints[1], e.group_order,
                        e.multipliers[0], e.multipliers[1], e.in_spanning_tree)
              for e in graph.edges}
-    pref = {idx: pos for pos, idx in enumerate(order_hint or [])}
-    rank = {idx: (pref.get(idx, len(pref)), idx) for idx in edges}
     incident = {v: set() for v in orders}
     nontrivial = dict.fromkeys(orders, 0)  # incident edges with oe > 1, loops once
     for idx, (v1, v2, oe, _m1, _m2, _t) in edges.items():
@@ -216,7 +211,7 @@ def simplify(graph: QuotientGraphOfGroups, order_hint=None):
         if oe > 1:
             for v in {v1, v2}:
                 nontrivial[v] += 1
-    heap = sorted(rank.values())
+    heap = sorted(edges)
 
     def collapsible(idx):
         """(gone, kept, mu_gone, mu_kept) for a collapsible edge, else None."""
@@ -237,7 +232,7 @@ def simplify(graph: QuotientGraphOfGroups, order_hint=None):
         return None
 
     while heap:
-        idx = heappop(heap)[1]
+        idx = heappop(heap)
         if idx not in edges:
             continue
         move = collapsible(idx)
@@ -271,7 +266,7 @@ def simplify(graph: QuotientGraphOfGroups, order_hint=None):
         del nontrivial[gone]
         at_kept |= moved
         for jdx in at_kept:
-            heappush(heap, rank[jdx])
+            heappush(heap, jdx)
 
     if any(oe > 1 for (_v1, _v2, oe, _m1, _m2, _t) in edges.values()):
         return Unsimplified(fundamental_group(graph))

@@ -3,17 +3,18 @@
 Exit codes: 0 success, 2 presentation validation failure (including a
 missing, unreadable or malformed presentation file), 3 unsupported input (a
 command line the parser rejects, an unparsable word, a generator index out
-of range, not a wall word, a bad ``--length``, or an ``--out`` path that
-cannot be written), 4 internal assertion (AmbiguousStrip or invariant
-violation).  Every command maps its errors to these codes in one place,
-``_run``, and reports them as ``error:`` lines on stderr; the parser reports
-a usage error the same way.
+of range, not a wall word, a bad ``--length``, an ``--out`` path that
+cannot be written, or a failed write to standard output), 4 internal
+assertion (AmbiguousStrip or invariant violation).  Every command maps its
+errors to these codes in one place, ``_run``, and reports them as ``error:``
+lines on stderr; the parser reports a usage error the same way.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -63,15 +64,33 @@ def _presentation_id(pres: TrianglePresentation) -> str:
     return hashlib.sha256(pres.dumps().encode()).hexdigest()[:12]
 
 
-def _emit(text: str, out: str | None):
-    if out:
-        try:
+def _emit(text: str, out: str | None = None):
+    """Write a command's output to the ``--out`` path, or to standard output."""
+    try:
+        if out:
             with open(out, "w", encoding="utf-8") as fh:
                 fh.write(text)
-        except OSError as exc:
-            raise UnsupportedInput(f"cannot write --out {out!r}: {exc.strerror or exc}") from None
-    else:
-        sys.stdout.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        if not out:
+            _discard_stdout()
+        target = f"--out {out!r}" if out else "standard output"
+        raise UnsupportedInput(f"cannot write {target}: {exc.strerror or exc}") from None
+
+
+def _discard_stdout():
+    """Point stdout's descriptor at the null device: a buffered stdout keeps
+    the bytes it could not write, and the interpreter's flush at exit would
+    fail on them again and exit 120.  An in-memory stream needs nothing."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, ValueError, OSError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def cmd_validate(args) -> int:
@@ -79,9 +98,9 @@ def cmd_validate(args) -> int:
     for warning in pres.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     nodes, degrees, girth, diameter = pres.link_stats()
-    print(f"ok: m={pres.generator_count} q={pres.thickness_q} "
+    _emit(f"ok: m={pres.generator_count} q={pres.thickness_q} "
           f"relator classes={len(pres.rotation_classes)} "
-          f"link: {nodes} nodes, degrees {sorted(degrees)}, girth {girth}, diameter {diameter}")
+          f"link: {nodes} nodes, degrees {sorted(degrees)}, girth {girth}, diameter {diameter}\n")
     return EXIT_OK
 
 
@@ -127,10 +146,9 @@ def cmd_centralizer(args) -> int:
         lines.append(f"element g = {','.join(str(x) for x in word)}  |g| = {graph.n} edges")
         lines.append(f"classification: {graph.classification}")
         if graph.classification == "single_axis":
-            base = graph.vertices[graph.base_vertex]
             lines.append("the element has a single axial wall; its centralizer is "
                          "infinite cyclic, Z_Gamma(g) = Z")
-            lines.append(f"quotient group: cyclic of order {base.group_order}")
+            lines.append(f"quotient group: cyclic of order {graph.vertices[0].group_order}")
         lines.append(f"vertices ({len(graph.vertices)}):")
         for v in graph.vertices:
             grp = f"Z/{v.group_order}Z" if v.group_order > 1 else "trivial"
@@ -212,7 +230,7 @@ def cmd_link(args) -> int:
     pres = _load(args.presentation)
     nodes, degrees, girth, diameter = pres.link_stats()
     regular = f"{min(degrees)}-regular" if len(degrees) == 1 else f"degrees {sorted(degrees)}"
-    print(f"link graph: {nodes} nodes, {regular}, girth {girth}, diameter {diameter}")
+    _emit(f"link graph: {nodes} nodes, {regular}, girth {girth}, diameter {diameter}\n")
     return EXIT_OK
 
 

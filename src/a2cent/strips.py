@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from .errors import AmbiguousStrip, InvariantError
 from .presentation import TrianglePresentation
-from .walls import check_wall_sequence, is_period, minimal_period
+from .walls import check_wall_sequence, minimal_period
 
 def _column(index, name):
     return property(lambda self: tuple([row[index] for row in self._rows]),
@@ -126,13 +126,15 @@ def swap(strip: Strip) -> Strip:
 
 
 def validate_strip(presentation: TrianglePresentation, strip: Strip) -> None:
-    """Assert every Strip invariant; raises InvariantError on failure.
+    """Check that the rows form a strip; raises InvariantError on failure.
 
-    Equal sequence lengths are checked when the strip is constructed.  A
-    nonempty strip whose cyclic row pairs all lie in
-    ``presentation.row_pairs`` has valid rows, closed seams and straight
-    walls, so only its periods are left to check.  Any other strip goes
-    through the checks one by one, and the first that fails is raised.
+    A strip is valid when every row is a lower and an upper relator rotation
+    that do not fold onto the base wall, consecutive rows close their seams,
+    and both walls are straight.  A nonempty strip whose cyclic row pairs
+    all lie in ``presentation.row_pairs`` is valid; any other goes through
+    the checks one by one and raises the first that fails (an empty strip
+    raises ValueError).  Sequence lengths are checked on construction, and
+    periods need none: every column is invariant under the row period p_e.
     """
     rows = strip.rows()
     if not (rows and presentation.row_pairs.issuperset(zip(rows, rows[1:] + rows[:1]))):
@@ -157,12 +159,6 @@ def validate_strip(presentation: TrianglePresentation, strip: Strip) -> None:
                 raise InvariantError(f"opposite wall bends at k={k}")
         check_wall_sequence(presentation, strip.a)
         check_wall_sequence(presentation, strip.b)
-    # wall periods refine the strip period: as p_e divides n, each wall is
-    # invariant under the shift by p_e iff p_e is a multiple of its period
-    pe = strip.period
-    a, _s, _t, b, _u = zip(*rows)
-    if not (is_period(a, pe) and is_period(b, pe)):
-        raise InvariantError("strip period is not a multiple of its wall periods")
 
 
 def enumerate_periodic_strips(presentation: TrianglePresentation, wall) -> list[Strip]:

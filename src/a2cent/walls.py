@@ -34,16 +34,6 @@ def least_rotation(labels):
     return min((seq[r:] + seq[:r], r) for r, x in enumerate(seq) if x == first)
 
 
-def is_period(labels, p: int) -> bool:
-    """True iff the cyclic sequence is invariant under the shift by p.
-
-    For p dividing the length this holds iff p is a multiple of the
-    minimal period.
-    """
-    seq = tuple(labels)
-    return seq[p:] + seq[:p] == seq
-
-
 def minimal_period(labels):
     seq = tuple(labels)
     n = len(seq)
@@ -139,17 +129,6 @@ def wall_word(presentation: TrianglePresentation, word) -> Necklace:
     seq = tuple(word)
     check_wall_sequence(presentation, seq)
     return Necklace(canonical_rotation(seq), minimal_period(seq))
-
-
-def stabilizer_order(n: int, p: int) -> int:
-    """Order n/p of the wall stabilizer image in the centralizer quotient.
-
-    The full stabilizer is infinite cyclic, generated by the minimal
-    translation h_p; g = h_p^(n/p).
-    """
-    if n % p != 0:
-        raise InvariantError(f"period {p} does not divide g-length {n}")
-    return n // p
 
 
 def stabilizer_generator_word(base: FormalWord, labels, period: int) -> FormalWord:

@@ -57,8 +57,8 @@ def test_criterion_2_figure_6_reproduction():
     iso = simplify(graph)
     elapsed = time.perf_counter() - start
 
-    walls = graph.wall_vertices()
-    medians = graph.median_vertices()
+    walls = [v for v in graph.vertices if v.kind == "wall"]
+    medians = [v for v in graph.vertices if v.kind == "median"]
     ok = (
         len(graph.vertices) == 12
         and len(walls) == 7 and all(v.group_order == 1 for v in walls)

@@ -1,7 +1,9 @@
 import contextlib
+import errno
 import hashlib
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -200,6 +202,47 @@ def test_out_path_that_cannot_be_written(capsys, tmp_path, argv, target):
     assert out == ""
     assert err.startswith(f"error: cannot write --out {str(out_path)!r}: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+class FullStdout(io.StringIO):
+    """A buffered standard output on a full device: writes are buffered and
+    the flush fails with ENOSPC."""
+
+    def flush(self):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("argv", [
+    ["centralizer", "builtin:c1", "--word", "0,5", "--format", "structured"],
+    ["centralizer", "builtin:c1", "--word", "0,5"],
+    ["strips", "builtin:c1", "--wall", "0,5"],
+    ["validate", "builtin:c1"],
+    ["link", "builtin:c1"],
+], ids=["centralizer-structured", "centralizer-text", "strips", "validate", "link"])
+def test_stdout_that_cannot_be_written(capsys, monkeypatch, argv):
+    monkeypatch.setattr(sys, "stdout", FullStdout())
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == EXIT_UNSUPPORTED
+    assert err == "error: cannot write standard output: No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["centralizer", "builtin:c1", "--word", "0,5", "--format", "structured"],
+    ["strips", "builtin:c1", "--wall", "0,5"],
+    ["validate", "builtin:c1"],
+    ["link", "builtin:c1"],
+], ids=["centralizer-structured", "strips", "validate", "link"])
+def test_entry_point_writing_to_a_full_device(argv):
+    # A buffered stdout, as in a shell redirect: the interpreter's own flush
+    # at exit must not fail again on the bytes that could not be written.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "a2cent.cli", *argv],
+                              stdout=full, stderr=subprocess.PIPE, text=True, env=env)
+    assert proc.returncode == EXIT_UNSUPPORTED
+    assert proc.stderr == "error: cannot write standard output: No space left on device\n"
 
 
 @pytest.mark.parametrize("document, message", [

@@ -1,9 +1,13 @@
+from math import gcd
+
 import pytest
 
 from a2cent.errors import NotAWallWord
 from a2cent.presentation import BUILTIN_PRESENTATIONS, load, load_named
 from a2cent.quotient import build_quotient, vertex_witnesses
+from a2cent.strips import enumerate_periodic_strips
 from a2cent.walls import wall_necklaces
+from presentations import OTHER_Q2, relabelled_c1
 
 C1 = load_named("c1")
 
@@ -49,8 +53,8 @@ def test_quotient_05_witnesses():
 def test_quotient_014_structure():
     g = build_quotient(C1, (0, 1, 4))
     assert len(g.vertices) == 12
-    walls = g.wall_vertices()
-    medians = g.median_vertices()
+    walls = [v for v in g.vertices if v.kind == "wall"]
+    medians = [v for v in g.vertices if v.kind == "median"]
     assert len(walls) == 7 and all(v.group_order == 1 for v in walls)
     assert len(medians) == 5 and all(v.group_order == 2 for v in medians)
     assert len(g.edges) == 13
@@ -85,25 +89,46 @@ def test_rotation_invariance(word):
         assert build_quotient(C1, word[r:] + word[:r]).to_json() == base
 
 
-@pytest.mark.parametrize("word", WALL_WORDS_3, ids=str)
-def test_graph_invariants(word):
-    g = build_quotient(C1, word)
+def check_graph_invariants(pres, word):
+    """The group data that build_quotient sets from the periods p | p_e | n:
+    a wall of period p has order n/p and a median vertex an order dividing
+    2n; an edge group includes injectively into both endpoint groups, by
+    positive multipliers; one tree edge per vertex but the base; and at most
+    q+1 strips at every wall visited."""
+    g = build_quotient(pres, word)
     n = g.n
     for v in g.vertices:
         if v.kind == "wall":
-            assert n % v.group_order == 0
+            assert v.group_order * v.period == n, (word, v.display_label)
+            assert len(enumerate_periodic_strips(pres, v.sequence)) <= pres.thickness_q + 1
         else:
-            assert (2 * n) % v.group_order == 0
+            assert (2 * n) % v.group_order == 0, (word, v.display_label)
     for e in g.edges:
-        for end in e.endpoints:
-            assert g.vertices[end].group_order % e.group_order == 0
-        assert e.endpoints[0] != e.endpoints[1]  # no loops at length <= 3
-    # simple graph at this scale: no parallel geometric edges
+        for end, mu in zip(e.endpoints, e.multipliers):
+            o = g.vertices[end].group_order
+            assert o % e.group_order == 0, (word, e.index)
+            assert mu >= 1, (word, e.index)
+            # Z/o_e -> Z/o, gen -> gen^mu, is injective
+            assert o // gcd(mu, o) == e.group_order, (word, e.index)
+    assert sum(e.in_spanning_tree for e in g.edges) == len(g.vertices) - 1, word
+    return g
+
+
+@pytest.mark.parametrize("word", WALL_WORDS_3, ids=str)
+def test_graph_invariants(word):
+    g = check_graph_invariants(C1, word)
+    # a simple graph at this scale: no loops and no parallel geometric edges
+    assert all(e.endpoints[0] != e.endpoints[1] for e in g.edges)
     pairs = [frozenset(e.endpoints) for e in g.edges]
     assert len(pairs) == len(set(pairs))
-    # spanning tree
-    tree = [e for e in g.edges if e.in_spanning_tree]
-    assert len(tree) == len(g.vertices) - 1
+
+
+@pytest.mark.parametrize("pres", [C1, relabelled_c1(20111), OTHER_Q2],
+                         ids=["c1", "relabelled_c1", "other_q2"])
+def test_graph_invariants_through_length_6(pres):
+    for n in range(1, 7):
+        for word in wall_necklaces(pres, n):
+            check_graph_invariants(pres, word)
 
 
 @pytest.mark.parametrize("word", WALL_WORDS_3, ids=str)

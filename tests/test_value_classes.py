@@ -86,7 +86,7 @@ def test_defaults():
                           display_label="(0,5)", sequence=(0, 5), period=2)
     assert (wall.sequence, wall.period) == ((0, 5), 2)
     graph = QuotientGraphOfGroups(C1, (0, 5), 2, "single_axis", [wall], [])
-    assert graph.base_vertex == 0
+    assert graph.to_json()["base_vertex"] == "(0,5)"
     assert graph.betti_number == 0
 
 

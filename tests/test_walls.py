@@ -8,7 +8,7 @@ from a2cent import walls
 from a2cent.errors import NotAWallWord
 from a2cent.walls import (Necklace, canonical_rotation, check_wall_sequence,
                           minimal_period, stabilizer_generator_word,
-                          stabilizer_order, wall_necklaces, wall_word)
+                          wall_necklaces, wall_word)
 from a2cent.words import FormalWord
 
 label_seqs = st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=9)
@@ -67,13 +67,14 @@ def test_least_rotation_gives_the_least_anchor(seq):
     st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=12),
     st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=6)
     .flatmap(lambda x: st.integers(min_value=1, max_value=4).map(lambda k: x * k))))
-def test_is_period_agrees_with_minimal_period(seq):
-    """For every p dividing the length, shift invariance by p is p being a
-    multiple of the minimal period (the form validate_strip checks)."""
+def test_periods_are_the_multiples_of_the_minimal_period(seq):
+    """For every p dividing the length, the sequence is invariant under the
+    rotation by p iff p is a multiple of the minimal period."""
+    seq = tuple(seq)
     n = len(seq)
     for p in range(1, n + 1):
         if n % p == 0:
-            assert walls.is_period(seq, p) == (p % minimal_period(seq) == 0)
+            assert (seq[p:] + seq[:p] == seq) == (p % minimal_period(seq) == 0)
 
 
 def test_minimal_period_examples():
@@ -151,12 +152,6 @@ def test_necklace_validates_period():
         Necklace((0, 5), 3)
     with pytest.raises(ValueError):
         Necklace((), 1)
-
-
-def test_stabilizer_order():
-    assert stabilizer_order(2, 1) == 2
-    assert stabilizer_order(2, 2) == 1
-    assert stabilizer_order(6, 2) == 3
 
 
 def test_stabilizer_generator_word():
