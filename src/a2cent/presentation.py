@@ -70,10 +70,12 @@ class TrianglePresentation(Frozen):
     ``rotation_classes`` holds the canonical (least) rotation of each class.
     Equality and hashing read only ``generator_count``, ``rotation_classes``,
     ``thickness_q`` and ``warnings``: the tables follow from the first two.
+    ``_windows``, the strip walk's memo (``strips.enumerate_periodic_strips``),
+    starts empty, grows to one entry per straight window met and is not compared.
     """
 
     __slots__ = ("generator_count", "rotation_classes", "thickness_q", "rotation_set",
-                 "starting", "bent_pairs", "transitions", "row_pairs", "warnings")
+                 "starting", "bent_pairs", "transitions", "row_pairs", "warnings", "_windows")
 
     def __init__(self, generator_count: int, rotation_classes: frozenset, thickness_q: int,
                  rotation_set: frozenset, starting: tuple, bent_pairs: frozenset,
@@ -87,6 +89,7 @@ class TrianglePresentation(Frozen):
         object.__setattr__(self, "transitions", transitions)
         object.__setattr__(self, "row_pairs", row_pairs)
         object.__setattr__(self, "warnings", warnings)
+        object.__setattr__(self, "_windows", {})
 
     def _key(self):
         return (self.generator_count, self.rotation_classes, self.thickness_q, self.warnings)

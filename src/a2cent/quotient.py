@@ -148,11 +148,12 @@ def _median_display_label(strip: Strip, d: int) -> str:
     a_0..a_{d-1} x_{t_d}^-1; with d = 0 the positive representative is the
     single letter t_0 (the inverse glide), otherwise x_{t_d}^-1 expands
     through the lower triangle to x_{a_d} x_{s_d}.
-    The label is minimized over anchor phases and rotations.
+    The label is minimized over anchor phases below the strip period (the
+    others repeat them) and rotations.
     """
     rows = strip.rows()
     candidates = []
-    for k0 in range(len(rows)):
+    for k0 in range(strip.period):
         sp = rows[k0:] + rows[:k0]
         if d == 0:
             word = (sp[0][2],)
@@ -239,7 +240,10 @@ def build_quotient(presentation: TrianglePresentation, element) -> QuotientGraph
                 mu_other, conj, is_new = 2, FormalWord.identity(), True
                 readings.update(anchored_readings(strip, v.period))
             else:
-                canon_b, dd = least_rotation(strip.b)
+                # b repeats with period dividing pe: the least rotation of
+                # one period, repeated
+                canon_b, dd = least_rotation(strip.b[:pe])
+                canon_b *= n // pe
                 # x_{t_0}^-1 x_{b_0} ... x_{b_{dd-1}} is reduced: t_0 == b_0
                 # would make the upper triangle (s_0, t_0, a_0), the fold
                 suffix = FormalWord(((strip.rows()[0][2], -1),)

@@ -25,10 +25,11 @@ that read off a canonical wall.
 Enumeration and validation read two tables that ``presentation.load``
 builds once: ``transitions`` gives, for a lower triangle and the next base
 label, each non-folding row together with the next lower triangle across
-its seam, so the strips along a wall are found by one walk that extends
-rows one table lookup at a time, and ``row_pairs`` holds the valid
-consecutive row pairs, so a valid strip is recognized by a set containment
-over its cyclic pairs.
+its seam, and ``row_pairs`` holds the valid consecutive row pairs, so a
+valid strip is recognized by a set containment over its cyclic pairs.  The
+strips along a wall are found by one walk that extends rows WINDOW wall
+letters at a time, by one lookup in ``transitions`` chained over those
+letters; each presentation memoizes the chains per window of letters.
 """
 
 from __future__ import annotations
@@ -161,6 +162,9 @@ def validate_strip(presentation: TrianglePresentation, strip: Strip) -> None:
         check_wall_sequence(presentation, strip.b)
 
 
+WINDOW = 3  # wall letters per step of the strip walk
+
+
 def enumerate_periodic_strips(presentation: TrianglePresentation, wall) -> list[Strip]:
     """All n-periodic strips adjacent to the wall with the given labels.
 
@@ -170,25 +174,30 @@ def enumerate_periodic_strips(presentation: TrianglePresentation, wall) -> list[
     partial strip ending in lower triangle (a_k, s_k, t_k) extends by each
     non-folding upper choice (b_k, u_k); the next lower triangle
     (a_{k+1}, s_{k+1}, u_k) is forced across the seam, and the extension
-    dies when it does not exist.  ``presentation.transitions`` lists the
-    surviving extensions of each lower triangle for each next base label, so
-    a step is one lookup per partial strip.  After n steps a strip closes
-    when that next lower triangle is its initial one.  Each initial triangle
+    dies when it does not exist.  A step advances WINDOW letters: the wall
+    letters a_k .. a_{k+WINDOW} (fewer at the end) key the extensions of
+    each (s_k, t_k) over them, chained from ``presentation.transitions`` the
+    first time the window is met and kept in the presentation's memo, so a
+    step is one lookup per partial strip.  After n letters a strip closes
+    when its next lower triangle is its initial one.  Each initial triangle
     closes at most one strip (asserted; AmbiguousStrip otherwise), and every
     strip found is validated.  Strips come in the order of their initial
     triangles in ``presentation.starting[a_0]``.
     """
     a = tuple(wall)
     check_wall_sequence(presentation, a)
-    transitions = presentation.transitions
-    walks = [((), s0, t0) for (s0, t0) in presentation.starting[a[0]]]  # (rows, s_k, t_k)
-    for ak, a_next in zip(a, a[1:] + a[:1]):
-        walks = [(rows + (row,), s_next, u)
-                 for rows, sk, tk in walks
-                 for row, s_next, u in transitions.get((ak, sk, tk, a_next), ())]
+    ring = a + a[:1]
+    windows = presentation._windows
+    walks = [((), st) for st in presentation.starting[a[0]]]  # (rows, (s_k, t_k))
+    for k in range(0, len(a), WINDOW):
+        window = ring[k:k + WINDOW + 1]
+        steps = windows.get(window)
+        if steps is None:
+            steps = windows[window] = _window_steps(presentation, window)
+        walks = [(rows + more, st) for rows, start in walks for more, st in steps[start]]
         if not walks:
             return []
-    closed = [rows for rows, sk, tk in walks if rows[0][1] == sk and rows[0][2] == tk]
+    closed = [rows for rows, st in walks if rows[0][1:3] == st]
     starts = [rows[0][1:3] for rows in closed]
     found = []
     for rows, start in zip(closed, starts):
@@ -198,6 +207,20 @@ def enumerate_periodic_strips(presentation: TrianglePresentation, wall) -> list[
         validate_strip(presentation, strip)
         found.append(strip)
     return found
+
+
+def _window_steps(presentation, window):
+    """For each (s, t) with (window[0], s, t) a rotation, the (rows, (s', u))
+    of each row chain over the window's letters, in the order of
+    ``transitions``."""
+    steps = {}
+    for start in presentation.starting[window[0]]:
+        walks = [((), start)]
+        for ak, a_next in zip(window, window[1:]):
+            walks = [(rows + (row,), (s_next, u)) for rows, (sk, tk) in walks
+                     for row, s_next, u in presentation.transitions.get((ak, sk, tk, a_next), ())]
+        steps[start] = tuple(walks)
+    return steps
 
 
 def anchored_readings(strip: Strip, wall_period: int, swap_shift: int | None = None,
@@ -230,8 +253,12 @@ def flip_shifts(strip: Strip) -> list[int]:
     Nonempty iff the strip carries a glide reflection exchanging its two
     walls; the minimal d gives glide translation d + 1/2 base edges, and
     2d+1 is the strip period, as swap(swap(strip)) is the shift by 1.  The
-    median vertex group has order 2n/(2d+1).
+    median vertex group has order 2n/(2d+1).  Only the d below the strip
+    period are tested, of which at most one holds (2d+1 is the period): the
+    others add multiples of it.
     """
     rows = strip.rows()
     sw = strip.swapped_rows()
-    return [d for d, row in enumerate(sw) if row == rows[0] and sw[d:] + sw[:d] == rows]
+    pe = strip.period
+    ds = [d for d, row in enumerate(sw[:pe]) if row == rows[0] and sw[d:] + sw[:d] == rows]
+    return [d + k for d in ds for k in range(0, len(sw), pe)]

@@ -125,10 +125,12 @@ def wall_word(presentation: TrianglePresentation, word) -> Necklace:
 
     The oriented bi-infinite path with these periodic labels is a wall, and
     an axial wall for the element the word spells, with |g| = len(word).
+    The canonical rotation is that of one period, repeated.
     """
     seq = tuple(word)
     check_wall_sequence(presentation, seq)
-    return Necklace(canonical_rotation(seq), minimal_period(seq))
+    p = minimal_period(seq)
+    return Necklace(canonical_rotation(seq[:p]) * (len(seq) // p), p)
 
 
 def stabilizer_generator_word(base: FormalWord, labels, period: int) -> FormalWord:

@@ -1,13 +1,14 @@
 """References the strip layer is checked against: a brute-force strip
-enumeration, the edge key that names a strip orbit, and a grouping of the
-strips at one wall into wall-stabilizer classes."""
+enumeration, the edge key that names a strip orbit, a grouping of the
+strips at one wall into wall-stabilizer classes, and the full scans over
+all n phases of four computations that the package runs over one period."""
 
 import itertools
 
 from a2cent.errors import InvariantError, NotAWallWord
 from a2cent.presentation import TrianglePresentation
 from a2cent.strips import Strip, validate_strip
-from a2cent.walls import canonical_rotation, check_wall_sequence
+from a2cent.walls import Necklace, canonical_rotation, check_wall_sequence, minimal_period
 
 ORACLE_MAX_LENGTH = 6  # (q+1)^(2n) blowup guard for the brute-force oracle
 
@@ -63,3 +64,38 @@ def group_by_wall_shifts(strips: list[Strip], wall_period: int) -> list[list[Str
         classes.append([st for st in remaining if st.rows() in orbit])
         remaining = [st for st in remaining if st.rows() not in orbit]
     return classes
+
+
+# Full scans over all n phases, as the package ran them before it scanned
+# one period: a sequence of period p reads the same at phases r and r + p.
+
+def full_scan_wall_word(presentation: TrianglePresentation, word) -> Necklace:
+    """``walls.wall_word``, with the canonical rotation taken over all n."""
+    seq = tuple(word)
+    check_wall_sequence(presentation, seq)
+    return Necklace(canonical_rotation(seq), minimal_period(seq))
+
+
+def full_scan_least_rotation(labels):
+    """``walls.least_rotation`` over all n rotations."""
+    seq = tuple(labels)
+    return min((seq[r:] + seq[:r], r) for r in range(len(seq)))
+
+
+def full_scan_flip_shifts(strip: Strip) -> list[int]:
+    """``strips.flip_shifts``, testing every d in [0, n)."""
+    rows = strip.rows()
+    sw = strip.swapped_rows()
+    return [d for d in range(len(rows)) if sw[d:] + sw[:d] == rows]
+
+
+def full_scan_median_display_label(strip: Strip, d: int) -> str:
+    """The median vertex label of ``quotient.build_quotient``, minimized over
+    all n anchor phases."""
+    rows = strip.rows()
+    candidates = []
+    for k0 in range(len(rows)):
+        sp = rows[k0:] + rows[:k0]
+        word = (sp[0][2],) if d == 0 else tuple([row[0] for row in sp[:d]]) + sp[d][:2]
+        candidates.append(canonical_rotation(word))
+    return "[" + ",".join(str(x) for x in min(candidates)) + "]"

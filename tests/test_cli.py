@@ -447,6 +447,21 @@ def test_structured_output_byte_stable_on_deep_walls(c1):
         "23a7a18b4636f5d1f78f888d39dab89e497c2267c1f07fb108ad4cea2759343a"
 
 
+@pytest.mark.parametrize("base, k, expected", [
+    ((0, 5), 2, "656122fda5bc352bc76b73a12dc9a4e98d956d74ec72674cd1d6ee8cef8d0ca0"),
+    ((0, 5), 7, "29415e43219805b20f9565d947fc2b22bb90ddc44649f51c9861186ded03b16f"),
+    ((0, 5), 40, "2d1ae1d7c8e1489c7b0729b56ece35735c556a7dbbd5d12a69c317afe8d87ce0"),
+    ((0, 1, 4), 2, "d825ad4d26a3cfbe410c8f482f2f3ed7924a6231df78ec004257d76776243ef7"),
+    ((0, 1, 4), 7, "2d9d10679f016ada971b2a3c3db67fd287d5b1e2a495696a72d3422073cd9f6a"),
+    ((0, 1, 4), 40, "04907361990126dcb2b1d41e0b5c202ad00c6e7dcd8ad697e8dec13ee9668144"),
+], ids=str)
+def test_structured_output_byte_stable_on_powers_of_the_fixtures(c1, base, k, expected):
+    """sha256 of the structured report of h^k, as produced before walls,
+    strips and median labels were scanned over one period instead of all n
+    phases."""
+    assert structured_digest(c1, [base * k]) == (1, expected)
+
+
 def strips_digest(capsys, presentation, walls):
     """The number of runs and the sha256 of ``a2cent strips`` output over
     the walls in order, each at --length n and 2n in both formats."""

@@ -8,6 +8,7 @@ from a2cent.quotient import build_quotient, vertex_witnesses
 from a2cent.strips import enumerate_periodic_strips
 from a2cent.walls import wall_necklaces
 from presentations import OTHER_Q2, relabelled_c1
+from strip_oracle import full_scan_flip_shifts, full_scan_median_display_label
 
 C1 = load_named("c1")
 
@@ -93,8 +94,9 @@ def check_graph_invariants(pres, word):
     """The group data that build_quotient sets from the periods p | p_e | n:
     a wall of period p has order n/p and a median vertex an order dividing
     2n; an edge group includes injectively into both endpoint groups, by
-    positive multipliers; one tree edge per vertex but the base; and at most
-    q+1 strips at every wall visited."""
+    positive multipliers; one tree edge per vertex but the base; at most
+    q+1 strips at every wall visited; and each median label, minimized over
+    one strip period, equals the label minimized over all n phases."""
     g = build_quotient(pres, word)
     n = g.n
     for v in g.vertices:
@@ -110,6 +112,10 @@ def check_graph_invariants(pres, word):
             assert mu >= 1, (word, e.index)
             # Z/o_e -> Z/o, gen -> gen^mu, is injective
             assert o // gcd(mu, o) == e.group_order, (word, e.index)
+        median = g.vertices[e.endpoints[1]]
+        if median.kind == "median":
+            d = full_scan_flip_shifts(e.strip)[0]
+            assert median.display_label == full_scan_median_display_label(e.strip, d), word
     assert sum(e.in_spanning_tree for e in g.edges) == len(g.vertices) - 1, word
     return g
 
@@ -129,6 +135,13 @@ def test_graph_invariants_through_length_6(pres):
     for n in range(1, 7):
         for word in wall_necklaces(pres, n):
             check_graph_invariants(pres, word)
+
+
+def test_graph_invariants_on_powers_of_the_fixtures():
+    powers = [h * k for h in ((0, 5), (0, 1, 4)) for k in range(1, 41)]
+    medians = sum(v.kind == "median" for word in powers
+                  for v in check_graph_invariants(C1, word).vertices)
+    assert medians == 240
 
 
 @pytest.mark.parametrize("word", WALL_WORDS_3, ids=str)

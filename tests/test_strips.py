@@ -6,14 +6,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from a2cent.errors import AmbiguousStrip, InvariantError, NotAWallWord
-from a2cent.presentation import load_named
-from a2cent.strips import (Strip, anchored_readings, enumerate_periodic_strips, flip_shifts,
-                           shift, swap, validate_strip)
-from a2cent.walls import check_wall_sequence, least_rotation, minimal_period, wall_necklaces
+from a2cent.presentation import load, load_named
+from a2cent.strips import (WINDOW, Strip, anchored_readings, enumerate_periodic_strips,
+                           flip_shifts, shift, swap, validate_strip)
+from a2cent.walls import (check_wall_sequence, least_rotation, minimal_period, wall_necklaces,
+                          wall_word)
 from presentations import NON_BUILDING, OTHER_Q2, relabelled_c1
-from strip_oracle import canonical_edge_key, group_by_wall_shifts, oracle_enumerate
+from strip_oracle import (canonical_edge_key, full_scan_flip_shifts, full_scan_least_rotation,
+                          full_scan_wall_word, group_by_wall_shifts, oracle_enumerate)
 
 C1 = load_named("c1")
+
+
+def walls_through(pres, length):
+    """Every wall necklace of length 1..length, by length then lexicographically."""
+    return [w for n in range(1, length + 1) for w in wall_necklaces(pres, n)]
+
 
 WALL_WORDS_3 = [w for n in (1, 2, 3) for w in wall_necklaces(C1, n)]
 
@@ -337,7 +345,7 @@ def check_enumerate_equals_reference(presentation, walls):
 
 
 def test_enumerate_equals_reference_through_length_6():
-    check_enumerate_equals_reference(C1, [w for n in range(1, 7) for w in wall_necklaces(C1, n)])
+    check_enumerate_equals_reference(C1, walls_through(C1, 6))
 
 
 @pytest.mark.slow
@@ -348,16 +356,111 @@ def test_enumerate_equals_reference_at_length_7():
 def test_enumerate_equals_reference_on_relabelled_c1():
     pres = relabelled_c1(20111)
     assert pres.rotation_classes != C1.rotation_classes
-    walls = [w for n in range(1, 7) for w in wall_necklaces(pres, n)]
+    walls = walls_through(pres, 6)
     outcomes = check_enumerate_equals_reference(pres, walls)
     assert sum(len(found) for found in outcomes) > 1000
 
 
+def test_enumerate_equals_reference_on_other_q2():
+    outcomes = check_enumerate_equals_reference(OTHER_Q2, walls_through(OTHER_Q2, 6))
+    assert sum(len(found) for found in outcomes) > 1000
+
+
 def test_enumerate_equals_reference_where_strips_branch():
-    walls = [w for n in range(1, 7) for w in wall_necklaces(NON_BUILDING, n)]
-    outcomes = check_enumerate_equals_reference(NON_BUILDING, walls)
+    # a fresh load, so strips branch and close twice while windows are built
+    pres = load(NON_BUILDING.to_document(), strict=False)
+    assert not pres._windows
+    walls = walls_through(pres, 6)
+    outcomes = check_enumerate_equals_reference(pres, walls)
     assert any(isinstance(got, tuple) and got[0] is AmbiguousStrip for got in outcomes)
     assert any(isinstance(got, list) and got for got in outcomes)
+
+
+# The walk advances WINDOW wall letters per step through the chained
+# transitions that each presentation keeps in its memo, ``_windows``.
+
+def test_window_memo_cold_and_warm():
+    """The same strips as the reference on a fresh presentation, whose memo
+    starts empty, and again once the memo holds every window met."""
+    pres = load_named("c1")
+    assert not pres._windows
+    walls = walls_through(pres, 6)
+    cold = check_enumerate_equals_reference(pres, walls)
+    assert pres._windows
+    assert check_enumerate_equals_reference(pres, walls) == cold
+
+
+def test_window_memo_is_per_presentation():
+    """Calls on c1 and a relabelled c1 alternate at every wall of either, so
+    a memo keyed by the window alone, shared between presentations, would
+    answer one from the other's windows."""
+    pair = (load_named("c1"), relabelled_c1(20111))
+    for wall in sorted(set(walls_through(pair[0], 6)) | set(walls_through(pair[1], 6))):
+        for pres in pair:
+            if pres.bent_pairs.isdisjoint(zip(wall, wall[1:] + wall[:1])):
+                check_enumerate_equals_reference(pres, [wall])
+    shared = set(pair[0]._windows) & set(pair[1]._windows)
+    assert any(pair[0]._windows[w] != pair[1]._windows[w] for w in shared)
+
+
+def test_window_memo_is_not_compared():
+    warmed = load_named("c1")
+    for wall in walls_through(warmed, 5):
+        enumerate_periodic_strips(warmed, wall)
+    fresh = load_named("c1")
+    assert warmed._windows and not fresh._windows
+    assert warmed == fresh and hash(warmed) == hash(fresh)
+
+
+def test_window_memo_holds_straight_windows_only():
+    """After every c1 wall necklace through length 7, the memo keys are
+    straight words of 2 to WINDOW + 1 letters, of which c1 has 588."""
+    pres = load_named("c1")
+    for wall in walls_through(pres, 7):
+        enumerate_periodic_strips(pres, wall)
+    straight = [(x,) for x in range(pres.generator_count)]
+    windows = set()
+    for _ in range(WINDOW):
+        straight = [w + (x,) for w in straight for x in range(pres.generator_count)
+                    if (w[-1], x) not in pres.bent_pairs]
+        windows.update(straight)
+    assert len(windows) == 588
+    assert set(pres._windows) <= windows
+
+
+# wall_word, the opposite wall's least rotation, the median label and
+# flip_shifts scan one period, not all n phases, so a high power h^k no
+# longer costs k^2 scans: each equals its full scan in tests/strip_oracle.py.
+
+def check_one_period_scans(presentation, walls):
+    """At every rotation of every wall, wall_word equals its full scan; at
+    every strip of the wall, so do flip_shifts and the least rotation of the
+    opposite wall over one strip period.  Returns the numbers of strips and
+    of flip strips checked."""
+    strips_seen = flips_seen = 0
+    for wall in walls:
+        for r in range(len(wall)):
+            rotated = wall[r:] + wall[:r]
+            assert wall_word(presentation, rotated) == full_scan_wall_word(presentation, rotated)
+        for s in enumerate_periodic_strips(presentation, wall):
+            assert flip_shifts(s) == full_scan_flip_shifts(s), wall
+            canon, r = least_rotation(s.b[:s.period])
+            assert (canon * (s.length // s.period), r) == full_scan_least_rotation(s.b), wall
+            strips_seen += 1
+            flips_seen += bool(flip_shifts(s))
+    return strips_seen, flips_seen
+
+
+@pytest.mark.parametrize("pres", [C1, relabelled_c1(20111), OTHER_Q2],
+                         ids=["c1", "relabelled_c1", "other_q2"])
+def test_one_period_scans_through_length_6(pres):
+    strips_seen, flips_seen = check_one_period_scans(pres, walls_through(pres, 6))
+    assert strips_seen > 1000 and flips_seen > 10
+
+
+def test_one_period_scans_on_powers_of_the_fixtures():
+    powers = [h * k for h in ((0, 5), (0, 1, 4)) for k in range(1, 41)]
+    assert check_one_period_scans(C1, powers) == (240, 40)
 
 
 def check_strip_facts(presentation, walls):
@@ -390,19 +493,19 @@ def check_strip_facts(presentation, walls):
 
 
 def test_strip_facts_through_length_6():
-    assert check_strip_facts(C1, [w for n in range(1, 7) for w in wall_necklaces(C1, n)]) \
+    assert check_strip_facts(C1, walls_through(C1, 6)) \
         == (5678, 6126, 76)
 
 
 def test_strip_facts_on_relabelled_c1():
     pres = relabelled_c1(20111)
-    assert check_strip_facts(pres, [w for n in range(1, 7) for w in wall_necklaces(pres, n)]) \
+    assert check_strip_facts(pres, walls_through(pres, 6)) \
         == (5678, 6126, 76)
 
 
 def test_strip_facts_where_strips_branch():
     # no strip of this presentation through length 6 is flip-symmetric
-    walls = [w for n in range(1, 7) for w in wall_necklaces(NON_BUILDING, n)]
+    walls = walls_through(NON_BUILDING, 6)
     assert check_strip_facts(NON_BUILDING, walls) == (12, 36, 0)
 
 
@@ -449,7 +552,7 @@ def check_anchored_readings(presentation, walls):
     (NON_BUILDING, (24, 0)),
 ], ids=["c1", "relabelled_c1", "other_q2", "non_building"])
 def test_anchored_readings_are_the_enumerated_orbit(pres, expected):
-    walls = [w for n in range(1, 7) for w in wall_necklaces(pres, n)]
+    walls = walls_through(pres, 6)
     assert check_anchored_readings(pres, walls) == expected
 
 
