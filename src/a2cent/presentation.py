@@ -72,6 +72,8 @@ class TrianglePresentation(Frozen):
     ``thickness_q`` and ``warnings``: the tables follow from the first two.
     ``_windows``, the strip walk's memo (``strips.enumerate_periodic_strips``),
     starts empty, grows to one entry per straight window met and is not compared.
+    It holds only windows of walls that passed ``walls.check_wall_sequence``,
+    so a wall whose windows are all in it is straight and in range.
     """
 
     __slots__ = ("generator_count", "rotation_classes", "thickness_q", "rotation_set",

@@ -33,8 +33,8 @@ from collections import deque
 from .errors import InvariantError
 from .presentation import TrianglePresentation
 from .strips import Strip, anchored_readings, enumerate_periodic_strips, flip_shifts
-from .walls import (Necklace, canonical_rotation, least_rotation, minimal_period,
-                    stabilizer_generator_word, wall_word)
+from .walls import (Necklace, canonical_rotation, least_rotation, stabilizer_generator_word,
+                    wall_word)
 from .words import FormalWord
 
 VERTEX_CAP = 10_000  # safety net; the fixtures stay well under 100
@@ -190,13 +190,14 @@ def build_quotient(presentation: TrianglePresentation, element) -> QuotientGraph
             spelled[vid] = FormalWord.product(reversed(suffixes))
         return spelled[vid]
 
-    def new_wall_vertex(sequence, parent=None, suffix=None) -> int:
+    def new_wall_vertex(sequence, p, parent=None, suffix=None) -> int:
+        """A wall vertex for the canonical ``sequence`` of minimal period p,
+        a divisor of n."""
         vid = len(vertices)
         if parent is None:
             spelled[vid] = FormalWord.identity()
         else:
             tree_links[vid] = (parent, suffix)
-        p = minimal_period(sequence)  # a divisor of n
         order = n // p
         gen = (stabilizer_generator_word(base_witness(vid), sequence, p)
                if order > 1 else FormalWord.identity())
@@ -210,7 +211,7 @@ def build_quotient(presentation: TrianglePresentation, element) -> QuotientGraph
             raise InvariantError("vertex cap exceeded; BFS failed to terminate")
         return vid
 
-    base = new_wall_vertex(neck.labels)
+    base = new_wall_vertex(neck.labels, neck.period)
     queue = deque([base])
 
     while queue:
@@ -241,8 +242,8 @@ def build_quotient(presentation: TrianglePresentation, element) -> QuotientGraph
                 readings.update(anchored_readings(strip, v.period))
             else:
                 # b repeats with period dividing pe: the least rotation of
-                # one period, repeated
-                canon_b, dd = least_rotation(strip.b[:pe])
+                # one period, repeated, and its minimal period, that of b
+                canon_b, dd, p_b = least_rotation(strip.b[:pe])
                 canon_b *= n // pe
                 # x_{t_0}^-1 x_{b_0} ... x_{b_{dd-1}} is reduced: t_0 == b_0
                 # would make the upper triangle (s_0, t_0, a_0), the fold
@@ -250,7 +251,7 @@ def build_quotient(presentation: TrianglePresentation, element) -> QuotientGraph
                                     + tuple([(x, 1) for x in strip.b[:dd]]))
                 is_new = canon_b not in wall_ids
                 if is_new:
-                    other = new_wall_vertex(canon_b, vid, suffix)
+                    other = new_wall_vertex(canon_b, p_b, vid, suffix)
                     queue.append(other)
                     conj = FormalWord.identity()
                 else:

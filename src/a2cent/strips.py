@@ -85,7 +85,8 @@ class Strip:
 
     @property
     def period(self) -> int:
-        """Minimal p_e with all five sequences invariant under shift by p_e."""
+        """Minimal p_e with all five sequences invariant under shift by p_e
+        (ValueError on an empty strip)."""
         if self._period is None:
             self._period = minimal_period(self._rows)
         return self._period
@@ -100,8 +101,8 @@ class Strip:
         return self._swapped
 
     def to_json(self):
-        return {"a": list(self.a), "s": list(self.s), "t": list(self.t),
-                "b": list(self.b), "u": list(self.u)}
+        a, s, t, b, u = zip(*self._rows) if self._rows else ((),) * 5
+        return {"a": list(a), "s": list(s), "t": list(t), "b": list(b), "u": list(u)}
 
 
 def _swapped_rows(rows):
@@ -178,22 +179,29 @@ def enumerate_periodic_strips(presentation: TrianglePresentation, wall) -> list[
     letters a_k .. a_{k+WINDOW} (fewer at the end) key the extensions of
     each (s_k, t_k) over them, chained from ``presentation.transitions`` the
     first time the window is met and kept in the presentation's memo, so a
-    step is one lookup per partial strip.  After n letters a strip closes
-    when its next lower triangle is its initial one.  Each initial triangle
-    closes at most one strip (asserted; AmbiguousStrip otherwise), and every
-    strip found is validated.  Strips come in the order of their initial
-    triangles in ``presentation.starting[a_0]``.
+    step is one lookup per partial strip.  The memo holds only windows of
+    walls that passed ``check_wall_sequence``, and a wall's windows cover
+    all its cyclic pairs, so a nonempty wall whose windows are all in the
+    memo is straight and in range: the wall is checked only when a window
+    is missing, before the walk, with the same errors.  After n letters a
+    strip closes when its next lower triangle is its initial one.  Each
+    initial triangle closes at most one strip (asserted; AmbiguousStrip
+    otherwise), and every strip found is validated.  Strips come in the
+    order of their initial triangles in ``presentation.starting[a_0]``.
     """
     a = tuple(wall)
-    check_wall_sequence(presentation, a)
     ring = a + a[:1]
     windows = presentation._windows
+    chain = [windows.get(ring[k:k + WINDOW + 1]) for k in range(0, len(a), WINDOW)]
+    if not a or None in chain:
+        check_wall_sequence(presentation, a)
     walks = [((), st) for st in presentation.starting[a[0]]]  # (rows, (s_k, t_k))
-    for k in range(0, len(a), WINDOW):
-        window = ring[k:k + WINDOW + 1]
-        steps = windows.get(window)
+    for k, steps in zip(range(0, len(a), WINDOW), chain):
         if steps is None:
-            steps = windows[window] = _window_steps(presentation, window)
+            window = ring[k:k + WINDOW + 1]
+            steps = windows.get(window)  # met earlier in this wall
+            if steps is None:
+                steps = windows[window] = _window_steps(presentation, window)
         walks = [(rows + more, st) for rows, start in walks for more, st in steps[start]]
         if not walks:
             return []
@@ -230,13 +238,12 @@ def anchored_readings(strip: Strip, wall_period: int, swap_shift: int | None = N
 
     The strip reads off a canonical wall of period ``wall_period``, so its
     shift by r does iff r is a multiple of that period.  Its swap reads off
-    the opposite wall b; with ``(canon_b, swap_shift) = least_rotation(b)``
-    and ``other_period`` the period of canon_b, the swap shifted by r reads
-    off canon_b iff r is swap_shift plus a multiple of other_period.  With
-    ``swap_shift`` None only the shifts are listed, its wall-stabilizer
-    class; a glide strip has no other readings, as its swap is one of its
-    own shifts.  Shifts run over one strip period, so the readings are
-    distinct.
+    the opposite wall b; with ``(canon_b, swap_shift, other_period) =
+    least_rotation(b)``, the swap shifted by r reads off canon_b iff r is
+    swap_shift plus a multiple of other_period.  With ``swap_shift`` None
+    only the shifts are listed, its wall-stabilizer class; a glide strip
+    has no other readings, as its swap is one of its own shifts.  Shifts
+    run over one strip period, so the readings are distinct.
     """
     rows = strip.rows()
     pe = strip.period

@@ -26,21 +26,35 @@ def canonical_rotation(labels):
 
 
 def least_rotation(labels):
-    """The canonical rotation of the sequence and the least r with the
-    sequence rotated by r equal to it, from one pass over the rotations.
+    """The canonical rotation of the sequence, the least r with the sequence
+    rotated by r equal to it, and the sequence's minimal period, from one
+    pass over the rotations.
+
+    The rotations equal to the canonical one are those by r plus multiples
+    of the period, so the period is the gap between the first two, or the
+    length if there is only one.
     """
     seq = tuple(labels)
     first = min(seq)
-    return min((seq[r:] + seq[:r], r) for r, x in enumerate(seq) if x == first)
+    rotations = [(seq[r:] + seq[:r], r) for r, x in enumerate(seq) if x == first]
+    canon, r = min(rotations)
+    period = next((s - r for rot, s in rotations if s > r and rot == canon), len(seq))
+    return canon, r, period
 
 
 def minimal_period(labels):
+    """The least p dividing n with the sequence invariant under rotation by
+    p; a rotation is built only where its first element already matches.
+    Raises ValueError on an empty sequence."""
     seq = tuple(labels)
     n = len(seq)
-    for p in range(1, n + 1):
-        if n % p == 0 and seq == seq[p:] + seq[:p]:
+    if not n:
+        raise ValueError("empty sequence has no period")
+    first = seq[0]
+    for p in range(1, n):
+        if n % p == 0 and seq[p] == first and seq == seq[p:] + seq[:p]:
             return p
-    raise AssertionError("unreachable: n is always a period")
+    return n
 
 
 class Necklace(Frozen):

@@ -1,14 +1,15 @@
 """References the strip layer is checked against: a brute-force strip
 enumeration, the edge key that names a strip orbit, a grouping of the
 strips at one wall into wall-stabilizer classes, and the full scans over
-all n phases of four computations that the package runs over one period."""
+all n phases of five computations that the package runs over one period or
+cuts short."""
 
 import itertools
 
 from a2cent.errors import InvariantError, NotAWallWord
 from a2cent.presentation import TrianglePresentation
 from a2cent.strips import Strip, validate_strip
-from a2cent.walls import Necklace, canonical_rotation, check_wall_sequence, minimal_period
+from a2cent.walls import Necklace, canonical_rotation, check_wall_sequence
 
 ORACLE_MAX_LENGTH = 6  # (q+1)^(2n) blowup guard for the brute-force oracle
 
@@ -69,17 +70,27 @@ def group_by_wall_shifts(strips: list[Strip], wall_period: int) -> list[list[Str
 # Full scans over all n phases, as the package ran them before it scanned
 # one period: a sequence of period p reads the same at phases r and r + p.
 
+def full_scan_minimal_period(labels):
+    """``walls.minimal_period``, comparing every rotation by p in 1..n
+    with the sequence.  (Invariance under p gives invariance under
+    gcd(p, n), so the least such p divides n.)"""
+    seq = tuple(labels)
+    if not seq:
+        raise ValueError("empty sequence has no period")
+    return min(p for p in range(1, len(seq) + 1) if seq[p:] + seq[:p] == seq)
+
+
 def full_scan_wall_word(presentation: TrianglePresentation, word) -> Necklace:
     """``walls.wall_word``, with the canonical rotation taken over all n."""
     seq = tuple(word)
     check_wall_sequence(presentation, seq)
-    return Necklace(canonical_rotation(seq), minimal_period(seq))
+    return Necklace(canonical_rotation(seq), full_scan_minimal_period(seq))
 
 
 def full_scan_least_rotation(labels):
     """``walls.least_rotation`` over all n rotations."""
     seq = tuple(labels)
-    return min((seq[r:] + seq[:r], r) for r in range(len(seq)))
+    return (*min((seq[r:] + seq[:r], r) for r in range(len(seq))), full_scan_minimal_period(seq))
 
 
 def full_scan_flip_shifts(strip: Strip) -> list[int]:

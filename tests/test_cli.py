@@ -462,6 +462,27 @@ def test_structured_output_byte_stable_on_powers_of_the_fixtures(c1, base, k, ex
     assert structured_digest(c1, [base * k]) == (1, expected)
 
 
+@pytest.mark.parametrize("word, expected", [
+    ("5,0,4,4,0,5,3,2,2,5,5,5,5,6,5,0",
+     "8b36ea420888de1f28918466c910ed5a4cd33cfeb57dede739a1cfd83cd9f715"),
+    ("5,5,0,3,1,4,0,5,0,4,3,2,5,5",
+     "5ee0a2a59d677f57c766cf3652650068ec01ed6c8ef14fab21be056ce1e7cb37"),
+    ("0,5,5,5,3,3,2,5,5,6,5,3,2,1",
+     "4dc9b127333c4613f0104ddd51f77d2bbd099102fbb67a01b7c8eedd8dc5ce29"),
+    ("2,1,0,1,1,6,4,2,5,0,3,6,5,3,6,2",
+     "7a0578a99b4fed4cc0a73a9c87ced72f66cc8b055b7ae6ce9314eec8d23e17f9"),
+], ids=["120_vertices", "176_vertices", "318_vertices", "360_vertices"])
+def test_centralizer_structured_byte_stable_on_big_graphs_words(capsys, word, expected):
+    """sha256 of ``centralizer --format structured`` on four words of the
+    benchmark's big-graphs catalog (perfbench/golden/big_graphs.json), the
+    middle word of each quarter of its op-time order, as produced before
+    wall periods were carried through the BFS."""
+    code, out, _err = run(capsys, "centralizer", "builtin:c1", "--word", word,
+                          "--format", "structured")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+
 def strips_digest(capsys, presentation, walls):
     """The number of runs and the sha256 of ``a2cent strips`` output over
     the walls in order, each at --length n and 2n in both formats."""

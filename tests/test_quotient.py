@@ -8,7 +8,8 @@ from a2cent.quotient import build_quotient, vertex_witnesses
 from a2cent.strips import enumerate_periodic_strips
 from a2cent.walls import wall_necklaces
 from presentations import OTHER_Q2, relabelled_c1
-from strip_oracle import full_scan_flip_shifts, full_scan_median_display_label
+from strip_oracle import (full_scan_flip_shifts, full_scan_median_display_label,
+                          full_scan_minimal_period)
 
 C1 = load_named("c1")
 
@@ -95,17 +96,20 @@ def check_graph_invariants(pres, word):
     a wall of period p has order n/p and a median vertex an order dividing
     2n; an edge group includes injectively into both endpoint groups, by
     positive multipliers; one tree edge per vertex but the base; at most
-    q+1 strips at every wall visited; and each median label, minimized over
-    one strip period, equals the label minimized over all n phases."""
+    q+1 strips at every wall visited; each median label, minimized over
+    one strip period, equals the label minimized over all n phases; and
+    every wall period and strip period equals its full scan."""
     g = build_quotient(pres, word)
     n = g.n
     for v in g.vertices:
         if v.kind == "wall":
+            assert v.period == full_scan_minimal_period(v.sequence), (word, v.display_label)
             assert v.group_order * v.period == n, (word, v.display_label)
             assert len(enumerate_periodic_strips(pres, v.sequence)) <= pres.thickness_q + 1
         else:
             assert (2 * n) % v.group_order == 0, (word, v.display_label)
     for e in g.edges:
+        assert e.strip.period == full_scan_minimal_period(e.strip.rows()), (word, e.index)
         for end, mu in zip(e.endpoints, e.multipliers):
             o = g.vertices[end].group_order
             assert o % e.group_order == 0, (word, e.index)
@@ -139,9 +143,11 @@ def test_graph_invariants_through_length_6(pres):
 
 def test_graph_invariants_on_powers_of_the_fixtures():
     powers = [h * k for h in ((0, 5), (0, 1, 4)) for k in range(1, 41)]
-    medians = sum(v.kind == "median" for word in powers
-                  for v in check_graph_invariants(C1, word).vertices)
-    assert medians == 240
+    graphs = [check_graph_invariants(C1, word) for word in powers]
+    assert sum(v.kind == "median" for g in graphs for v in g.vertices) == 240
+    # 512 of the 520 wall vertices and 783 of the 800 strips have p < n
+    assert sum(v.kind == "wall" and v.period < g.n for g in graphs for v in g.vertices) == 512
+    assert sum(e.strip.period < g.n for g in graphs for e in g.edges) == 783
 
 
 @pytest.mark.parametrize("word", WALL_WORDS_3, ids=str)

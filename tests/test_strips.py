@@ -82,6 +82,15 @@ def test_edge_key_invariant_under_shift_and_swap(s):
     assert canonical_edge_key(swap(s)) == key
 
 
+def test_empty_strip_has_no_period():
+    empty = Strip((), (), (), (), ())
+    with pytest.raises(ValueError, match="empty sequence"):
+        empty.period
+    with pytest.raises(ValueError, match="empty sequence"):
+        flip_shifts(empty)
+    assert empty.to_json() == {"a": [], "s": [], "t": [], "b": [], "u": []}
+
+
 def test_flip_shifts_examples():
     const = Strip((6, 6), (0, 0), (0, 0), (6, 6), (0, 0))
     assert flip_shifts(const) == [0, 1]
@@ -327,7 +336,7 @@ def outcome(fn, *args):
     """fn(*args), or the type, arguments and message of what it raised."""
     try:
         return fn(*args)
-    except (AmbiguousStrip, InvariantError, NotAWallWord, ValueError) as exc:
+    except (AmbiguousStrip, IndexError, InvariantError, NotAWallWord, ValueError) as exc:
         return (type(exc), exc.args, str(exc))
 
 
@@ -412,6 +421,44 @@ def test_window_memo_is_not_compared():
     assert warmed == fresh and hash(warmed) == hash(fresh)
 
 
+def test_warm_memo_skips_the_wall_check_with_the_same_outcome():
+    """A wall whose windows are all in the memo is not checked again: on a
+    presentation warmed by every c1 necklace through length 6 and on a
+    fresh load, the same strips or the same error for the empty wall, the
+    labels -1 and m, a bent pair at each position of a few walls, and a
+    long wall whose windows are all in the warm memo but one bent one."""
+    warmed = load_named("c1")
+    for wall in walls_through(warmed, 6):
+        enumerate_periodic_strips(warmed, wall)
+    memo = dict(warmed._windows)
+    m = warmed.generator_count
+
+    def bent_at(wall, k):
+        """The wall with a letter at k that bends with its predecessor."""
+        x = next(x for x in range(m) if (wall[k - 1], x) in warmed.bent_pairs)
+        return wall[:k] + (x,) + wall[k + 1:]
+
+    base = (2, 5, 3, 6, 4, 3)
+    long_wall = base * 5  # 6 is a multiple of WINDOW: base's windows, repeated
+    assert all(long_wall[k:k + WINDOW + 1] in memo for k in range(0, len(long_wall), WINDOW))
+    bent_long = bent_at(long_wall, 8)
+    assert [bent_long[k:k + WINDOW + 1] in memo
+            for k in range(0, len(bent_long), WINDOW)].count(False) == 1
+    walls = [(), long_wall, bent_long, (0, 5) * 8]
+    for wall in [(0, 5), (0, 1, 4), (0, 1, 4, 3, 3, 1, 1)]:
+        for k in range(len(wall)):
+            walls += [wall[:k] + (x,) + wall[k + 1:] for x in (-1, m)]
+            walls.append(bent_at(wall, k))
+    errors = set()
+    for wall in walls:
+        got = outcome(enumerate_periodic_strips, warmed, wall)
+        assert got == outcome(enumerate_periodic_strips, load_named("c1"), wall), wall
+        if isinstance(got, tuple):
+            errors.add(got[0])
+    assert errors == {ValueError, IndexError, NotAWallWord}
+    assert warmed._windows.keys() == memo.keys()  # no window of a bent wall was kept
+
+
 def test_window_memo_holds_straight_windows_only():
     """After every c1 wall necklace through length 7, the memo keys are
     straight words of 2 to WINDOW + 1 letters, of which c1 has 588."""
@@ -444,8 +491,8 @@ def check_one_period_scans(presentation, walls):
             assert wall_word(presentation, rotated) == full_scan_wall_word(presentation, rotated)
         for s in enumerate_periodic_strips(presentation, wall):
             assert flip_shifts(s) == full_scan_flip_shifts(s), wall
-            canon, r = least_rotation(s.b[:s.period])
-            assert (canon * (s.length // s.period), r) == full_scan_least_rotation(s.b), wall
+            canon, r, p = least_rotation(s.b[:s.period])
+            assert (canon * (s.length // s.period), r, p) == full_scan_least_rotation(s.b), wall
             strips_seen += 1
             flips_seen += bool(flip_shifts(s))
     return strips_seen, flips_seen
@@ -530,11 +577,11 @@ def check_anchored_readings(presentation, walls):
         except AmbiguousStrip:
             continue
         for s in strips:
-            canon_b, dd = least_rotation(s.b)
+            canon_b, dd, p_b = least_rotation(s.b)
             if flip_shifts(s):
                 readings = anchored_readings(s, minimal_period(wall))
             else:
-                readings = anchored_readings(s, minimal_period(wall), dd, minimal_period(canon_b))
+                readings = anchored_readings(s, minimal_period(wall), dd, p_b)
             key = canonical_edge_key(s)
             orbit = {t.rows() for w in {wall, canon_b} for t in strips_at(w)
                      if canonical_edge_key(t) == key}

@@ -10,6 +10,7 @@ from a2cent.walls import (Necklace, canonical_rotation, check_wall_sequence,
                           minimal_period, stabilizer_generator_word,
                           wall_necklaces, wall_word)
 from a2cent.words import FormalWord
+from strip_oracle import full_scan_minimal_period
 
 label_seqs = st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=9)
 
@@ -55,12 +56,13 @@ def test_minimal_period_divides_and_tiles(seq):
     st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=12).map(lambda x: x * 2),
     st.lists(st.tuples(*[st.integers(min_value=0, max_value=1)] * 5), min_size=1, max_size=8)))
 def test_least_rotation_gives_the_least_anchor(seq):
-    """walls.least_rotation returns the canonical rotation and the least
-    shift that reaches it."""
-    canon, r = walls.least_rotation(seq)
+    """walls.least_rotation returns the canonical rotation, the least
+    shift that reaches it and the minimal period."""
+    canon, r, p = walls.least_rotation(seq)
     seq = tuple(seq)
     assert canon == least_rotation(seq)
     assert r == min(k for k in range(len(seq)) if seq[k:] + seq[:k] == canon)
+    assert p == full_scan_minimal_period(seq)
 
 
 @given(st.one_of(
@@ -81,6 +83,33 @@ def test_minimal_period_examples():
     assert minimal_period((6, 6)) == 1
     assert minimal_period((0, 5)) == 2
     assert minimal_period((0, 5, 0, 5)) == 2
+    # seq[2] == seq[0] and 2 divides 4, yet 2 is not a period
+    assert minimal_period((0, 5, 0, 6)) == 4
+
+
+@st.composite
+def false_start_period(draw):
+    """A sequence with seq[p] == seq[0] for a proper divisor p of its
+    length, which is often not a period: labels, or rows as strips store
+    them."""
+    label = draw(st.sampled_from([st.integers(min_value=0, max_value=2),
+                                  st.tuples(*[st.integers(min_value=0, max_value=1)] * 5)]))
+    p = draw(st.integers(min_value=1, max_value=5))
+    k = draw(st.integers(min_value=2, max_value=4))
+    seq = draw(st.lists(label, min_size=p * k, max_size=p * k))
+    seq[p] = seq[0]
+    return seq
+
+
+@given(st.one_of(label_seqs, false_start_period(),
+                 st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=12)))
+def test_minimal_period_equals_full_scan(seq):
+    assert minimal_period(seq) == full_scan_minimal_period(seq)
+
+
+def test_minimal_period_of_an_empty_sequence():
+    with pytest.raises(ValueError, match="empty sequence"):
+        minimal_period(())
 
 
 def test_wall_word_canonicalizes(c1):
