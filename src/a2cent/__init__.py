@@ -16,7 +16,7 @@ from .presentation import (BUILTIN_PRESENTATIONS, TrianglePresentation, load,
                            load_named, loads)
 from .quotient import (QuotientEdge, QuotientGraphOfGroups, QuotientVertex,
                        build_quotient, vertex_witnesses)
-from .strips import Strip, enumerate_periodic_strips, flip_shifts, shift, swap
+from .strips import Strip, enumerate_periodic_strips, flip_shifts
 from .walls import (Necklace, canonical_rotation, minimal_period,
                     stabilizer_generator_word, wall_word)
 from .words import FormalWord
@@ -29,8 +29,8 @@ __all__ = [
     "Unsimplified", "abelianization", "build_quotient", "canonical_rotation",
     "enumerate_periodic_strips", "flip_shifts",
     "full_centralizer_presentation", "fundamental_group", "load", "load_named",
-    "loads", "minimal_period", "shift", "simplify",
-    "stabilizer_generator_word", "swap", "vertex_witnesses", "wall_word",
+    "loads", "minimal_period", "simplify", "stabilizer_generator_word",
+    "vertex_witnesses", "wall_word",
 ]
 
 __version__ = "0.1.0"

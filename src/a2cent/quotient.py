@@ -30,14 +30,11 @@ from __future__ import annotations
 
 from collections import deque
 
-from .errors import InvariantError
 from .presentation import TrianglePresentation
 from .strips import Strip, anchored_readings, enumerate_periodic_strips, flip_shifts
 from .walls import (Necklace, canonical_rotation, least_rotation, stabilizer_generator_word,
                     wall_word)
 from .words import FormalWord
-
-VERTEX_CAP = 10_000  # safety net; the fixtures stay well under 100
 
 
 class QuotientVertex:
@@ -207,8 +204,6 @@ def build_quotient(presentation: TrianglePresentation, element) -> QuotientGraph
             display_label=Necklace(sequence, p).display_label,
             sequence=sequence, period=p))
         wall_ids[sequence] = vid
-        if len(vertices) > VERTEX_CAP:
-            raise InvariantError("vertex cap exceeded; BFS failed to terminate")
         return vid
 
     base = new_wall_vertex(neck.labels, neck.period)
@@ -222,18 +217,19 @@ def build_quotient(presentation: TrianglePresentation, element) -> QuotientGraph
         # anchored readings drops the later members of the class here, the
         # second end of a loop here and the back-edge at the other wall
         for strip in enumerate_periodic_strips(presentation, v.sequence):
-            if strip.rows() in readings:
+            rows = strip.rows()
+            if rows in readings:
                 continue
             pe = strip.period
             ds = flip_shifts(strip)
             if ds:
-                # swap(swap(strip)) is the shift by 1, so a flip at d gives
+                # swapping twice shifts by 1, so a flip at d gives
                 # pe | 2d+1; the least d is below pe, so 2d+1 == pe
                 d = ds[0]
                 witness = base_witness(vid)
                 glide = FormalWord.product((
-                    witness, FormalWord.from_indices(strip.a[:d]),
-                    FormalWord.generator(strip.t[d], -1), witness.inverse()))
+                    witness, FormalWord.from_indices([row[0] for row in rows[:d]]),
+                    FormalWord.generator(rows[d][2], -1), witness.inverse()))
                 other = len(vertices)
                 vertices.append(QuotientVertex(
                     index=other, kind="median", group_order=2 * n // pe,
@@ -243,12 +239,12 @@ def build_quotient(presentation: TrianglePresentation, element) -> QuotientGraph
             else:
                 # b repeats with period dividing pe: the least rotation of
                 # one period, repeated, and its minimal period, that of b
-                canon_b, dd, p_b = least_rotation(strip.b[:pe])
+                canon_b, dd, p_b = least_rotation([row[3] for row in rows[:pe]])
                 canon_b *= n // pe
                 # x_{t_0}^-1 x_{b_0} ... x_{b_{dd-1}} is reduced: t_0 == b_0
                 # would make the upper triangle (s_0, t_0, a_0), the fold
-                suffix = FormalWord(((strip.rows()[0][2], -1),)
-                                    + tuple([(x, 1) for x in strip.b[:dd]]))
+                suffix = FormalWord(((rows[0][2], -1),)
+                                    + tuple([(row[3], 1) for row in rows[:dd]]))
                 is_new = canon_b not in wall_ids
                 if is_new:
                     other = new_wall_vertex(canon_b, p_b, vid, suffix)

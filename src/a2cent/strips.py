@@ -95,7 +95,8 @@ class Strip:
         return self._rows
 
     def swapped_rows(self):
-        """The rows of ``swap(self)``."""
+        """The rows of the strip's swap: the strip read from the opposite
+        wall, in the same orientation.  Swapping twice shifts by 1."""
         if self._swapped is None:
             self._swapped = _swapped_rows(self._rows)
         return self._swapped
@@ -110,21 +111,6 @@ def _swapped_rows(rows):
     return tuple([(b, u, s, a_next, s_next)
                   for (_a, s, _t, b, u), (a_next, s_next, _tn, _bn, _un)
                   in zip(rows, rows[1:] + rows[:1])])
-
-
-def shift(strip: Strip, r: int) -> Strip:
-    """Re-read the strip starting r base edges further along."""
-    rows = strip.rows()
-    r %= len(rows)
-    return Strip.from_rows(rows[r:] + rows[:r])
-
-
-def swap(strip: Strip) -> Strip:
-    """Re-read the strip from the opposite wall (same orientation).
-
-    swap(swap(strip)) == shift(strip, 1).
-    """
-    return Strip.from_rows(strip.swapped_rows())
 
 
 def validate_strip(presentation: TrianglePresentation, strip: Strip) -> None:
@@ -255,11 +241,11 @@ def anchored_readings(strip: Strip, wall_period: int, swap_shift: int | None = N
 
 
 def flip_shifts(strip: Strip) -> list[int]:
-    """All d in [0, n) such that shift(swap(strip), d) == strip.
+    """All d in [0, n) such that the swapped rows rotated by d are the rows.
 
     Nonempty iff the strip carries a glide reflection exchanging its two
     walls; the minimal d gives glide translation d + 1/2 base edges, and
-    2d+1 is the strip period, as swap(swap(strip)) is the shift by 1.  The
+    2d+1 is the strip period, as swapping twice shifts by 1.  The
     median vertex group has order 2n/(2d+1).  Only the d below the strip
     period are tested, of which at most one holds (2d+1 is the period): the
     others add multiples of it.

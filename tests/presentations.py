@@ -1,8 +1,10 @@
-"""Presentations the tests run beside the builtin c1."""
+"""Presentations the tests run beside the builtin c1, and seeded wall words
+drawn on any presentation."""
 
 import random
 
 from a2cent.presentation import BUILTIN_PRESENTATIONS, load
+from a2cent.walls import canonical_rotation, minimal_period
 
 
 def relabelled_c1(seed):
@@ -22,3 +24,24 @@ OTHER_Q2 = load({"generators": 7, "relators": [[0, 1, 2], [0, 2, 3], [0, 3, 1], 
 # branch, and some initial triangles close two strips
 NON_BUILDING = load({"generators": 4, "relators": [[3, 0, 1], [3, 1, 2], [0, 2, 1], [3, 2, 0]]},
                     strict=False)
+
+
+def deep_walls(pres, count=20, seed=12, lengths=(12, 13, 14)):
+    """``count`` distinct primitive wall words of the given lengths, as
+    canonical rotations of seeded random closed walks in the straight
+    digraph."""
+    rng = random.Random(seed)
+    m = pres.generator_count
+    succ = [[j for j in range(m) if (i, j) not in pres.bent_pairs] for i in range(m)]
+    walls = []
+    while len(walls) < count:
+        n = rng.choice(lengths)
+        walk = [rng.randrange(m)]
+        while len(walk) < n:
+            walk.append(rng.choice(succ[walk[-1]]))
+        word = canonical_rotation(walk)
+        if (walk[-1], walk[0]) in pres.bent_pairs or minimal_period(word) != n \
+                or word in walls:
+            continue
+        walls.append(word)
+    return walls

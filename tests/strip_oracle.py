@@ -1,8 +1,8 @@
-"""References the strip layer is checked against: a brute-force strip
-enumeration, the edge key that names a strip orbit, a grouping of the
-strips at one wall into wall-stabilizer classes, and the full scans over
-all n phases of five computations that the package runs over one period or
-cuts short."""
+"""References the strip layer is checked against: a strip's shift and
+swap as strips, a brute-force strip enumeration, the edge key that names a
+strip orbit, a grouping of the strips at one wall into wall-stabilizer
+classes, and the full scans over all n phases of five computations that the
+package runs over one period or cuts short."""
 
 import itertools
 
@@ -12,6 +12,21 @@ from a2cent.strips import Strip, validate_strip
 from a2cent.walls import Necklace, canonical_rotation, check_wall_sequence
 
 ORACLE_MAX_LENGTH = 6  # (q+1)^(2n) blowup guard for the brute-force oracle
+
+
+def shift(strip: Strip, r: int) -> Strip:
+    """Re-read the strip starting r base edges further along."""
+    rows = strip.rows()
+    r %= len(rows)
+    return Strip.from_rows(rows[r:] + rows[:r])
+
+
+def swap(strip: Strip) -> Strip:
+    """Re-read the strip from the opposite wall (same orientation).
+
+    swap(swap(strip)) == shift(strip, 1).
+    """
+    return Strip.from_rows(strip.swapped_rows())
 
 
 def oracle_enumerate(presentation: TrianglePresentation, wall) -> list[Strip]:

@@ -4,7 +4,6 @@ import hashlib
 import io
 import json
 import os
-import random
 import subprocess
 import sys
 
@@ -16,8 +15,8 @@ from a2cent.cli import (EXIT_INTERNAL, EXIT_OK, EXIT_UNSUPPORTED,
                         EXIT_VALIDATION, main, run_centralizer)
 from a2cent.presentation import BUILTIN_PRESENTATIONS, load_named
 from a2cent.strips import enumerate_periodic_strips
-from a2cent.walls import canonical_rotation, minimal_period, wall_necklaces, wall_word
-from presentations import OTHER_Q2, relabelled_c1
+from a2cent.walls import wall_necklaces, wall_word
+from presentations import OTHER_Q2, deep_walls, relabelled_c1
 from strip_oracle import group_by_wall_shifts
 
 
@@ -415,27 +414,6 @@ def test_structured_output_byte_stable_on_other_presentations(pres, expected):
     length 1-6, as produced before edges were deduplicated by their anchored
     readings."""
     assert structured_digest(pres, necklaces_through(pres, 6)) == expected
-
-
-def deep_walls(pres, count=20, seed=12, lengths=(12, 13, 14)):
-    """``count`` distinct primitive wall words of the given lengths, as
-    canonical rotations of seeded random closed walks in the straight
-    digraph."""
-    rng = random.Random(seed)
-    m = pres.generator_count
-    succ = [[j for j in range(m) if (i, j) not in pres.bent_pairs] for i in range(m)]
-    walls = []
-    while len(walls) < count:
-        n = rng.choice(lengths)
-        walk = [rng.randrange(m)]
-        while len(walk) < n:
-            walk.append(rng.choice(succ[walk[-1]]))
-        word = canonical_rotation(walk)
-        if (walk[-1], walk[0]) in pres.bent_pairs or minimal_period(word) != n \
-                or word in walls:
-            continue
-        walls.append(word)
-    return walls
 
 
 def test_structured_output_byte_stable_on_deep_walls(c1):

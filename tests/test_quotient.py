@@ -2,12 +2,13 @@ from math import gcd
 
 import pytest
 
+from a2cent.bassserre import simplify
 from a2cent.errors import NotAWallWord
 from a2cent.presentation import BUILTIN_PRESENTATIONS, load, load_named
 from a2cent.quotient import build_quotient, vertex_witnesses
 from a2cent.strips import enumerate_periodic_strips
 from a2cent.walls import wall_necklaces
-from presentations import OTHER_Q2, relabelled_c1
+from presentations import OTHER_Q2, deep_walls, relabelled_c1
 from strip_oracle import (full_scan_flip_shifts, full_scan_median_display_label,
                           full_scan_minimal_period)
 
@@ -148,6 +149,29 @@ def test_graph_invariants_on_powers_of_the_fixtures():
     # 512 of the 520 wall vertices and 783 of the 800 strips have p < n
     assert sum(v.kind == "wall" and v.period < g.n for g in graphs for v in g.vertices) == 512
     assert sum(e.strip.period < g.n for g in graphs for e in g.edges) == 783
+
+
+def test_quotient_of_a_word_over_ten_thousand_vertices():
+    """Every wall word has a finite quotient: V <= (q+2) x (wall necklaces
+    of length n).  This 18-letter word has a flat quotient, a cycle with a
+    pendant leaf at each vertex and all groups trivial, so Z(g)/<g> is Z."""
+    g = check_graph_invariants(C1, (6, 5, 3, 1, 6, 6, 4, 2, 2, 0, 1, 4, 2, 0, 1, 0, 4, 3))
+    assert (len(g.vertices), len(g.edges), g.betti_number) == (19760, 19760, 1)
+    assert simplify(g).render() == "Z"
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("pres, largest", [(C1, 47764), (OTHER_Q2, 141312)],
+                         ids=["c1", "other_q2"])
+def test_random_long_wall_words_get_their_quotient(pres, largest):
+    """16 seeded primitive wall words of length 17-20 each build and
+    simplify; the vertex count of the largest quotient is pinned."""
+    sizes = []
+    for word in deep_walls(pres, count=16, seed=1, lengths=(17, 18, 19, 20)):
+        g = build_quotient(pres, word)
+        simplify(g)
+        sizes.append(len(g.vertices))
+    assert max(sizes) == largest
 
 
 @pytest.mark.parametrize("word", WALL_WORDS_3, ids=str)

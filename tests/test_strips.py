@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 from a2cent.errors import AmbiguousStrip, InvariantError, NotAWallWord
 from a2cent.presentation import load, load_named
 from a2cent.strips import (WINDOW, Strip, anchored_readings, enumerate_periodic_strips,
-                           flip_shifts, shift, swap, validate_strip)
+                           flip_shifts, validate_strip)
 from a2cent.walls import (check_wall_sequence, least_rotation, minimal_period, wall_necklaces,
                           wall_word)
 from presentations import NON_BUILDING, OTHER_Q2, relabelled_c1
 from strip_oracle import (canonical_edge_key, full_scan_flip_shifts, full_scan_least_rotation,
-                          full_scan_wall_word, group_by_wall_shifts, oracle_enumerate)
+                          full_scan_wall_word, group_by_wall_shifts, oracle_enumerate, shift,
+                          swap)
 
 C1 = load_named("c1")
 
