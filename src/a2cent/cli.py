@@ -183,14 +183,15 @@ def cmd_strips(args) -> int:
     seq = word * (n // len(word))
     neck = wall_word(pres, seq)
     strips = enumerate_periodic_strips(pres, neck.labels)
-    # wall-stabilizer classes, in enumeration order, by the readings that
-    # build_quotient registers for an edge at its own wall
-    classes, class_of = [], {}  # anchored reading -> index in classes
+    # wall-stabilizer classes, in enumeration order, by the start pairs of
+    # the readings that build_quotient registers for an edge at its own wall
+    classes, class_of = [], {}  # start pair (s_0, t_0) -> index in classes
     for strip in strips:
-        if strip.rows() not in class_of:
-            class_of.update(dict.fromkeys(anchored_readings(strip, neck.period), len(classes)))
+        start = strip.rows()[0][1:3]
+        if start not in class_of:
+            class_of.update(dict.fromkeys(anchored_readings(strip, neck.period)[0], len(classes)))
             classes.append([])
-        classes[class_of[strip.rows()]].append(strip)
+        classes[class_of[start]].append(strip)
     if args.format == "structured":
         payload = {
             "wall": list(neck.labels),

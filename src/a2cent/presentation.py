@@ -11,7 +11,7 @@ generator, t on s iff some rotation (s, t, .) exists.  The presentation
 defines an A~2 building iff the link is a projective plane of order q: no two
 lines share two points, and m = q^2 + q + 1.  load() checks those two facts by
 counting point pairs, in O(m q^2); they force the link's girth 6 and diameter
-3, which link_stats() computes by BFS for display only.
+3, so link_stats() runs its BFS only on a lenient load that found no plane.
 """
 
 from __future__ import annotations
@@ -112,14 +112,14 @@ class TrianglePresentation(Frozen):
     # -- link graph --------------------------------------------------------
 
     def link_stats(self):
-        """(node count, degree set, girth, diameter) of the vertex link.
-
-        The link is the bipartite incidence graph with a point t and a line s
-        per generator, t on s iff some rotation (s, t, .) exists.  Girth and
-        diameter are exact, from one BFS per node, so this takes time
-        quadratic in m; load() does not call it.
-        """
-        return _link_stats(self.starting)
+        """(node count, degree set, girth, diameter) of the vertex link, the
+        incidence graph with a point t and a line s per generator, t on s iff
+        some rotation (s, t, .) exists.  With no warning, load() has proved it
+        a projective plane of order q; otherwise a BFS from every node finds
+        them, in time quadratic in m."""
+        if self.warnings:
+            return _link_stats(self.starting)
+        return 2 * self.generator_count, {self.thickness_q + 1}, 6, 3
 
     # -- serialization -----------------------------------------------------
 

@@ -2,14 +2,16 @@
 
 Vertices are orbits of axial walls (keyed by their necklace) and of median
 lines of flip-symmetric strips (one per such strip orbit); edges are orbits
-of strips.  Edges are deduplicated by their anchored readings: the rows of
-every shift of a kept strip, or of its swap, that reads off a canonical
-wall.  Every strip is enumerated at a canonical wall, and two strips lie in
-one orbit iff one is a shift of the other or of its swap, so a kept edge's
-readings are exactly the strips of its orbit that the BFS meets: the later
-members of its wall-stabilizer class, the back-edge at the other wall and
-the second end of a loop.  Each of them is dropped by one set lookup on its
-rows, while a parallel edge, a different orbit, is kept.
+of strips.  Edges are deduplicated by their anchored readings: each shift of
+a kept strip, or of its swap, that reads off a canonical wall, named by the
+wall's vertex and its start pair (s_0, t_0), as a wall closes at most one
+strip per start pair.  Two strips lie in one orbit iff one is a shift of the
+other or of its swap, so a kept edge's readings name exactly the strips of
+its orbit that the BFS meets (the later members of its wall-stabilizer
+class, the back-edge at the other wall, the second end of a loop), each
+dropped by one set lookup; a parallel edge, a different orbit, is kept.  A
+glide maps b onto a, so only a strip with both walls on one necklace is
+tested for one.
 
 All witness words are relative to the base vertex of the canonical rotation
 of the input element.  The BFS records a witness tree: each new wall vertex
@@ -169,7 +171,7 @@ def build_quotient(presentation: TrianglePresentation, element) -> QuotientGraph
     vertices: list[QuotientVertex] = []
     edges: list[QuotientEdge] = []
     wall_ids: dict[tuple, int] = {}
-    readings: set = set()  # anchored readings of the kept edges
+    readings: set = set()  # (vertex, s_0, t_0) of the kept edges' anchored readings
     # witness tree: wall vertex -> (parent, suffix); spelled base witnesses
     tree_links: dict[int, tuple[int, FormalWord]] = {}
     spelled: dict[int, FormalWord] = {}
@@ -218,10 +220,14 @@ def build_quotient(presentation: TrianglePresentation, element) -> QuotientGraph
         # second end of a loop here and the back-edge at the other wall
         for strip in enumerate_periodic_strips(presentation, v.sequence):
             rows = strip.rows()
-            if rows in readings:
+            if (vid, rows[0][1], rows[0][2]) in readings:
                 continue
             pe = strip.period
-            ds = flip_shifts(strip)
+            # b repeats with period dividing pe: the least rotation of one
+            # period, repeated, and its minimal period, that of b
+            canon_b, dd, p_b = least_rotation([row[3] for row in rows[:pe]])
+            canon_b *= n // pe
+            ds = flip_shifts(strip) if canon_b == v.sequence else None
             if ds:
                 # swapping twice shifts by 1, so a flip at d gives
                 # pe | 2d+1; the least d is below pe, so 2d+1 == pe
@@ -235,12 +241,8 @@ def build_quotient(presentation: TrianglePresentation, element) -> QuotientGraph
                     index=other, kind="median", group_order=2 * n // pe,
                     generator_witness=glide, display_label=_median_display_label(strip, d)))
                 mu_other, conj, is_new = 2, FormalWord.identity(), True
-                readings.update(anchored_readings(strip, v.period))
+                readings.update([(vid, *st) for st in anchored_readings(strip, v.period)[0]])
             else:
-                # b repeats with period dividing pe: the least rotation of
-                # one period, repeated, and its minimal period, that of b
-                canon_b, dd, p_b = least_rotation([row[3] for row in rows[:pe]])
-                canon_b *= n // pe
                 # x_{t_0}^-1 x_{b_0} ... x_{b_{dd-1}} is reduced: t_0 == b_0
                 # would make the upper triangle (s_0, t_0, a_0), the fold
                 suffix = FormalWord(((rows[0][2], -1),)
@@ -256,7 +258,8 @@ def build_quotient(presentation: TrianglePresentation, element) -> QuotientGraph
                         (base_witness(vid), suffix, base_witness(other).inverse()))
                 p_other = vertices[other].period
                 mu_other = pe // p_other
-                readings.update(anchored_readings(strip, v.period, dd, p_other))
+                own, opposite = anchored_readings(strip, v.period, dd, p_other)
+                readings.update([(vid, *st) for st in own] + [(other, *st) for st in opposite])
             edges.append(QuotientEdge(
                 index=len(edges), endpoints=(vid, other), group_order=n // pe,
                 multipliers=(pe // v.period, mu_other), conjugator_witness=conj,

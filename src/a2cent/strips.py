@@ -17,10 +17,11 @@ reflection, so its tree edge is inverted and acquires a median vertex.
 
 In memory a strip is the tuple of its n rows (a_k, s_k, t_k, b_k, u_k),
 returned by ``rows()``; the five sequences are columns read from it.  A
-strip computes its period and its swapped rows (the rows read from the
-opposite wall) at most once.  A shift is a rotation of the rows, and
-``anchored_readings`` lists the shifts of the rows and of the swapped rows
-that read off a canonical wall.
+strip computes its period at most once.  A shift is a rotation of the rows.
+A wall closes at most one strip per start pair (s_0, t_0), so
+``anchored_readings`` names by their start pairs the shifts of a strip and
+of its swap (the strip read from the opposite wall) that read off a
+canonical wall.
 
 Enumeration and validation read two tables that ``presentation.load``
 builds once: ``transitions`` gives, for a lower triangle and the next base
@@ -46,20 +47,20 @@ def _column(index, name):
 class Strip:
     """A periodic strip at one g-period, stored as its rows (a, s, t, b, u)."""
 
-    __slots__ = ("_rows", "_period", "_swapped")
+    __slots__ = ("_rows", "_period")
 
     def __init__(self, a, s, t, b, u):
         if not len(a) == len(s) == len(t) == len(b) == len(u):
             raise InvariantError("sequence lengths differ")
         self._rows = tuple(zip(a, s, t, b, u))
-        self._period = self._swapped = None
+        self._period = None
 
     @classmethod
     def from_rows(cls, rows: tuple) -> "Strip":
         """The strip with these (a, s, t, b, u) rows, given as a tuple."""
         strip = cls.__new__(cls)
         strip._rows = rows
-        strip._period = strip._swapped = None
+        strip._period = None
         return strip
 
     a = _column(0, "base-wall")
@@ -96,21 +97,15 @@ class Strip:
 
     def swapped_rows(self):
         """The rows of the strip's swap: the strip read from the opposite
-        wall, in the same orientation.  Swapping twice shifts by 1."""
-        if self._swapped is None:
-            self._swapped = _swapped_rows(self._rows)
-        return self._swapped
+        wall, in the same orientation, (b_k, u_k, s_k, a_{k+1}, s_{k+1}).
+        Swapping twice shifts by 1."""
+        return tuple([(b, u, s, a_next, s_next)
+                      for (_a, s, _t, b, u), (a_next, s_next, _tn, _bn, _un)
+                      in zip(self._rows, self._rows[1:] + self._rows[:1])])
 
     def to_json(self):
         a, s, t, b, u = zip(*self._rows) if self._rows else ((),) * 5
         return {"a": list(a), "s": list(s), "t": list(t), "b": list(b), "u": list(u)}
-
-
-def _swapped_rows(rows):
-    """Rows of the strip read from the opposite wall: (b_k, u_k, s_k, a_{k+1}, s_{k+1})."""
-    return tuple([(b, u, s, a_next, s_next)
-                  for (_a, s, _t, b, u), (a_next, s_next, _tn, _bn, _un)
-                  in zip(rows, rows[1:] + rows[:1])])
 
 
 def validate_strip(presentation: TrianglePresentation, strip: Strip) -> None:
@@ -218,26 +213,27 @@ def _window_steps(presentation, window):
 
 
 def anchored_readings(strip: Strip, wall_period: int, swap_shift: int | None = None,
-                      other_period: int = 0) -> list[tuple]:
-    """The rows of every shift of the strip, and of its swap, that reads off
-    a canonical wall: its edge orbit as enumerated at its two walls.
+                      other_period: int = 0) -> tuple[list, list]:
+    """The start pairs (s_0, t_0) of every shift of the strip, and of its
+    swap, that reads off a canonical wall, in two lists: its edge orbit as
+    enumerated at its own wall and at the opposite one.  A wall closes at
+    most one strip per start pair, so a pair names one strip at its wall.
 
-    The strip reads off a canonical wall of period ``wall_period``, so its
-    shift by r does iff r is a multiple of that period.  Its swap reads off
-    the opposite wall b; with ``(canon_b, swap_shift, other_period) =
-    least_rotation(b)``, the swap shifted by r reads off canon_b iff r is
-    swap_shift plus a multiple of other_period.  With ``swap_shift`` None
-    only the shifts are listed, its wall-stabilizer class; a glide strip
-    has no other readings, as its swap is one of its own shifts.  Shifts
-    run over one strip period, so the readings are distinct.
+    The shift by r reads off a canonical wall of period ``wall_period`` iff
+    r is a multiple of it, and starts (s_r, t_r).  With ``(canon_b,
+    swap_shift, other_period) = least_rotation(b)``, the swap shifted by r
+    reads off canon_b iff r is swap_shift plus a multiple of other_period,
+    and starts (u_r, s_r), as its row 0 is (b_r, u_r, s_r, a_{r+1}, s_{r+1}).
+    With ``swap_shift`` None the second list is empty: the first is the
+    wall-stabilizer class, and a glide strip's swap is one of its shifts.
+    Shifts run over one strip period, so the pairs in a list are distinct.
     """
     rows = strip.rows()
     pe = strip.period
-    readings = [rows[r:] + rows[:r] for r in range(0, pe, wall_period)]
-    if swap_shift is not None:
-        sw = strip.swapped_rows()
-        readings += [sw[r:] + sw[:r] for r in range(swap_shift, pe, other_period)]
-    return readings
+    own = [row[1:3] for row in rows[:pe:wall_period]]
+    if swap_shift is None:
+        return own, []
+    return own, [(row[4], row[1]) for row in rows[swap_shift:pe:other_period]]
 
 
 def flip_shifts(strip: Strip) -> list[int]:

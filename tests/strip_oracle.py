@@ -1,8 +1,9 @@
 """References the strip layer is checked against: a strip's shift and
 swap as strips, a brute-force strip enumeration, the edge key that names a
-strip orbit, a grouping of the strips at one wall into wall-stabilizer
-classes, and the full scans over all n phases of five computations that the
-package runs over one period or cuts short."""
+strip orbit, a strip's anchored readings as whole rows, a grouping of the
+strips at one wall into wall-stabilizer classes, and the full scans over all
+n phases of five computations that the package runs over one period or cuts
+short."""
 
 import itertools
 
@@ -62,6 +63,21 @@ def canonical_edge_key(strip: Strip):
     translation and wall-swap symmetries).  The key is a tuple of rows.
     """
     return min(canonical_rotation(strip.rows()), canonical_rotation(strip.swapped_rows()))
+
+
+def row_anchored_readings(strip: Strip, wall_period: int, swap_shift: int | None = None,
+                          other_period: int = 0) -> list[tuple]:
+    """``strips.anchored_readings`` as whole readings: the rows of every
+    shift of the strip, and of its swap, that reads off a canonical wall, in
+    the order of the start pairs that the package lists (its own wall's,
+    then the opposite wall's)."""
+    rows = strip.rows()
+    pe = strip.period
+    readings = [rows[r:] + rows[:r] for r in range(0, pe, wall_period)]
+    if swap_shift is not None:
+        sw = strip.swapped_rows()
+        readings += [sw[r:] + sw[:r] for r in range(swap_shift, pe, other_period)]
+    return readings
 
 
 def group_by_wall_shifts(strips: list[Strip], wall_period: int) -> list[list[Strip]]:

@@ -461,6 +461,23 @@ def test_centralizer_structured_byte_stable_on_big_graphs_words(capsys, word, ex
     assert hashlib.sha256(out.encode()).hexdigest() == expected
 
 
+BIG_GRAPHS_CATALOG = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "golden",
+                                  "big_graphs.json")
+
+
+@pytest.mark.slow
+def test_structured_output_byte_stable_on_the_big_graphs_catalog(c1):
+    """Number and sha256 of the structured reports of every word of the
+    benchmark's big-graphs catalog (perfbench/golden/big_graphs.json), in
+    catalog order, as produced before edges were deduplicated by start
+    pairs."""
+    with open(BIG_GRAPHS_CATALOG, encoding="utf-8") as fh:
+        catalog = json.load(fh)["catalog"]
+    words = [tuple(int(x) for x in entry["word"].split(",")) for entry in catalog]
+    assert structured_digest(c1, words) == \
+        (129, "32d27b726e59445bb818f29820ca554df1ee63fd4f8389b739559e7652f49716")
+
+
 def strips_digest(capsys, presentation, walls):
     """The number of runs and the sha256 of ``a2cent strips`` output over
     the walls in order, each at --length n and 2n in both formats."""

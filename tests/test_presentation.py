@@ -7,6 +7,7 @@ from a2cent import presentation
 from a2cent.errors import PresentationError
 from a2cent.presentation import (BUILTIN_PRESENTATIONS, _canonical_class, _rotations, load,
                                  load_named, loads)
+from presentations import NON_BUILDING, OTHER_Q2, relabelled_c1
 
 
 def test_c1_shape(c1):
@@ -248,12 +249,13 @@ def test_dumps_is_json(c1):
 # -- the counting link check against the exact BFS of link_stats ------------------
 
 def check_counting_equals_bfs(doc):
-    """load's link check against the girth and diameter of link_stats():
-    strict load accepts iff the link has girth 6 and diameter 3, the lenient
-    warning is the girth-4 message iff two lines share two points, and the
-    link is always (q+1)-regular.  Returns whether the link is a plane."""
+    """load's link check against the girth and diameter that the link BFS
+    finds: strict load accepts iff the link has girth 6 and diameter 3, the
+    lenient warning is the girth-4 message iff two lines share two points,
+    and the link is always (q+1)-regular.  Returns whether the link is a
+    plane."""
     pres = load(doc, strict=False)
-    _nodes, degrees, girth, diameter = pres.link_stats()
+    _nodes, degrees, girth, diameter = presentation._link_stats(pres.starting)
     q, m = pres.thickness_q, pres.generator_count
     assert degrees == {q + 1}
     building = girth == 6 and diameter == 3
@@ -352,6 +354,21 @@ def test_counting_equals_bfs_on_backtracked_q2_documents():
     verdicts = [check_counting_equals_bfs(_doc(backtracked_q2_relators(rng)))
                 for _ in range(2000)]
     assert 0 < sum(verdicts) < len(verdicts)
+
+
+@pytest.mark.parametrize("pres", [
+    load_named("c1"), relabelled_c1(20111), OTHER_Q2, NON_BUILDING,
+], ids=["c1", "relabelled_c1", "other_q2", "non_building"])
+def test_link_stats_runs_the_bfs_only_without_a_proved_plane(monkeypatch, pres):
+    """link_stats equals the link BFS; on a presentation that load proved a
+    projective plane (no warning) it runs no BFS."""
+    expected = presentation._link_stats(pres.starting)
+    if not pres.warnings:
+        def no_bfs(_starting):
+            raise AssertionError("a proved plane needs no link BFS")
+
+        monkeypatch.setattr(presentation, "_link_stats", no_bfs)
+    assert pres.link_stats() == expected
 
 
 def test_load_runs_no_bfs_on_a_large_connected_non_building(monkeypatch):

@@ -13,8 +13,8 @@ from a2cent.walls import (check_wall_sequence, least_rotation, minimal_period, w
                           wall_word)
 from presentations import NON_BUILDING, OTHER_Q2, relabelled_c1
 from strip_oracle import (canonical_edge_key, full_scan_flip_shifts, full_scan_least_rotation,
-                          full_scan_wall_word, group_by_wall_shifts, oracle_enumerate, shift,
-                          swap)
+                          full_scan_wall_word, group_by_wall_shifts, oracle_enumerate,
+                          row_anchored_readings, shift, swap)
 
 C1 = load_named("c1")
 
@@ -558,12 +558,16 @@ def test_strip_facts_where_strips_branch():
 
 
 def check_anchored_readings(presentation, walls):
-    """For every strip S at every canonical wall W: the anchored readings
-    that the quotient BFS registers when it keeps S are the strips
-    enumerated at W and at the canonical rotation of S's opposite wall whose
-    edge key is S's, each listed once.  Walls W with an ambiguous strip are
-    skipped.  Returns the numbers of strips checked and of those with both
-    walls on one necklace."""
+    """For every strip S at every canonical wall W, with B the canonical
+    rotation of S's opposite wall: the reference readings of S (the rows of
+    every shift of S, and of its swap, that reads off a canonical wall) are
+    the strips enumerated at W and at B whose edge key is S's, each listed
+    once; the start pairs that the quotient BFS registers when it keeps S
+    are the first lower triangles of those readings, in order, and each
+    names exactly that one strip among those enumerated at its wall (W for
+    the shifts, B for the swaps); and S has a flip shift only if B is W.
+    Walls W with an ambiguous strip are skipped.  Returns the numbers of
+    strips checked and of those with both walls on one necklace."""
     enumerated = {}
 
     def strips_at(wall):
@@ -579,15 +583,22 @@ def check_anchored_readings(presentation, walls):
             continue
         for s in strips:
             canon_b, dd, p_b = least_rotation(s.b)
-            if flip_shifts(s):
-                readings = anchored_readings(s, minimal_period(wall))
-            else:
-                readings = anchored_readings(s, minimal_period(wall), dd, p_b)
+            flips = flip_shifts(s)
+            assert not flips or canon_b == wall, (wall, s)
+            args = (minimal_period(wall),) if flips else (minimal_period(wall), dd, p_b)
+            reference = row_anchored_readings(s, *args)
             key = canonical_edge_key(s)
             orbit = {t.rows() for w in {wall, canon_b} for t in strips_at(w)
                      if canonical_edge_key(t) == key}
-            assert len(readings) == len(set(readings)), (wall, s)
-            assert set(readings) == orbit, (wall, s)
+            assert len(reference) == len(set(reference)), (wall, s)
+            assert set(reference) == orbit, (wall, s)
+            own, opposite = anchored_readings(s, *args)
+            assert len(own) + len(opposite) == len(reference), (wall, s)
+            ats = [wall] * len(own) + [canon_b] * len(opposite)
+            for pair, reading, at in zip(own + opposite, reference, ats):
+                assert pair == reading[0][1:3], (wall, s)
+                named = [t.rows() for t in strips_at(at) if t.rows()[0][1:3] == pair]
+                assert named == [reading], (wall, s, pair)
             checked += 1
             one_necklace += canon_b == wall
     return checked, one_necklace
