@@ -236,10 +236,19 @@ def cmd_link(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser whose usage errors exit 3, not argparse's 2.
+    """An argument parser whose usage errors exit 3, not argparse's 2, and
+    for which ``--opt=--`` gives no value to ``--opt``, as ``--opt --`` does.
 
     Subcommand parsers are made with the same class.
     """
+
+    def _get_values(self, action, arg_strings):
+        # argparse drops "--" from the values before converting them, which
+        # on Python 3.10 and 3.11 turns ``--opt=--`` into a list that skips
+        # ``type`` and ``choices``; later versions keep "--" as the value
+        if action.option_strings and arg_strings == ["--"]:
+            raise argparse.ArgumentError(action, "expected one argument")
+        return super()._get_values(action, arg_strings)
 
     def error(self, message):
         self.exit(EXIT_UNSUPPORTED, f"error: {self.prog}: {message}\n")

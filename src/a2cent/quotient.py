@@ -13,13 +13,21 @@ dropped by one set lookup; a parallel edge, a different orbit, is kept.  A
 glide maps b onto a, so only a strip with both walls on one necklace is
 tested for one.
 
+The readings are kept as one set of start pairs per wall vertex, taken out
+when the wall is dequeued.  It then holds exactly the back-edges registered
+by the strips kept at earlier walls, and the strip walk takes it as ``skip``:
+about half of all closed walks are such back-edges, and they are checked
+for ambiguity but never wrapped or validated, as each is a shift of the
+swap of a strip already validated (see ``enumerate_periodic_strips``).
+
 All witness words are relative to the base vertex of the canonical rotation
 of the input element.  The BFS records a witness tree: each new wall vertex
-keeps its parent and the short reduced suffix x_{t_0}^-1 x_{b_0} ...
-x_{b_{dd-1}} that carries the parent's base vertex to its own.  A vertex's
-base witness is the product of the suffixes along its tree path; it is
-spelled only when an output word needs it (a stabilizer generator, a
-median glide or a non-tree conjugator), and then once.
+keeps its parent and the letters of the short reduced suffix
+x_{t_0}^-1 x_{b_0} ... x_{b_{dd-1}} that carries the parent's base vertex
+to its own.  A vertex's base witness is the product of the suffixes along
+its tree path; it is spelled, and validated as a FormalWord, only when an
+output word needs it (a stabilizer generator, a median glide or a non-tree
+conjugator, which also reads the suffix of its own strip), and then once.
 
 The group data holds by construction: a wall of minimal period p (p | n)
 gets order n/p; an edge whose strip has period p_e (p | p_e | n) gets order
@@ -34,8 +42,7 @@ from collections import deque
 
 from .presentation import TrianglePresentation
 from .strips import Strip, anchored_readings, enumerate_periodic_strips, flip_shifts
-from .walls import (Necklace, canonical_rotation, least_rotation, stabilizer_generator_word,
-                    wall_word)
+from .walls import canonical_rotation, least_rotation, stabilizer_generator_word, wall_word
 from .words import FormalWord
 
 
@@ -171,9 +178,10 @@ def build_quotient(presentation: TrianglePresentation, element) -> QuotientGraph
     vertices: list[QuotientVertex] = []
     edges: list[QuotientEdge] = []
     wall_ids: dict[tuple, int] = {}
-    readings: set = set()  # (vertex, s_0, t_0) of the kept edges' anchored readings
-    # witness tree: wall vertex -> (parent, suffix); spelled base witnesses
-    tree_links: dict[int, tuple[int, FormalWord]] = {}
+    # wall vertex -> start pairs (s_0, t_0) of the kept edges' anchored readings there
+    readings: dict[int, set] = {}
+    # witness tree: wall vertex -> (parent, suffix letters); spelled base witnesses
+    tree_links: dict[int, tuple[int, tuple]] = {}
     spelled: dict[int, FormalWord] = {}
 
     def base_witness(vid) -> FormalWord:
@@ -185,8 +193,8 @@ def build_quotient(presentation: TrianglePresentation, element) -> QuotientGraph
             top, suffix = tree_links[top]
             suffixes.append(suffix)
         if suffixes:
-            suffixes.append(spelled[top])
-            spelled[vid] = FormalWord.product(reversed(suffixes))
+            suffixes.append(spelled[top].letters)
+            spelled[vid] = FormalWord.spell(reversed(suffixes))
         return spelled[vid]
 
     def new_wall_vertex(sequence, p, parent=None, suffix=None) -> int:
@@ -203,9 +211,10 @@ def build_quotient(presentation: TrianglePresentation, element) -> QuotientGraph
         vertices.append(QuotientVertex(
             index=vid, kind="wall",
             group_order=order, generator_witness=gen,
-            display_label=Necklace(sequence, p).display_label,
+            display_label="(" + ",".join(map(str, sequence[:p])) + ")",
             sequence=sequence, period=p))
         wall_ids[sequence] = vid
+        readings[vid] = set()
         return vid
 
     base = new_wall_vertex(neck.labels, neck.period)
@@ -214,13 +223,17 @@ def build_quotient(presentation: TrianglePresentation, element) -> QuotientGraph
     while queue:
         vid = queue.popleft()
         v = vertices[vid]
+        # the set can go: no strip kept later ends at a dequeued wall, whose
+        # walk kept the strip's orbit or skipped it as a known back-edge
+        seen = readings.pop(vid)
         # strips come sorted by rows, so the first strip of an orbit seen is
         # the least of its wall-stabilizer class; registering the orbit's
         # anchored readings drops the later members of the class here, the
-        # second end of a loop here and the back-edge at the other wall
-        for strip in enumerate_periodic_strips(presentation, v.sequence):
+        # second end of a loop here and the back-edge at the other wall, which
+        # the walk skips when that wall is dequeued
+        for strip in enumerate_periodic_strips(presentation, v.sequence, seen):
             rows = strip.rows()
-            if (vid, rows[0][1], rows[0][2]) in readings:
+            if rows[0][1:3] in seen:
                 continue
             pe = strip.period
             # b repeats with period dividing pe: the least rotation of one
@@ -241,12 +254,11 @@ def build_quotient(presentation: TrianglePresentation, element) -> QuotientGraph
                     index=other, kind="median", group_order=2 * n // pe,
                     generator_witness=glide, display_label=_median_display_label(strip, d)))
                 mu_other, conj, is_new = 2, FormalWord.identity(), True
-                readings.update([(vid, *st) for st in anchored_readings(strip, v.period)[0]])
+                seen.update(anchored_readings(strip, v.period)[0])
             else:
                 # x_{t_0}^-1 x_{b_0} ... x_{b_{dd-1}} is reduced: t_0 == b_0
                 # would make the upper triangle (s_0, t_0, a_0), the fold
-                suffix = FormalWord(((rows[0][2], -1),)
-                                    + tuple([(row[3], 1) for row in rows[:dd]]))
+                suffix = ((rows[0][2], -1),) + tuple([(row[3], 1) for row in rows[:dd]])
                 is_new = canon_b not in wall_ids
                 if is_new:
                     other = new_wall_vertex(canon_b, p_b, vid, suffix)
@@ -254,12 +266,14 @@ def build_quotient(presentation: TrianglePresentation, element) -> QuotientGraph
                     conj = FormalWord.identity()
                 else:
                     other = wall_ids[canon_b]
-                    conj = FormalWord.product(
-                        (base_witness(vid), suffix, base_witness(other).inverse()))
+                    conj = FormalWord.spell((base_witness(vid).letters, suffix,
+                                             base_witness(other).inverse().letters))
                 p_other = vertices[other].period
                 mu_other = pe // p_other
                 own, opposite = anchored_readings(strip, v.period, dd, p_other)
-                readings.update([(vid, *st) for st in own] + [(other, *st) for st in opposite])
+                seen.update(own)
+                # the other end of a loop is this wall, whose set is popped
+                (seen if other == vid else readings[other]).update(opposite)
             edges.append(QuotientEdge(
                 index=len(edges), endpoints=(vid, other), group_order=n // pe,
                 multipliers=(pe // v.period, mu_other), conjugator_witness=conj,

@@ -104,8 +104,8 @@ class Strip:
                       in zip(self._rows, self._rows[1:] + self._rows[:1])])
 
     def to_json(self):
-        a, s, t, b, u = zip(*self._rows) if self._rows else ((),) * 5
-        return {"a": list(a), "s": list(s), "t": list(t), "b": list(b), "u": list(u)}
+        a, s, t, b, u = map(list, zip(*self._rows)) if self._rows else ([], [], [], [], [])
+        return {"a": a, "s": s, "t": t, "b": b, "u": u}
 
 
 def validate_strip(presentation: TrianglePresentation, strip: Strip) -> None:
@@ -147,8 +147,10 @@ def validate_strip(presentation: TrianglePresentation, strip: Strip) -> None:
 WINDOW = 3  # wall letters per step of the strip walk
 
 
-def enumerate_periodic_strips(presentation: TrianglePresentation, wall) -> list[Strip]:
-    """All n-periodic strips adjacent to the wall with the given labels.
+def enumerate_periodic_strips(presentation: TrianglePresentation, wall,
+                              skip=frozenset()) -> list[Strip]:
+    """All n-periodic strips adjacent to the wall with the given labels,
+    but those whose start pair (s_0, t_0) is in ``skip``.
 
     ``wall`` is the phase-aligned label sequence (length n = |g| in edges).
     One walk along the wall carries every partial strip, starting from each
@@ -167,8 +169,17 @@ def enumerate_periodic_strips(presentation: TrianglePresentation, wall) -> list[
     is missing, before the walk, with the same errors.  After n letters a
     strip closes when its next lower triangle is its initial one.  Each
     initial triangle closes at most one strip (asserted; AmbiguousStrip
-    otherwise), and every strip found is validated.  Strips come in the
+    otherwise), and every strip returned is validated.  Strips come in the
     order of their initial triangles in ``presentation.starting[a_0]``.
+
+    Every start is walked and every closed walk is checked for ambiguity;
+    then a walk whose start pair is in ``skip`` is dropped without being
+    wrapped or validated.  The quotient BFS skips the start pairs that it
+    has registered at a wall.  By the ambiguity check each names one closed
+    walk, and that walk is a shift of a strip validated at another wall, or
+    of its swap (the same strip read from the other wall).  A shift or a
+    swap of a valid strip is valid, so skipping its validation loses no
+    check.
     """
     a = tuple(wall)
     ring = a + a[:1]
@@ -192,9 +203,10 @@ def enumerate_periodic_strips(presentation: TrianglePresentation, wall) -> list[
     for rows, start in zip(closed, starts):
         if starts.count(start) > 1:
             raise AmbiguousStrip((a[0], *start))
-        strip = Strip.from_rows(rows)
-        validate_strip(presentation, strip)
-        found.append(strip)
+        if start not in skip:
+            strip = Strip.from_rows(rows)
+            validate_strip(presentation, strip)
+            found.append(strip)
     return found
 
 

@@ -41,14 +41,18 @@ class FormalWord(Frozen):
 
     @staticmethod
     def product(factors) -> "FormalWord":
-        """The reduced product of reduced words, validated once.
+        """The reduced product of reduced words, validated once."""
+        return FormalWord.spell([factor.letters for factor in factors])
 
-        Each factor cancels against the end of the product so far until a
-        seam pair does not cancel; a factor may cancel completely.
+    @staticmethod
+    def spell(parts) -> "FormalWord":
+        """The reduced product of reduced letter tuples, validated once.
+
+        Each part cancels against the end of the product so far until a
+        seam pair does not cancel; a part may cancel completely.
         """
         out = []
-        for factor in factors:
-            right = factor.letters
+        for right in parts:
             c, most = 0, len(right)
             while c < most and out and out[-1][0] == right[c][0] and out[-1][1] == -right[c][1]:
                 out.pop()

@@ -8,7 +8,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from a2cent.cli import (EXIT_INTERNAL, EXIT_OK, EXIT_UNSUPPORTED,
@@ -309,6 +309,7 @@ def test_usage_error_exits_3():
     st.lists(st.integers(min_value=-2, max_value=9), min_size=1, max_size=5)
     .map(lambda xs: ",".join(map(str, xs))),
     st.text(alphabet="0123456789,-x ", max_size=8)))
+@example("--")
 def test_centralizer_exit_codes_over_words(word):
     """Any --word ends in exit 0 or 3; a failure is one error line and no output."""
     for argv in (["centralizer", "builtin:c1", f"--word={word}", "--format", "structured"],
@@ -318,6 +319,22 @@ def test_centralizer_exit_codes_over_words(word):
         if code == EXIT_UNSUPPORTED:
             assert out == ""
             assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["centralizer", "builtin:c1", "--word=--"],
+    ["strips", "builtin:c1", "--wall=--"],
+    ["strips", "builtin:c1", "--wall", "0,5", "--length=--"],
+    ["centralizer", "builtin:c1", "--word", "0,5", "--format=--"],
+    ["centralizer", "builtin:c1", "--word", "0,5", "--out=--"],
+], ids=["word", "wall", "length", "format", "out"])
+def test_option_given_only_the_separator_is_a_usage_error(argv):
+    """``--opt=--`` gives ``--opt`` no value, as ``--opt --`` does: a usage
+    error, on one line, with nothing on standard output."""
+    code, out, err = run_argv(argv)
+    assert (code, out) == (EXIT_UNSUPPORTED, "")
+    option = argv[-1].split("=")[0]
+    assert err == f"error: a2cent {argv[0]}: argument {option}: expected one argument\n"
 
 
 ARGV_TOKENS = ["validate", "centralizer", "strips", "link", "builtin:c1", "c1",

@@ -1,14 +1,16 @@
+import hashlib
+import json
 from math import gcd
 
 import pytest
 
 from a2cent.bassserre import simplify
-from a2cent.errors import NotAWallWord
+from a2cent.errors import AmbiguousStrip, NotAWallWord
 from a2cent.presentation import BUILTIN_PRESENTATIONS, load, load_named
 from a2cent.quotient import build_quotient, vertex_witnesses
 from a2cent.strips import enumerate_periodic_strips
 from a2cent.walls import wall_necklaces
-from presentations import OTHER_Q2, deep_walls, relabelled_c1
+from presentations import NON_BUILDING, OTHER_Q2, deep_walls, relabelled_c1
 from strip_oracle import (full_scan_flip_shifts, full_scan_median_display_label,
                           full_scan_minimal_period)
 
@@ -140,6 +142,31 @@ def test_graph_invariants_through_length_6(pres):
     for n in range(1, 7):
         for word in wall_necklaces(pres, n):
             check_graph_invariants(pres, word)
+
+
+def test_quotient_outcomes_where_strips_branch():
+    """On a fresh load of a non-building presentation, whose partial strips
+    branch, build_quotient at every wall necklace of length 1-6 either
+    raises, with these arguments, or returns a graph; the number of graphs
+    and the sha256 of their structured reports are pinned, as produced
+    before the BFS stopped validating the strips it drops."""
+    pres = load(NON_BUILDING.to_document(), strict=False)
+    failures, digest, built = {}, hashlib.sha256(), 0
+    for n in range(1, 7):
+        for word in wall_necklaces(pres, n):
+            try:
+                g = build_quotient(pres, word)
+            except AmbiguousStrip as exc:
+                failures[word] = exc.args
+                continue
+            digest.update((json.dumps(g.to_json(), indent=2, sort_keys=True) + "\n").encode())
+            built += 1
+    assert failures == {
+        (x,) * n: (f"two periodic strips share the initial triangle {triangle}",)
+        for n in range(3, 7)
+        for x, triangle in enumerate([(0, 1, 3), (1, 0, 2), (2, 0, 3), (3, 0, 1)])}
+    assert (built, digest.hexdigest()) == \
+        (8, "1fcce9fa64c70d28df900362aad3f68fdaf84f263467275885c95dd4a1eff035")
 
 
 def test_graph_invariants_on_powers_of_the_fixtures():

@@ -386,6 +386,50 @@ def test_enumerate_equals_reference_where_strips_branch():
     assert any(isinstance(got, list) and got for got in outcomes)
 
 
+def walk_outcome(presentation, wall, skip=frozenset()):
+    """The strips enumerated at the wall, or the arguments and the initial
+    triangle of the AmbiguousStrip raised."""
+    try:
+        return enumerate_periodic_strips(presentation, wall, skip)
+    except AmbiguousStrip as exc:
+        return exc.args, exc.initial_triangle
+
+
+def check_skip_equals_filtered_walk(presentation, walls):
+    """At every wall, with ``skip`` each start pair of the wall's first
+    letter in turn and then all of them, the walk returns the unskipped
+    strips whose start pair is not skipped, in order, or raises the same
+    AmbiguousStrip as the unskipped walk, skipped start or not.  Returns
+    the numbers of strips dropped and of raises whose ambiguous start
+    pair was skipped."""
+    dropped = ambiguous_skipped = 0
+    for wall in walls:
+        full = walk_outcome(presentation, wall)
+        pairs = presentation.starting[wall[0]]
+        for skip in [frozenset([pair]) for pair in pairs] + [frozenset(pairs)]:
+            got = walk_outcome(presentation, wall, skip)
+            if isinstance(full, list):
+                kept = [strip for strip in full if strip.rows()[0][1:3] not in skip]
+                assert got == kept, (wall, skip)
+                dropped += len(full) - len(kept)
+            else:
+                assert got == full, (wall, skip)
+                ambiguous_skipped += full[1][1:] in skip
+    return dropped, ambiguous_skipped
+
+
+@pytest.mark.parametrize("pres", [C1, relabelled_c1(20111), OTHER_Q2, None],
+                         ids=["c1", "relabelled_c1", "other_q2", "non_building"])
+def test_skip_equals_filtered_walk(pres):
+    # a fresh load of the non-building presentation, whose memo starts empty
+    branching = pres is None
+    if branching:
+        pres = load(NON_BUILDING.to_document(), strict=False)
+    dropped, ambiguous_skipped = check_skip_equals_filtered_walk(pres, walls_through(pres, 6))
+    assert dropped > 0
+    assert (ambiguous_skipped > 0) == branching
+
+
 # The walk advances WINDOW wall letters per step through the chained
 # transitions that each presentation keeps in its memo, ``_windows``.
 
