@@ -67,16 +67,16 @@ def _presentation_id(pres: TrianglePresentation) -> str:
 def _emit(text: str, out: str | None = None):
     """Write a command's output to the ``--out`` path, or to standard output."""
     try:
-        if out:
+        if out is not None:
             with open(out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         else:
             sys.stdout.write(text)
             sys.stdout.flush()
     except OSError as exc:
-        if not out:
+        if out is None:
             _discard_stdout()
-        target = f"--out {out!r}" if out else "standard output"
+        target = f"--out {out!r}" if out is not None else "standard output"
         raise UnsupportedInput(f"cannot write {target}: {exc.strerror or exc}") from None
 
 

@@ -57,16 +57,15 @@ class TrianglePresentation(Frozen):
     holds O(|rotations|) entries (times a factor of q), never one per pair of
     generators: ``rotation_set`` holds all 3*|classes| rotations,
     ``starting[i]`` the sorted (j, k) with rotation (i, j, k), and
-    ``bent_pairs`` the (i, j) that lie on a common triangle.  Two tables
-    serve the strip layer: ``transitions[(a, s, t, a')]`` holds, for the
-    lower triangle (a, s, t) (a rotation) and each upper choice (b, u) in
+    ``bent_pairs`` the (i, j) that lie on a common triangle.  The strip
+    layer reads ``transitions[(a, s, t, a')]``, which holds, for the lower
+    triangle (a, s, t) (a rotation) and each upper choice (b, u) in
     ``starting[s]`` that does not fold onto it, in that order, the
     ``(row, s', u)`` whose next lower triangle (a', s', u) exists, where row
-    is (a, s, t, b, u), and has no empty entries; and ``row_pairs`` holds
-    every valid consecutive strip row pair ((a, s, t, b, u),
-    (a', s', t', b', u')): both rows are valid, t' == u, and neither
-    (a, a') nor (b, b') is bent.  Strips and walls read the tables
-    directly; ``straight`` adds the generator range check.
+    is (a, s, t, b, u), and has no empty entries: a strip built from it has
+    valid rows and closed seams by construction, so the strip walk checks
+    only its opposite wall against ``bent_pairs``.  Strips and walls read
+    the tables directly; ``straight`` adds the generator range check.
     ``rotation_classes`` holds the canonical (least) rotation of each class.
     Equality and hashing read only ``generator_count``, ``rotation_classes``,
     ``thickness_q`` and ``warnings``: the tables follow from the first two.
@@ -77,11 +76,11 @@ class TrianglePresentation(Frozen):
     """
 
     __slots__ = ("generator_count", "rotation_classes", "thickness_q", "rotation_set",
-                 "starting", "bent_pairs", "transitions", "row_pairs", "warnings", "_windows")
+                 "starting", "bent_pairs", "transitions", "warnings", "_windows")
 
     def __init__(self, generator_count: int, rotation_classes: frozenset, thickness_q: int,
                  rotation_set: frozenset, starting: tuple, bent_pairs: frozenset,
-                 transitions: MappingProxyType, row_pairs: frozenset, warnings: tuple = ()):
+                 transitions: MappingProxyType, warnings: tuple = ()):
         object.__setattr__(self, "generator_count", generator_count)
         object.__setattr__(self, "rotation_classes", rotation_classes)
         object.__setattr__(self, "thickness_q", thickness_q)
@@ -89,7 +88,6 @@ class TrianglePresentation(Frozen):
         object.__setattr__(self, "starting", starting)
         object.__setattr__(self, "bent_pairs", bent_pairs)
         object.__setattr__(self, "transitions", transitions)
-        object.__setattr__(self, "row_pairs", row_pairs)
         object.__setattr__(self, "warnings", warnings)
         object.__setattr__(self, "_windows", {})
 
@@ -271,7 +269,7 @@ def load(document, strict: bool = True) -> TrianglePresentation:
     if link_issue and strict:
         raise PresentationError([f"link condition failure ({2 * m} nodes): {link_issue}"])
 
-    transitions, row_pairs = _strip_tables(rotations, starting, first_pairs)
+    transitions = _transitions(rotations, starting)
     return TrianglePresentation(
         generator_count=m,
         rotation_classes=frozenset(classes),
@@ -280,13 +278,13 @@ def load(document, strict: bool = True) -> TrianglePresentation:
         starting=starting,
         bent_pairs=frozenset(first_pairs),
         transitions=transitions,
-        row_pairs=row_pairs,
         warnings=(link_issue,) if link_issue else (),
     )
 
 
-def _strip_tables(rotations, starting, bent):
-    """The transition table and the valid consecutive row pairs of strips.
+def _transitions(rotations, starting):
+    """The transition table of strips: the valid rows of each lower triangle
+    that continue across their seam, keyed by the next base label.
 
     A row (a, s, t, b, u) is valid when (a, s, t) and (s, b, u) are
     rotations and the upper triangle does not fold onto the lower one
@@ -297,21 +295,14 @@ def _strip_tables(rotations, starting, bent):
     for (a, s, t) in lowers:
         ending[t].append((a, s))
     transitions = defaultdict(list)
-    by_seam = defaultdict(list)  # t -> valid rows with that t
     for (a, s, t) in lowers:
         for (b, u) in starting[s]:
             if b == t and u == a:
                 continue
             row = (a, s, t, b, u)
-            by_seam[t].append(row)
             for (a_next, s_next) in ending[u]:
                 transitions[a, s, t, a_next].append((row, s_next, u))
-    row_pairs = frozenset(
-        (row, nxt)
-        for rows in by_seam.values() for row in rows for nxt in by_seam[row[4]]
-        if (row[0], nxt[0]) not in bent and (row[3], nxt[3]) not in bent)
-    return (MappingProxyType({key: tuple(entry) for key, entry in transitions.items()}),
-            row_pairs)
+    return MappingProxyType({key: tuple(entry) for key, entry in transitions.items()})
 
 
 def loads(text: str, strict: bool = True) -> TrianglePresentation:

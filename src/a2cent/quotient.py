@@ -17,8 +17,8 @@ The readings are kept as one set of start pairs per wall vertex, taken out
 when the wall is dequeued.  It then holds exactly the back-edges registered
 by the strips kept at earlier walls, and the strip walk takes it as ``skip``:
 about half of all closed walks are such back-edges, and they are checked
-for ambiguity but never wrapped or validated, as each is a shift of the
-swap of a strip already validated (see ``enumerate_periodic_strips``).
+for ambiguity but never wrapped or checked, as each is a shift of the
+swap of a strip already kept (see ``enumerate_periodic_strips``).
 
 All witness words are relative to the base vertex of the canonical rotation
 of the input element.  The BFS records a witness tree: each new wall vertex

@@ -23,14 +23,18 @@ A wall closes at most one strip per start pair (s_0, t_0), so
 of its swap (the strip read from the opposite wall) that read off a
 canonical wall.
 
-Enumeration and validation read two tables that ``presentation.load``
-builds once: ``transitions`` gives, for a lower triangle and the next base
-label, each non-folding row together with the next lower triangle across
-its seam, and ``row_pairs`` holds the valid consecutive row pairs, so a
-valid strip is recognized by a set containment over its cyclic pairs.  The
-strips along a wall are found by one walk that extends rows WINDOW wall
-letters at a time, by one lookup in ``transitions`` chained over those
-letters; each presentation memoizes the chains per window of letters.
+The strips along a wall are found by one walk that extends rows WINDOW
+wall letters at a time, by one lookup in ``presentation.transitions`` (for
+a lower triangle and the next base label, each non-folding row with the
+next lower triangle across its seam) chained over those letters; each
+presentation memoizes the chains per window of letters.  So every row of a
+closed walk is two relator rotations that do not fold, every seam closes,
+and the base wall is checked or straight by the memo: the walk checks only
+the opposite wall b.  At w_{k+1} the upper triangles k, k+1 and the lower
+triangle k+1 make a path of length 3 in the vertex link that the fold rule
+and the straight base wall keep from backtracking, and a bent pair
+(b_k, b_{k+1}) would close it into a 4-cycle: b bends only on a lenient
+load, as a strict one rejects a link of girth 4.
 """
 
 from __future__ import annotations
@@ -108,42 +112,6 @@ class Strip:
         return {"a": a, "s": s, "t": t, "b": b, "u": u}
 
 
-def validate_strip(presentation: TrianglePresentation, strip: Strip) -> None:
-    """Check that the rows form a strip; raises InvariantError on failure.
-
-    A strip is valid when every row is a lower and an upper relator rotation
-    that do not fold onto the base wall, consecutive rows close their seams,
-    and both walls are straight.  A nonempty strip whose cyclic row pairs
-    all lie in ``presentation.row_pairs`` is valid; any other goes through
-    the checks one by one and raises the first that fails (an empty strip
-    raises ValueError).  Sequence lengths are checked on construction, and
-    periods need none: every column is invariant under the row period p_e.
-    """
-    rows = strip.rows()
-    if not (rows and presentation.row_pairs.issuperset(zip(rows, rows[1:] + rows[:1]))):
-        rotations = presentation.rotation_set
-        bent = presentation.bent_pairs
-        for k, ((a, s, t, b, u), (_an, _sn, t_next, b_next, _un)) in \
-                enumerate(zip(rows, rows[1:] + rows[:1])):
-            if (a, s, t) not in rotations:
-                raise InvariantError(
-                    f"lower triangle {(a, s, t)} at k={k} is not a relator rotation")
-            if (s, b, u) not in rotations:
-                raise InvariantError(
-                    f"upper triangle {(s, b, u)} at k={k} is not a relator rotation")
-            if t_next != u:
-                raise InvariantError(f"seam mismatch at k={k}: t_{k + 1}={t_next} != u_{k}={u}")
-            # degenerate fold: upper triangle mirroring the lower one would put
-            # w_{k+1} back on the base wall
-            if b == t and u == a:
-                raise InvariantError(
-                    f"degenerate strip: upper triangle at k={k} folds onto the base wall")
-            if (b, b_next) in bent:
-                raise InvariantError(f"opposite wall bends at k={k}")
-        check_wall_sequence(presentation, strip.a)
-        check_wall_sequence(presentation, strip.b)
-
-
 WINDOW = 3  # wall letters per step of the strip walk
 
 
@@ -169,17 +137,17 @@ def enumerate_periodic_strips(presentation: TrianglePresentation, wall,
     is missing, before the walk, with the same errors.  After n letters a
     strip closes when its next lower triangle is its initial one.  Each
     initial triangle closes at most one strip (asserted; AmbiguousStrip
-    otherwise), and every strip returned is validated.  Strips come in the
-    order of their initial triangles in ``presentation.starting[a_0]``.
+    otherwise), and a strip whose opposite wall bends raises InvariantError
+    at the first bent pair, the one check a closed walk can fail.  Strips
+    come in the order of their initial triangles in
+    ``presentation.starting[a_0]``.
 
     Every start is walked and every closed walk is checked for ambiguity;
-    then a walk whose start pair is in ``skip`` is dropped without being
-    wrapped or validated.  The quotient BFS skips the start pairs that it
-    has registered at a wall.  By the ambiguity check each names one closed
-    walk, and that walk is a shift of a strip validated at another wall, or
-    of its swap (the same strip read from the other wall).  A shift or a
-    swap of a valid strip is valid, so skipping its validation loses no
-    check.
+    then a walk whose start pair is in ``skip`` is dropped unchecked.  The
+    quotient BFS skips the start pairs that it has registered at a wall.
+    By the ambiguity check each names one closed walk, a shift of a kept
+    strip or of its swap (the strip read from the other wall), whose
+    opposite wall is a shift of that strip's b or a: straight.
     """
     a = tuple(wall)
     ring = a + a[:1]
@@ -199,14 +167,17 @@ def enumerate_periodic_strips(presentation: TrianglePresentation, wall,
             return []
     closed = [rows for rows, st in walks if rows[0][1:3] == st]
     starts = [rows[0][1:3] for rows in closed]
+    bent = presentation.bent_pairs
     found = []
     for rows, start in zip(closed, starts):
         if starts.count(start) > 1:
             raise AmbiguousStrip((a[0], *start))
         if start not in skip:
-            strip = Strip.from_rows(rows)
-            validate_strip(presentation, strip)
-            found.append(strip)
+            b = [row[3] for row in rows]
+            if not bent.isdisjoint(zip(b, b[1:] + b[:1])):
+                k = [pair in bent for pair in zip(b, b[1:] + b[:1])].index(True)
+                raise InvariantError(f"opposite wall bends at k={k}")
+            found.append(Strip.from_rows(rows))
     return found
 
 

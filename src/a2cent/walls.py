@@ -63,11 +63,12 @@ class Necklace(Frozen):
     __slots__ = ("labels", "period")
 
     def __init__(self, labels: tuple[int, ...], period: int):
-        """``labels`` is the canonical rotation, of length n."""
+        """``labels`` is the canonical rotation, of length n; ``period`` divides n."""
         if not labels:
             raise ValueError("necklace must be nonempty")
-        if len(labels) % period != 0:
-            raise InvariantError(f"period {period} does not divide length {len(labels)}")
+        if period < 1 or len(labels) % period:
+            raise InvariantError(
+                f"period {period} is not a positive divisor of length {len(labels)}")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "period", period)
 

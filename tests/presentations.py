@@ -25,6 +25,12 @@ OTHER_Q2 = load({"generators": 7, "relators": [[0, 1, 2], [0, 2, 3], [0, 3, 1], 
 NON_BUILDING = load({"generators": 4, "relators": [[3, 0, 1], [3, 1, 2], [0, 2, 1], [3, 2, 0]]},
                     strict=False)
 
+# pair-unique with uniform q=2 and a link of girth 4 that closes some walks
+# whose opposite wall bends: the one check the strip walk leaves open fires
+OPPOSITE_BENDS = load({"generators": 5,
+                       "relators": [[1, 0, 2], [4, 0, 4], [4, 3, 2], [2, 3, 1], [1, 3, 0]]},
+                      strict=False)
+
 
 def deep_walls(pres, count=20, seed=12, lengths=(12, 13, 14)):
     """``count`` distinct primitive wall words of the given lengths, as

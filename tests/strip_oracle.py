@@ -1,16 +1,20 @@
 """References the strip layer is checked against: a strip's shift and
-swap as strips, a brute-force strip enumeration, the edge key that names a
-strip orbit, a strip's anchored readings as whole rows, a grouping of the
-strips at one wall into wall-stabilizer classes, and the full scans over all
-n phases of five computations that the package runs over one period or cuts
-short."""
+swap as strips, a strip check that runs every invariant one by one, a
+brute-force strip enumeration, the edge key that names a strip orbit, a
+strip's anchored readings as whole rows, a grouping of the strips at one
+wall into wall-stabilizer classes, and the full scans over all n phases of
+five computations that the package runs over one period or cuts short.
+
+The package checks no strip this way: its walk builds rows that are valid
+and seams that close, so it checks only the opposite wall
+(``strips.enumerate_periodic_strips``)."""
 
 import itertools
 
 from a2cent.errors import InvariantError, NotAWallWord
 from a2cent.presentation import TrianglePresentation
-from a2cent.strips import Strip, validate_strip
-from a2cent.walls import Necklace, canonical_rotation, check_wall_sequence
+from a2cent.strips import Strip
+from a2cent.walls import Necklace, canonical_rotation, check_wall_sequence, minimal_period
 
 ORACLE_MAX_LENGTH = 6  # (q+1)^(2n) blowup guard for the brute-force oracle
 
@@ -28,6 +32,36 @@ def swap(strip: Strip) -> Strip:
     swap(swap(strip)) == shift(strip, 1).
     """
     return Strip.from_rows(strip.swapped_rows())
+
+
+def validate_strip(presentation: TrianglePresentation, strip: Strip) -> None:
+    """Check that the rows form a strip, one invariant at a time, and raise
+    InvariantError at the first that fails (NotAWallWord or IndexError from
+    a wall, ValueError on an empty strip): every row is a lower and an upper
+    relator rotation that do not fold onto the base wall, consecutive rows
+    close their seams, both walls are straight, and the strip period is a
+    multiple of both wall periods."""
+    rows = strip.rows()
+    rotations = presentation.rotation_set
+    bent = presentation.bent_pairs
+    for k, ((a, s, t, b, u), (_an, _sn, t_next, b_next, _un)) in \
+            enumerate(zip(rows, rows[1:] + rows[:1])):
+        if (a, s, t) not in rotations:
+            raise InvariantError(f"lower triangle {(a, s, t)} at k={k} is not a relator rotation")
+        if (s, b, u) not in rotations:
+            raise InvariantError(f"upper triangle {(s, b, u)} at k={k} is not a relator rotation")
+        if t_next != u:
+            raise InvariantError(f"seam mismatch at k={k}: t_{k + 1}={t_next} != u_{k}={u}")
+        if b == t and u == a:
+            raise InvariantError(f"degenerate strip: upper triangle at k={k} folds onto the base wall")
+        if (b, b_next) in bent:
+            raise InvariantError(f"opposite wall bends at k={k}")
+    a, b = strip.a, strip.b
+    check_wall_sequence(presentation, a)
+    check_wall_sequence(presentation, b)
+    pe = strip.period
+    if pe % minimal_period(a) != 0 or pe % minimal_period(b) != 0:
+        raise InvariantError("strip period is not a multiple of its wall periods")
 
 
 def oracle_enumerate(presentation: TrianglePresentation, wall) -> list[Strip]:

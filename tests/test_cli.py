@@ -203,6 +203,20 @@ def test_out_path_that_cannot_be_written(capsys, tmp_path, argv, target):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["centralizer", "builtin:c1", "--word", "0,5", "--format", "structured", "--out="],
+    ["strips", "builtin:c1", "--wall", "0,5", "--out="],
+], ids=["centralizer", "strips"])
+def test_out_with_an_empty_path_is_a_path_that_cannot_be_written(capsys, argv):
+    """``--out=`` names the empty path, which cannot be opened, not standard
+    output."""
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_UNSUPPORTED
+    assert out == ""
+    assert err.startswith("error: cannot write --out '': ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 class FullStdout(io.StringIO):
     """A buffered standard output on a full device: writes are buffered and
     the flush fails with ENOSPC."""

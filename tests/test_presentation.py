@@ -74,18 +74,6 @@ def test_link_is_fano_incidence(c1):
     assert diameter == 3
 
 
-def check_strip_tables(pres):
-    """row_pairs against its definition, from the rotations."""
-    rotations = sorted(pres.rotation_set)
-    rows = [(a, s, t, b, u) for (a, s, t) in rotations for (s2, b, u) in rotations
-            if s2 == s and (b, u) != (t, a)]
-    straight = {(i, j) for i in range(pres.generator_count)
-                for j in range(pres.generator_count)} - pres.bent_pairs
-    assert pres.row_pairs == {(row, nxt) for row in rows for nxt in rows
-                              if nxt[2] == row[4] and (row[0], nxt[0]) in straight
-                              and (row[3], nxt[3]) in straight}
-
-
 def check_transitions(pres):
     """transitions against its definition, from the rotations: the rows
     (a, s, t, b, u) of each lower triangle, in the order of their upper
@@ -105,15 +93,12 @@ def check_transitions(pres):
 
 
 def test_strip_tables_of_c1(c1):
-    check_strip_tables(c1)
     check_transitions(c1)
     assert len(c1.transitions) == 105
-    assert len(c1.row_pairs) == 168
 
 
 def test_strip_tables_of_a_non_building():
     pres = load(_doc([[3, 0, 1], [3, 1, 2], [0, 2, 1], [3, 2, 0]], m=4), strict=False)
-    check_strip_tables(pres)
     check_transitions(pres)
 
 
@@ -133,10 +118,9 @@ def test_disjoint_copies_load_with_tables_linear_in_the_generators(c1):
     assert all(len(row) == 3 for row in pres.starting)  # q+1 entries per generator
     assert 7 not in [k for (_j, k) in pres.starting[0]]
     assert (2793, 2799) in pres.starting[2793]
-    for name in ("rotation_set", "transitions", "row_pairs"):
+    for name in ("rotation_set", "transitions"):
         assert len(getattr(pres, name)) == 400 * len(getattr(c1, name)), name
-    assert max(len(pres.rotation_set), len(pres.transitions),
-               len(pres.row_pairs)) == len(pres.row_pairs) == 24 * 2800
+    assert max(len(pres.rotation_set), len(pres.transitions)) == len(pres.transitions) == 15 * 2800
 
 
 def test_round_trip(c1):

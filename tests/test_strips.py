@@ -1,20 +1,20 @@
-import itertools
+import hashlib
+from collections import Counter
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from a2cent.errors import AmbiguousStrip, InvariantError, NotAWallWord
 from a2cent.presentation import load, load_named
-from a2cent.strips import (WINDOW, Strip, anchored_readings, enumerate_periodic_strips,
-                           flip_shifts, validate_strip)
+from a2cent.strips import WINDOW, Strip, anchored_readings, enumerate_periodic_strips, flip_shifts
 from a2cent.walls import (check_wall_sequence, least_rotation, minimal_period, wall_necklaces,
                           wall_word)
-from presentations import NON_BUILDING, OTHER_Q2, relabelled_c1
+from presentations import NON_BUILDING, OPPOSITE_BENDS, OTHER_Q2, relabelled_c1
 from strip_oracle import (canonical_edge_key, full_scan_flip_shifts, full_scan_least_rotation,
                           full_scan_wall_word, group_by_wall_shifts, oracle_enumerate,
-                          row_anchored_readings, shift, swap)
+                          row_anchored_readings, shift, swap, validate_strip)
 
 C1 = load_named("c1")
 
@@ -264,33 +264,8 @@ def test_flip_shifts_equal_brute_force(s):
     assert flip_shifts(s) == [d for d in range(s.length) if shift(swap(s), d) == s]
 
 
-# References: the recursive strip search and the validate_strip that runs
-# every check one by one, as they were before the strip layer read the
-# step and row-pair tables of the presentation.
-
-def reference_validate_strip(presentation, strip):
-    rows = strip.rows()
-    rotations = presentation.rotation_set
-    bent = presentation.bent_pairs
-    for k, ((a, s, t, b, u), (_an, _sn, t_next, b_next, _un)) in \
-            enumerate(zip(rows, rows[1:] + rows[:1])):
-        if (a, s, t) not in rotations:
-            raise InvariantError(f"lower triangle {(a, s, t)} at k={k} is not a relator rotation")
-        if (s, b, u) not in rotations:
-            raise InvariantError(f"upper triangle {(s, b, u)} at k={k} is not a relator rotation")
-        if t_next != u:
-            raise InvariantError(f"seam mismatch at k={k}: t_{k + 1}={t_next} != u_{k}={u}")
-        if b == t and u == a:
-            raise InvariantError(f"degenerate strip: upper triangle at k={k} folds onto the base wall")
-        if (b, b_next) in bent:
-            raise InvariantError(f"opposite wall bends at k={k}")
-    a, b = strip.a, strip.b
-    check_wall_sequence(presentation, a)
-    check_wall_sequence(presentation, b)
-    pe = strip.period
-    if pe % minimal_period(a) != 0 or pe % minimal_period(b) != 0:
-        raise InvariantError("strip period is not a multiple of its wall periods")
-
+# Reference: the recursive strip search, as it was before the strip walk
+# read the transitions of the presentation, window by window.
 
 def reference_enumerate(presentation, wall):
     a = tuple(wall)
@@ -307,7 +282,7 @@ def reference_enumerate(presentation, wall):
             raise AmbiguousStrip((a[0], s0, t0))
         if completions:
             strip = Strip.from_rows(completions[0])
-            reference_validate_strip(presentation, strip)
+            validate_strip(presentation, strip)
             found.append(strip)
     return found
 
@@ -384,6 +359,39 @@ def test_enumerate_equals_reference_where_strips_branch():
     outcomes = check_enumerate_equals_reference(pres, walls)
     assert any(isinstance(got, tuple) and got[0] is AmbiguousStrip for got in outcomes)
     assert any(isinstance(got, list) and got for got in outcomes)
+
+
+def test_opposite_wall_bends_where_the_link_has_a_4_cycle():
+    """The one check that the walk's construction leaves open: on a fresh
+    load of a girth-4 presentation, the opposite wall of a closed walk can
+    bend.  At every wall necklace of length 1-6: the walls that raise
+    InvariantError and its arguments, the number of each outcome, and the
+    sha256 over every outcome in order (the strips' rows, or the exception
+    class and arguments), as produced when the package validated every
+    strip it returned check by check; and at every rotation, the outcome
+    of the recursive search with the check-by-check reference."""
+    pres = load(OPPOSITE_BENDS.to_document(), strict=False)
+    walls = walls_through(pres, 6)
+    digest, kinds, bends = hashlib.sha256(), Counter(), {}
+    for wall in walls:
+        got = outcome(enumerate_periodic_strips, pres, wall)
+        if isinstance(got, list):
+            kinds["ok"] += 1
+            digest.update(repr((wall, [s.rows() for s in got])).encode())
+            continue
+        kinds[got[0].__name__] += 1
+        digest.update(repr((wall, got[0].__name__, got[1])).encode())
+        if got[0] is InvariantError:
+            bends[wall] = got[1]
+    assert {wall: args[0] for wall, args in bends.items()} == {
+        wall: f"opposite wall bends at k={k}" for wall, k in [
+            ((1,), 0), ((1, 1), 0), ((1, 1, 4), 1), ((0, 3, 4, 2), 0), ((1, 4, 1, 4), 2),
+            ((0, 3, 3, 4, 2), 0), ((0, 3, 4, 2, 2), 2), ((1, 1, 1, 1, 1), 1),
+            ((0, 0, 3, 4, 2, 2), 3), ((0, 3, 3, 4, 2, 2), 3), ((1, 1, 4, 1, 1, 4), 1)]}
+    assert kinds == {"ok": 10, "InvariantError": 11, "AmbiguousStrip": 24}
+    assert digest.hexdigest() == \
+        "381ae1b7709190258b18db1d4cc65582912df63f4b19a6e850b033bdaecb8652"
+    check_enumerate_equals_reference(pres, walls)
 
 
 def walk_outcome(presentation, wall, skip=frozenset()):
@@ -657,92 +665,3 @@ def check_anchored_readings(presentation, walls):
 def test_anchored_readings_are_the_enumerated_orbit(pres, expected):
     walls = walls_through(pres, 6)
     assert check_anchored_readings(pres, walls) == expected
-
-
-# every valid c1 strip of length 1-7 at a canonical wall
-STRIPS_BY_LENGTH = {n: [s for w in wall_necklaces(C1, n) for s in enumerate_periodic_strips(C1, w)]
-                    for n in range(1, 8)}
-# every row whose two triangles are rotations, folds included
-TRIANGLE_ROWS = [(a, s, t, b, u) for (a, s, t) in sorted(C1.rotation_set)
-                 for (b, u) in C1.starting[s]]
-
-
-def replace_row(strip, k, row):
-    rows = list(strip.rows())
-    rows[k] = row
-    return Strip.from_rows(tuple(rows))
-
-
-@st.composite
-def mutated_strip(draw):
-    """A valid c1 strip of length 1-7 at a drawn phase, with one mutation:
-    a label changed (7 is out of range), a broken seam (another upper
-    triangle at row k), a fold, or a bent wall (another row whose seams
-    match where they can); or none."""
-    n = draw(st.integers(min_value=1, max_value=7))
-    strip = shift(draw(st.sampled_from(STRIPS_BY_LENGTH[n])), draw(st.integers(0, n - 1)))
-    k = draw(st.integers(0, n - 1))
-    a, s, t, b, u = row = strip.rows()[k]
-    kind = draw(st.sampled_from(["none", "label", "seam", "fold", "bent"]))
-    if kind == "label":
-        column = draw(st.integers(0, 4))
-        label = draw(st.integers(0, 7).filter(lambda x: x != row[column]))
-        return replace_row(strip, k, row[:column] + (label,) + row[column + 1:])
-    if kind == "seam":
-        b2, u2 = draw(st.sampled_from([bu for bu in C1.starting[s] if bu != (b, u)]))
-        return replace_row(strip, k, (a, s, t, b2, u2))
-    if kind == "fold":
-        return replace_row(strip, k, (a, s, t, t, a))
-    if kind == "bent":
-        before, after = strip.rows()[k - 1][4], strip.rows()[(k + 1) % n][2]
-        valid = [r for r in TRIANGLE_ROWS if r != row and not (r[3] == r[2] and r[4] == r[0])]
-        sealed = [r for r in valid if r[2] == before and r[4] == after]
-        return replace_row(strip, k, draw(st.sampled_from(sealed or valid)))
-    return strip
-
-
-@settings(max_examples=400, deadline=None)
-@given(mutated_strip())
-def test_validate_strip_equals_reference_on_mutations(strip):
-    assert outcome(validate_strip, C1, strip) == outcome(reference_validate_strip, C1, strip)
-
-
-def test_validate_strip_equals_reference_on_every_single_change():
-    """Every label change and every row substitution at every row of the
-    strips of length 1-3; between them they fail every row, seam and
-    opposite-wall check.  (No such change bends the base wall alone: valid
-    rows with closed seams keep it straight, in every presentation tried.)"""
-    prefixes = ("lower triangle", "upper triangle", "seam mismatch", "degenerate strip",
-                "opposite wall bends")
-    failures = set()
-    for strip in ALL_STRIPS:
-        for k, row in enumerate(strip.rows()):
-            changed = [row[:c] + (x,) + row[c + 1:] for c in range(5) for x in range(8)]
-            for new in changed + TRIANGLE_ROWS:
-                mutant = replace_row(strip, k, new)
-                got = outcome(validate_strip, C1, mutant)
-                assert got == outcome(reference_validate_strip, C1, mutant), mutant
-                if got is not None:
-                    failures.add((got[0], next(p for p in prefixes if got[2].startswith(p))))
-    assert failures == {(InvariantError, p) for p in prefixes}
-
-
-def test_validate_strip_equals_reference_on_all_short_row_sequences():
-    """Every sequence of 1-3 non-folding rows of a non-building presentation."""
-    rows = [(a, s, t, b, u) for (a, s, t) in sorted(NON_BUILDING.rotation_set)
-            for (b, u) in NON_BUILDING.starting[s] if (b, u) != (t, a)]
-    accepted = 0
-    for n in (1, 2, 3):
-        for combo in itertools.product(rows, repeat=n):
-            strip = Strip.from_rows(combo)
-            got = outcome(validate_strip, NON_BUILDING, strip)
-            assert got == outcome(reference_validate_strip, NON_BUILDING, strip), combo
-            accepted += got is None
-    assert accepted > 0
-
-
-def test_validate_empty_strip_equals_reference():
-    empty = Strip((), (), (), (), ())
-    with pytest.raises(ValueError, match="empty word"):
-        validate_strip(C1, empty)
-    assert outcome(validate_strip, C1, empty) == outcome(reference_validate_strip, C1, empty)

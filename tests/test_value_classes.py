@@ -21,7 +21,7 @@ def c1_fields(**changes):
     fields = dict(
         generator_count=C1.generator_count, rotation_classes=C1.rotation_classes,
         thickness_q=C1.thickness_q, rotation_set=C1.rotation_set, starting=C1.starting,
-        bent_pairs=C1.bent_pairs, transitions=C1.transitions, row_pairs=C1.row_pairs)
+        bent_pairs=C1.bent_pairs, transitions=C1.transitions)
     fields.update(changes)
     return fields
 
@@ -93,7 +93,7 @@ def test_defaults():
 def test_presentation_compares_only_its_defining_fields():
     stripped = TrianglePresentation(**c1_fields(
         rotation_set=frozenset(), starting=(), bent_pairs=frozenset(),
-        transitions={}, row_pairs=frozenset()))
+        transitions={}))
     assert stripped == C1 and hash(stripped) == hash(C1)
     assert TrianglePresentation(**c1_fields(thickness_q=3)) != C1
 

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from a2cent import walls
-from a2cent.errors import NotAWallWord
+from a2cent.errors import InvariantError, NotAWallWord
 from a2cent.walls import (Necklace, canonical_rotation, check_wall_sequence,
                           minimal_period, stabilizer_generator_word,
                           wall_necklaces, wall_word)
@@ -177,8 +177,9 @@ def test_all_rotations_of_a_wall_word_are_wall_words(c1):
 
 
 def test_necklace_validates_period():
-    with pytest.raises(Exception):
-        Necklace((0, 5), 3)
+    for period in (3, 0, -1, -2):
+        with pytest.raises(InvariantError, match=f"period {period} is not a positive divisor"):
+            Necklace((0, 5), period)
     with pytest.raises(ValueError):
         Necklace((), 1)
 
