@@ -22,8 +22,8 @@ from . import bassserre
 from .errors import AmbiguousStrip, InvariantError, NotAWallWord, PresentationError
 from .presentation import TrianglePresentation, load_named
 from .quotient import build_quotient, vertex_witnesses
-from .strips import anchored_readings, enumerate_periodic_strips, flip_shifts
-from .walls import wall_word
+from .strips import anchored_readings, enumerate_periodic_strips, flip_shifts, strip_json
+from .walls import minimal_period, wall_word
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -105,38 +105,38 @@ def cmd_validate(args) -> int:
 
 
 def run_centralizer(pres, word):
-    """Full pipeline; returns the structured run report dict plus objects."""
+    """Full pipeline: the quotient graph, its fundamental group, the result
+    of ``simplify`` and the seconds they took."""
     start = time.perf_counter()
     graph = build_quotient(pres, word)
     presentation = bassserre.fundamental_group(graph)
     result = bassserre.simplify(graph)
-    elapsed = time.perf_counter() - start
-    if isinstance(result, bassserre.IsoType):
-        iso_str = result.render()
-        simplified = True
-    else:
-        iso_str = None
-        simplified = False
-    report = {
+    return graph, presentation, result, time.perf_counter() - start
+
+
+def structured_report(graph, presentation, result) -> dict:
+    """The run report that ``--format structured`` prints."""
+    simplified = isinstance(result, bassserre.IsoType)
+    return {
         "element": list(graph.element),
         "n": graph.n,
         "classification": graph.classification,
         "graph": graph.to_json(),
         "fundamental_group": presentation.to_json(),
-        "isotype": iso_str,
+        "isotype": result.render() if simplified else None,
         "simplified": simplified,
         "centralizer": "Z" if graph.classification == "single_axis" else None,
         "witnesses": {label: str(w) for label, w in vertex_witnesses(graph).items()},
     }
-    return report, graph, presentation, result, elapsed
 
 
 def cmd_centralizer(args) -> int:
     pres = _load(args.presentation)
     word = _parse_word(args.word, pres)
-    report, graph, presentation, result, elapsed = run_centralizer(pres, word)
+    graph, presentation, result, elapsed = run_centralizer(pres, word)
 
     if args.format == "structured":
+        report = structured_report(graph, presentation, result)
         _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
     elif args.format == "dot":
         _emit(graph.to_dot(), args.out)
@@ -184,45 +184,48 @@ def cmd_strips(args) -> int:
     neck = wall_word(pres, seq)
     strips = enumerate_periodic_strips(pres, neck.labels)
     # wall-stabilizer classes, in enumeration order, by the start pairs of
-    # the readings that build_quotient registers for an edge at its own wall
+    # the readings that build_quotient registers for an edge at its own wall:
+    # [first strip's rows, its period, phases]
     classes, class_of = [], {}  # start pair (s_0, t_0) -> index in classes
-    for strip in strips:
-        start = strip.rows()[0][1:3]
+    for rows in strips:
+        start = rows[0][1:3]
         if start not in class_of:
-            class_of.update(dict.fromkeys(anchored_readings(strip, neck.period)[0], len(classes)))
-            classes.append([])
-        classes[class_of[start]].append(strip)
+            pe = minimal_period(rows)
+            own = anchored_readings(rows, pe, neck.period)[0]
+            class_of.update(dict.fromkeys(own, len(classes)))
+            classes.append([rows, pe, 0])
+        classes[class_of[start]][2] += 1
     if args.format == "structured":
         payload = {
             "wall": list(neck.labels),
             "period": neck.period,
             "strip_classes": [
                 {
-                    "representative": cls[0].to_json(),
-                    "phases": len(cls),
-                    "strip_period": cls[0].period,
-                    "opposite_wall": list(cls[0].b),
-                    "flip_shifts": flip_shifts(cls[0]),
+                    "representative": strip_json(rows),
+                    "phases": phases,
+                    "strip_period": pe,
+                    "opposite_wall": [row[3] for row in rows],
+                    "flip_shifts": flip_shifts(rows, pe),
                 }
-                for cls in classes
+                for rows, pe, phases in classes
             ],
         }
         _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     else:
         lines = [f"wall {neck.display_label} at length {n}: "
                  f"{len(classes)} strip class(es), {len(strips)} anchored strip(s)"]
-        for num, cls in enumerate(classes):
-            st = cls[0]
-            lines.append(f"strip class {num} ({len(cls)} phase(s), period {st.period}):")
-            lines.append(f"  base a     = {st.a}")
-            lines.append(f"  diagonal s = {st.s}")
-            lines.append(f"  diagonal t = {st.t}")
-            lines.append(f"  opposite b = {st.b}")
-            lines.append(f"  diagonal u = {st.u}")
-            fs = flip_shifts(st)
+        for num, (rows, pe, phases) in enumerate(classes):
+            a, s, t, b, u = zip(*rows)
+            lines.append(f"strip class {num} ({phases} phase(s), period {pe}):")
+            lines.append(f"  base a     = {a}")
+            lines.append(f"  diagonal s = {s}")
+            lines.append(f"  diagonal t = {t}")
+            lines.append(f"  opposite b = {b}")
+            lines.append(f"  diagonal u = {u}")
+            fs = flip_shifts(rows, pe)
             if fs:
                 lines.append(f"  flip shifts {fs}: glide step {fs[0]}+1/2, "
-                             f"median group order {2 * st.length // (2 * fs[0] + 1)}")
+                             f"median group order {2 * n // (2 * fs[0] + 1)}")
         _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

@@ -55,11 +55,10 @@ class TrianglePresentation(Frozen):
 
     The lookup tables are built once by load() and never change, and each
     holds O(|rotations|) entries (times a factor of q), never one per pair of
-    generators: ``rotation_set`` holds all 3*|classes| rotations,
-    ``starting[i]`` the sorted (j, k) with rotation (i, j, k), and
-    ``bent_pairs`` the (i, j) that lie on a common triangle.  The strip
-    layer reads ``transitions[(a, s, t, a')]``, which holds, for the lower
-    triangle (a, s, t) (a rotation) and each upper choice (b, u) in
+    generators: ``starting[i]`` holds the sorted (j, k) with rotation
+    (i, j, k), and ``bent_pairs`` the (i, j) that lie on a common triangle.
+    The strip layer reads ``transitions[(a, s, t, a')]``, which holds, for
+    the lower triangle (a, s, t) (a rotation) and each upper choice (b, u) in
     ``starting[s]`` that does not fold onto it, in that order, the
     ``(row, s', u)`` whose next lower triangle (a', s', u) exists, where row
     is (a, s, t, b, u), and has no empty entries: a strip built from it has
@@ -75,16 +74,15 @@ class TrianglePresentation(Frozen):
     so a wall whose windows are all in it is straight and in range.
     """
 
-    __slots__ = ("generator_count", "rotation_classes", "thickness_q", "rotation_set",
-                 "starting", "bent_pairs", "transitions", "warnings", "_windows")
+    __slots__ = ("generator_count", "rotation_classes", "thickness_q", "starting",
+                 "bent_pairs", "transitions", "warnings", "_windows")
 
     def __init__(self, generator_count: int, rotation_classes: frozenset, thickness_q: int,
-                 rotation_set: frozenset, starting: tuple, bent_pairs: frozenset,
-                 transitions: MappingProxyType, warnings: tuple = ()):
+                 starting: tuple, bent_pairs: frozenset, transitions: MappingProxyType,
+                 warnings: tuple = ()):
         object.__setattr__(self, "generator_count", generator_count)
         object.__setattr__(self, "rotation_classes", rotation_classes)
         object.__setattr__(self, "thickness_q", thickness_q)
-        object.__setattr__(self, "rotation_set", rotation_set)
         object.__setattr__(self, "starting", starting)
         object.__setattr__(self, "bent_pairs", bent_pairs)
         object.__setattr__(self, "transitions", transitions)
@@ -274,7 +272,6 @@ def load(document, strict: bool = True) -> TrianglePresentation:
         generator_count=m,
         rotation_classes=frozenset(classes),
         thickness_q=q,
-        rotation_set=frozenset(rotations),
         starting=starting,
         bent_pairs=frozenset(first_pairs),
         transitions=transitions,

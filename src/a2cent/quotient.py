@@ -17,7 +17,7 @@ The readings are kept as one set of start pairs per wall vertex, taken out
 when the wall is dequeued.  It then holds exactly the back-edges registered
 by the strips kept at earlier walls, and the strip walk takes it as ``skip``:
 about half of all closed walks are such back-edges, and they are checked
-for ambiguity but never wrapped or checked, as each is a shift of the
+for ambiguity but never returned or checked, as each is a shift of the
 swap of a strip already kept (see ``enumerate_periodic_strips``).
 
 All witness words are relative to the base vertex of the canonical rotation
@@ -41,8 +41,9 @@ from __future__ import annotations
 from collections import deque
 
 from .presentation import TrianglePresentation
-from .strips import Strip, anchored_readings, enumerate_periodic_strips, flip_shifts
-from .walls import canonical_rotation, least_rotation, stabilizer_generator_word, wall_word
+from .strips import anchored_readings, enumerate_periodic_strips, flip_shifts, strip_json
+from .walls import (canonical_rotation, least_rotation, minimal_period, stabilizer_generator_word,
+                    wall_word)
 from .words import FormalWord
 
 
@@ -78,14 +79,14 @@ class QuotientEdge:
 
     def __init__(self, index: int, endpoints: tuple[int, int], group_order: int,
                  multipliers: tuple[int, int], conjugator_witness: FormalWord,
-                 in_spanning_tree: bool, strip: Strip):
+                 in_spanning_tree: bool, strip: tuple):
         self.index = index
         self.endpoints = endpoints
         self.group_order = group_order
         self.multipliers = multipliers
         self.conjugator_witness = conjugator_witness
         self.in_spanning_tree = in_spanning_tree
-        self.strip = strip
+        self.strip = strip  # the rows (a_k, s_k, t_k, b_k, u_k)
 
     def to_json(self, graph):
         return {
@@ -95,7 +96,7 @@ class QuotientEdge:
             "multipliers": list(self.multipliers),
             "in_spanning_tree": self.in_spanning_tree,
             "conjugator_witness": self.conjugator_witness.to_json(),
-            "strip": self.strip.to_json(),
+            "strip": strip_json(self.strip),
         }
 
 
@@ -147,19 +148,18 @@ class QuotientGraphOfGroups:
         return "\n".join(lines) + "\n"
 
 
-def _median_display_label(strip: Strip, d: int) -> str:
+def _median_display_label(rows: tuple, period: int, d: int) -> str:
     """Bracketed positive word conjugate to the glide, e.g. "[0]" or "[2,3,5]".
 
     For the least flip shift d (the glide step) the core word is
     a_0..a_{d-1} x_{t_d}^-1; with d = 0 the positive representative is the
     single letter t_0 (the inverse glide), otherwise x_{t_d}^-1 expands
     through the lower triangle to x_{a_d} x_{s_d}.
-    The label is minimized over anchor phases below the strip period (the
-    others repeat them) and rotations.
+    The label is minimized over anchor phases below the strip's minimal
+    period (the others repeat them) and rotations.
     """
-    rows = strip.rows()
     candidates = []
-    for k0 in range(strip.period):
+    for k0 in range(period):
         sp = rows[k0:] + rows[:k0]
         if d == 0:
             word = (sp[0][2],)
@@ -231,16 +231,15 @@ def build_quotient(presentation: TrianglePresentation, element) -> QuotientGraph
         # anchored readings drops the later members of the class here, the
         # second end of a loop here and the back-edge at the other wall, which
         # the walk skips when that wall is dequeued
-        for strip in enumerate_periodic_strips(presentation, v.sequence, seen):
-            rows = strip.rows()
+        for rows in enumerate_periodic_strips(presentation, v.sequence, seen):
             if rows[0][1:3] in seen:
                 continue
-            pe = strip.period
+            pe = minimal_period(rows)
             # b repeats with period dividing pe: the least rotation of one
             # period, repeated, and its minimal period, that of b
             canon_b, dd, p_b = least_rotation([row[3] for row in rows[:pe]])
             canon_b *= n // pe
-            ds = flip_shifts(strip) if canon_b == v.sequence else None
+            ds = flip_shifts(rows, pe) if canon_b == v.sequence else None
             if ds:
                 # swapping twice shifts by 1, so a flip at d gives
                 # pe | 2d+1; the least d is below pe, so 2d+1 == pe
@@ -252,9 +251,9 @@ def build_quotient(presentation: TrianglePresentation, element) -> QuotientGraph
                 other = len(vertices)
                 vertices.append(QuotientVertex(
                     index=other, kind="median", group_order=2 * n // pe,
-                    generator_witness=glide, display_label=_median_display_label(strip, d)))
+                    generator_witness=glide, display_label=_median_display_label(rows, pe, d)))
                 mu_other, conj, is_new = 2, FormalWord.identity(), True
-                seen.update(anchored_readings(strip, v.period)[0])
+                seen.update(anchored_readings(rows, pe, v.period)[0])
             else:
                 # x_{t_0}^-1 x_{b_0} ... x_{b_{dd-1}} is reduced: t_0 == b_0
                 # would make the upper triangle (s_0, t_0, a_0), the fold
@@ -270,14 +269,14 @@ def build_quotient(presentation: TrianglePresentation, element) -> QuotientGraph
                                              base_witness(other).inverse().letters))
                 p_other = vertices[other].period
                 mu_other = pe // p_other
-                own, opposite = anchored_readings(strip, v.period, dd, p_other)
+                own, opposite = anchored_readings(rows, pe, v.period, dd, p_other)
                 seen.update(own)
                 # the other end of a loop is this wall, whose set is popped
                 (seen if other == vid else readings[other]).update(opposite)
             edges.append(QuotientEdge(
                 index=len(edges), endpoints=(vid, other), group_order=n // pe,
                 multipliers=(pe // v.period, mu_other), conjugator_witness=conj,
-                in_spanning_tree=is_new, strip=strip))
+                in_spanning_tree=is_new, strip=rows))
 
     # a strip at the base vertex always makes an edge, the first one
     classification = "graph_of_groups" if edges else "single_axis"

@@ -15,13 +15,13 @@ t_{k+1} = u_k.  Strips are the edges of the tree of axial walls; a strip
 that coincides with a shift of its own wall-swapped reading supports a glide
 reflection, so its tree edge is inverted and acquires a median vertex.
 
-In memory a strip is the tuple of its n rows (a_k, s_k, t_k, b_k, u_k),
-returned by ``rows()``; the five sequences are columns read from it.  A
-strip computes its period at most once.  A shift is a rotation of the rows.
-A wall closes at most one strip per start pair (s_0, t_0), so
-``anchored_readings`` names by their start pairs the shifts of a strip and
-of its swap (the strip read from the opposite wall) that read off a
-canonical wall.
+A strip is the tuple of its n rows (a_k, s_k, t_k, b_k, u_k); the five
+sequences are its columns.  The functions below take the rows and the
+strip's minimal period, which their callers already hold.  A shift is a
+rotation of the rows.  A wall closes at most one strip per start pair
+(s_0, t_0), so ``anchored_readings`` names by their start pairs the
+shifts of a strip and of its swap (the strip read from the opposite wall)
+that read off a canonical wall.
 
 The strips along a wall are found by one walk that extends rows WINDOW
 wall letters at a time, by one lookup in ``presentation.transitions`` (for
@@ -41,84 +41,31 @@ from __future__ import annotations
 
 from .errors import AmbiguousStrip, InvariantError
 from .presentation import TrianglePresentation
-from .walls import check_wall_sequence, minimal_period
-
-def _column(index, name):
-    return property(lambda self: tuple([row[index] for row in self._rows]),
-                    doc=f"The {name} labels, k = 0..n-1.")
+from .walls import check_wall_sequence
 
 
-class Strip:
-    """A periodic strip at one g-period, stored as its rows (a, s, t, b, u)."""
+def swapped_rows(rows: tuple) -> tuple:
+    """The rows of the strip's swap: the strip read from the opposite wall,
+    in the same orientation, (b_k, u_k, s_k, a_{k+1}, s_{k+1}).  Swapping
+    twice shifts by 1."""
+    return tuple([(b, u, s, a_next, s_next)
+                  for (_a, s, _t, b, u), (a_next, s_next, _tn, _bn, _un)
+                  in zip(rows, rows[1:] + rows[:1])])
 
-    __slots__ = ("_rows", "_period")
 
-    def __init__(self, a, s, t, b, u):
-        if not len(a) == len(s) == len(t) == len(b) == len(u):
-            raise InvariantError("sequence lengths differ")
-        self._rows = tuple(zip(a, s, t, b, u))
-        self._period = None
-
-    @classmethod
-    def from_rows(cls, rows: tuple) -> "Strip":
-        """The strip with these (a, s, t, b, u) rows, given as a tuple."""
-        strip = cls.__new__(cls)
-        strip._rows = rows
-        strip._period = None
-        return strip
-
-    a = _column(0, "base-wall")
-    s = _column(1, "diagonal v_{k+1} -> w_k")
-    t = _column(2, "diagonal w_k -> v_k")
-    b = _column(3, "opposite-wall")
-    u = _column(4, "diagonal w_{k+1} -> v_{k+1}")
-
-    def __eq__(self, other):
-        if not isinstance(other, Strip):
-            return NotImplemented
-        return self._rows == other._rows
-
-    def __hash__(self):
-        return hash(self._rows)
-
-    def __repr__(self):
-        return f"Strip(a={self.a}, s={self.s}, t={self.t}, b={self.b}, u={self.u})"
-
-    @property
-    def length(self) -> int:
-        return len(self._rows)
-
-    @property
-    def period(self) -> int:
-        """Minimal p_e with all five sequences invariant under shift by p_e
-        (ValueError on an empty strip)."""
-        if self._period is None:
-            self._period = minimal_period(self._rows)
-        return self._period
-
-    def rows(self):
-        return self._rows
-
-    def swapped_rows(self):
-        """The rows of the strip's swap: the strip read from the opposite
-        wall, in the same orientation, (b_k, u_k, s_k, a_{k+1}, s_{k+1}).
-        Swapping twice shifts by 1."""
-        return tuple([(b, u, s, a_next, s_next)
-                      for (_a, s, _t, b, u), (a_next, s_next, _tn, _bn, _un)
-                      in zip(self._rows, self._rows[1:] + self._rows[:1])])
-
-    def to_json(self):
-        a, s, t, b, u = map(list, zip(*self._rows)) if self._rows else ([], [], [], [], [])
-        return {"a": a, "s": s, "t": t, "b": b, "u": u}
+def strip_json(rows: tuple) -> dict:
+    """The strip's five label sequences, as lists keyed by their names."""
+    a, s, t, b, u = map(list, zip(*rows)) if rows else ([], [], [], [], [])
+    return {"a": a, "s": s, "t": t, "b": b, "u": u}
 
 
 WINDOW = 3  # wall letters per step of the strip walk
 
 
 def enumerate_periodic_strips(presentation: TrianglePresentation, wall,
-                              skip=frozenset()) -> list[Strip]:
-    """All n-periodic strips adjacent to the wall with the given labels,
-    but those whose start pair (s_0, t_0) is in ``skip``.
+                              skip=frozenset()) -> list[tuple]:
+    """The rows of all n-periodic strips adjacent to the wall with the
+    given labels, but those whose start pair (s_0, t_0) is in ``skip``.
 
     ``wall`` is the phase-aligned label sequence (length n = |g| in edges).
     One walk along the wall carries every partial strip, starting from each
@@ -177,7 +124,7 @@ def enumerate_periodic_strips(presentation: TrianglePresentation, wall,
             if not bent.isdisjoint(zip(b, b[1:] + b[:1])):
                 k = [pair in bent for pair in zip(b, b[1:] + b[:1])].index(True)
                 raise InvariantError(f"opposite wall bends at k={k}")
-            found.append(Strip.from_rows(rows))
+            found.append(rows)
     return found
 
 
@@ -195,32 +142,32 @@ def _window_steps(presentation, window):
     return steps
 
 
-def anchored_readings(strip: Strip, wall_period: int, swap_shift: int | None = None,
+def anchored_readings(rows: tuple, period: int, wall_period: int, swap_shift: int | None = None,
                       other_period: int = 0) -> tuple[list, list]:
     """The start pairs (s_0, t_0) of every shift of the strip, and of its
     swap, that reads off a canonical wall, in two lists: its edge orbit as
     enumerated at its own wall and at the opposite one.  A wall closes at
     most one strip per start pair, so a pair names one strip at its wall.
 
-    The shift by r reads off a canonical wall of period ``wall_period`` iff
-    r is a multiple of it, and starts (s_r, t_r).  With ``(canon_b,
-    swap_shift, other_period) = least_rotation(b)``, the swap shifted by r
+    ``period`` is the strip's minimal period.  The shift by r reads off a
+    canonical wall of period ``wall_period`` iff r is a multiple of it, and
+    starts (s_r, t_r).  With ``(canon_b, swap_shift, other_period) =
+    least_rotation(b)``, the swap shifted by r
     reads off canon_b iff r is swap_shift plus a multiple of other_period,
     and starts (u_r, s_r), as its row 0 is (b_r, u_r, s_r, a_{r+1}, s_{r+1}).
     With ``swap_shift`` None the second list is empty: the first is the
     wall-stabilizer class, and a glide strip's swap is one of its shifts.
     Shifts run over one strip period, so the pairs in a list are distinct.
     """
-    rows = strip.rows()
-    pe = strip.period
-    own = [row[1:3] for row in rows[:pe:wall_period]]
+    own = [row[1:3] for row in rows[:period:wall_period]]
     if swap_shift is None:
         return own, []
-    return own, [(row[4], row[1]) for row in rows[swap_shift:pe:other_period]]
+    return own, [(row[4], row[1]) for row in rows[swap_shift:period:other_period]]
 
 
-def flip_shifts(strip: Strip) -> list[int]:
-    """All d in [0, n) such that the swapped rows rotated by d are the rows.
+def flip_shifts(rows: tuple, period: int) -> list[int]:
+    """All d in [0, n) such that the swapped rows rotated by d are the
+    rows, for a strip of minimal period ``period``.
 
     Nonempty iff the strip carries a glide reflection exchanging its two
     walls; the minimal d gives glide translation d + 1/2 base edges, and
@@ -229,8 +176,6 @@ def flip_shifts(strip: Strip) -> list[int]:
     period are tested, of which at most one holds (2d+1 is the period): the
     others add multiples of it.
     """
-    rows = strip.rows()
-    sw = strip.swapped_rows()
-    pe = strip.period
-    ds = [d for d, row in enumerate(sw[:pe]) if row == rows[0] and sw[d:] + sw[:d] == rows]
-    return [d + k for d in ds for k in range(0, len(sw), pe)]
+    sw = swapped_rows(rows)
+    ds = [d for d, row in enumerate(sw[:period]) if row == rows[0] and sw[d:] + sw[:d] == rows]
+    return [d + k for d in ds for k in range(0, len(sw), period)]

@@ -1,10 +1,17 @@
-"""Presentations the tests run beside the builtin c1, and seeded wall words
-drawn on any presentation."""
+"""Presentations the tests run beside the builtin c1, the relator rotations
+of any presentation, and seeded wall words drawn on any presentation."""
 
+import functools
 import random
 
 from a2cent.presentation import BUILTIN_PRESENTATIONS, load
 from a2cent.walls import canonical_rotation, minimal_period
+
+
+@functools.cache
+def rotation_set(presentation) -> frozenset:
+    """All 3*|classes| relator rotations (i, j, k) of the presentation."""
+    return frozenset(c[r:] + c[:r] for c in presentation.rotation_classes for r in range(3))
 
 
 def relabelled_c1(seed):
@@ -30,6 +37,16 @@ NON_BUILDING = load({"generators": 4, "relators": [[3, 0, 1], [3, 1, 2], [0, 2, 
 OPPOSITE_BENDS = load({"generators": 5,
                        "relators": [[1, 0, 2], [4, 0, 4], [4, 3, 2], [2, 3, 1], [1, 3, 0]]},
                       strict=False)
+
+
+# a q=4 building presentation (m = 21), the Singer-cyclic one of CMSZ
+# (Geom. Dedicata 47, 1993): the rotation classes of (x, x+b, x+f(b)) mod 21
+# for x in Z/21 and b -> f(b) below, where S = {7, 9, 14, 15, 18} is a
+# perfect difference set mod 21; x -> x+1 is an automorphism
+SINGER_Q4 = load({"generators": 21, "relators": sorted(
+    {min(t, t[1:] + t[:1], t[2:] + t[:2])
+     for x in range(21) for b, fb in {7: 14, 9: 3, 14: 7, 15: 12, 18: 6}.items()
+     for t in [(x, (x + b) % 21, (x + fb) % 21)]})})
 
 
 def deep_walls(pres, count=20, seed=12, lengths=(12, 13, 14)):

@@ -1,9 +1,11 @@
-"""References the strip layer is checked against: a strip's shift and
-swap as strips, a strip check that runs every invariant one by one, a
-brute-force strip enumeration, the edge key that names a strip orbit, a
-strip's anchored readings as whole rows, a grouping of the strips at one
-wall into wall-stabilizer classes, and the full scans over all n phases of
-five computations that the package runs over one period or cuts short.
+"""References the strip layer is checked against, on strips given as
+their row tuples, as the package returns them: a strip's five label
+sequences and its shift, a strip check that runs every invariant one by
+one, a brute-force strip enumeration, the edge key that names a strip
+orbit, a strip's anchored readings as whole rows, a grouping of the strips
+at one wall into wall-stabilizer classes, and the full scans over all n
+phases of five computations that the package runs over one period or cuts
+short.
 
 The package checks no strip this way: its walk builds rows that are valid
 and seams that close, so it checks only the opposite wall
@@ -13,36 +15,32 @@ import itertools
 
 from a2cent.errors import InvariantError, NotAWallWord
 from a2cent.presentation import TrianglePresentation
-from a2cent.strips import Strip
+from a2cent.strips import swapped_rows
 from a2cent.walls import Necklace, canonical_rotation, check_wall_sequence, minimal_period
+from presentations import rotation_set
 
 ORACLE_MAX_LENGTH = 6  # (q+1)^(2n) blowup guard for the brute-force oracle
 
 
-def shift(strip: Strip, r: int) -> Strip:
+def columns(rows):
+    """The five label sequences (a, s, t, b, u) of a strip, as tuples."""
+    return tuple(zip(*rows)) if rows else ((),) * 5
+
+
+def shift(rows, r: int):
     """Re-read the strip starting r base edges further along."""
-    rows = strip.rows()
     r %= len(rows)
-    return Strip.from_rows(rows[r:] + rows[:r])
+    return rows[r:] + rows[:r]
 
 
-def swap(strip: Strip) -> Strip:
-    """Re-read the strip from the opposite wall (same orientation).
-
-    swap(swap(strip)) == shift(strip, 1).
-    """
-    return Strip.from_rows(strip.swapped_rows())
-
-
-def validate_strip(presentation: TrianglePresentation, strip: Strip) -> None:
+def validate_strip(presentation: TrianglePresentation, rows) -> None:
     """Check that the rows form a strip, one invariant at a time, and raise
     InvariantError at the first that fails (NotAWallWord or IndexError from
     a wall, ValueError on an empty strip): every row is a lower and an upper
     relator rotation that do not fold onto the base wall, consecutive rows
     close their seams, both walls are straight, and the strip period is a
     multiple of both wall periods."""
-    rows = strip.rows()
-    rotations = presentation.rotation_set
+    rotations = rotation_set(presentation)
     bent = presentation.bent_pairs
     for k, ((a, s, t, b, u), (_an, _sn, t_next, b_next, _un)) in \
             enumerate(zip(rows, rows[1:] + rows[:1])):
@@ -56,17 +54,17 @@ def validate_strip(presentation: TrianglePresentation, strip: Strip) -> None:
             raise InvariantError(f"degenerate strip: upper triangle at k={k} folds onto the base wall")
         if (b, b_next) in bent:
             raise InvariantError(f"opposite wall bends at k={k}")
-    a, b = strip.a, strip.b
+    a, _s, _t, b, _u = columns(rows)
     check_wall_sequence(presentation, a)
     check_wall_sequence(presentation, b)
-    pe = strip.period
+    pe = minimal_period(rows)
     if pe % minimal_period(a) != 0 or pe % minimal_period(b) != 0:
         raise InvariantError("strip period is not a multiple of its wall periods")
 
 
-def oracle_enumerate(presentation: TrianglePresentation, wall) -> list[Strip]:
+def oracle_enumerate(presentation: TrianglePresentation, wall) -> list[tuple]:
     """Independent brute-force enumeration: try every combination of lower
-    and upper triangles and keep those satisfying all Strip invariants."""
+    and upper triangles and keep those satisfying all strip invariants."""
     a = tuple(wall)
     n = len(a)
     if n > ORACLE_MAX_LENGTH:
@@ -81,54 +79,53 @@ def oracle_enumerate(presentation: TrianglePresentation, wall) -> list[Strip]:
         for uppers in itertools.product(*upper_choices):
             b = tuple(jk[0] for jk in uppers)
             u = tuple(jk[1] for jk in uppers)
-            strip = Strip(a, s, t, b, u)
+            rows = tuple(zip(a, s, t, b, u))
             try:
-                validate_strip(presentation, strip)
+                validate_strip(presentation, rows)
             except (InvariantError, NotAWallWord):
                 continue
-            out.append(strip)
+            out.append(rows)
     return out
 
 
-def canonical_edge_key(strip: Strip):
+def canonical_edge_key(rows):
     """Least representative over all shifts of the strip and of its swap.
 
     Equal keys identify the same quotient edge (strip orbits up to the
     translation and wall-swap symmetries).  The key is a tuple of rows.
     """
-    return min(canonical_rotation(strip.rows()), canonical_rotation(strip.swapped_rows()))
+    return min(canonical_rotation(rows), canonical_rotation(swapped_rows(rows)))
 
 
-def row_anchored_readings(strip: Strip, wall_period: int, swap_shift: int | None = None,
+def row_anchored_readings(rows, wall_period: int, swap_shift: int | None = None,
                           other_period: int = 0) -> list[tuple]:
     """``strips.anchored_readings`` as whole readings: the rows of every
     shift of the strip, and of its swap, that reads off a canonical wall, in
     the order of the start pairs that the package lists (its own wall's,
     then the opposite wall's)."""
-    rows = strip.rows()
-    pe = strip.period
+    pe = minimal_period(rows)
     readings = [rows[r:] + rows[:r] for r in range(0, pe, wall_period)]
     if swap_shift is not None:
-        sw = strip.swapped_rows()
+        sw = swapped_rows(rows)
         readings += [sw[r:] + sw[:r] for r in range(swap_shift, pe, other_period)]
     return readings
 
 
-def group_by_wall_shifts(strips: list[Strip], wall_period: int) -> list[list[Strip]]:
+def group_by_wall_shifts(strips: list[tuple], wall_period: int) -> list[list[tuple]]:
     """Partition the strips at one wall into wall-stabilizer orbits.
 
     Two strips at the same wall are identified iff they agree up to a shift
     by a multiple of the wall period (the action of the wall stabilizer).
     Classes are sorted by their least member; so are the members.
     """
-    n = strips[0].length if strips else 0
-    remaining = sorted(strips, key=Strip.rows)
+    n = len(strips[0]) if strips else 0
+    remaining = sorted(strips)
     classes = []
     while remaining:
-        rows = remaining[0].rows()
+        rows = remaining[0]
         orbit = {rows[j:] + rows[:j] for j in range(0, n, wall_period)}
-        classes.append([st for st in remaining if st.rows() in orbit])
-        remaining = [st for st in remaining if st.rows() not in orbit]
+        classes.append([st for st in remaining if st in orbit])
+        remaining = [st for st in remaining if st not in orbit]
     return classes
 
 
@@ -158,17 +155,15 @@ def full_scan_least_rotation(labels):
     return (*min((seq[r:] + seq[:r], r) for r in range(len(seq))), full_scan_minimal_period(seq))
 
 
-def full_scan_flip_shifts(strip: Strip) -> list[int]:
+def full_scan_flip_shifts(rows) -> list[int]:
     """``strips.flip_shifts``, testing every d in [0, n)."""
-    rows = strip.rows()
-    sw = strip.swapped_rows()
+    sw = swapped_rows(rows)
     return [d for d in range(len(rows)) if sw[d:] + sw[:d] == rows]
 
 
-def full_scan_median_display_label(strip: Strip, d: int) -> str:
+def full_scan_median_display_label(rows, d: int) -> str:
     """The median vertex label of ``quotient.build_quotient``, minimized over
     all n anchor phases."""
-    rows = strip.rows()
     candidates = []
     for k0 in range(len(rows)):
         sp = rows[k0:] + rows[:k0]

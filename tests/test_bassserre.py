@@ -12,7 +12,7 @@ from a2cent.errors import InvariantError
 from a2cent.presentation import load, load_named
 from a2cent.quotient import build_quotient
 from a2cent.walls import minimal_period, wall_necklaces
-from presentations import OTHER_Q2, relabelled_c1
+from presentations import OTHER_Q2, SINGER_Q4, relabelled_c1
 
 C1 = load_named("c1")
 
@@ -256,6 +256,13 @@ def test_cross_checks_on_other_q2_through_length_5():
         {1: (0, 0), 2: (6, 3), 3: (6, 0), 4: (9, 0), 5: (6, 0)}
     for word in ((0, 4), (0, 5), (0, 6)):
         assert isinstance(simplify(build_quotient(OTHER_Q2, word)), Unsimplified), word
+
+
+def test_cross_checks_on_singer_q4_through_length_3():
+    # at q=4 the powers (x,x) and (x,x,x) and 21 primitive words of length
+    # 3 do not simplify
+    assert check_cross_checks(SINGER_Q4, range(1, 4)) == \
+        {1: (0, 0), 2: (21, 0), 3: (21, 21)}
 
 
 @pytest.mark.slow

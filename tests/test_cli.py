@@ -12,9 +12,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from a2cent.cli import (EXIT_INTERNAL, EXIT_OK, EXIT_UNSUPPORTED,
-                        EXIT_VALIDATION, main, run_centralizer)
+                        EXIT_VALIDATION, main, run_centralizer, structured_report)
 from a2cent.presentation import BUILTIN_PRESENTATIONS, load_named
-from a2cent.strips import enumerate_periodic_strips
+from a2cent.quotient import QuotientGraphOfGroups
+from a2cent.strips import enumerate_periodic_strips, strip_json
 from a2cent.walls import wall_necklaces, wall_word
 from presentations import OTHER_Q2, deep_walls, relabelled_c1
 from strip_oracle import group_by_wall_shifts
@@ -130,6 +131,17 @@ def test_centralizer_dot(capsys, tmp_path):
     text = out_file.read_text()
     assert text.startswith("graph quotient {")
     assert "style=dashed" in text
+
+
+@pytest.mark.parametrize("fmt", ["text", "dot"])
+def test_text_and_dot_runs_do_not_build_the_structured_report(capsys, monkeypatch, fmt):
+    def refuse(self):
+        raise AssertionError("the structured report was built")
+
+    monkeypatch.setattr(QuotientGraphOfGroups, "to_json", refuse)
+    code, out, _err = run(capsys, "centralizer", "builtin:c1", "--word", "0,1,4", "--format", fmt)
+    assert code == EXIT_OK
+    assert out
 
 
 def test_centralizer_not_a_wall_word(capsys):
@@ -416,7 +428,7 @@ def structured_digest(pres, words):
     digest = hashlib.sha256()
     count = 0
     for word in words:
-        report = run_centralizer(pres, word)[0]
+        report = structured_report(*run_centralizer(pres, word)[:3])
         digest.update((json.dumps(report, indent=2, sort_keys=True) + "\n").encode())
         count += 1
     return count, digest.hexdigest()
@@ -560,7 +572,7 @@ def test_strips_classes_equal_wall_shift_reference(capsys, tmp_path):
             expected = group_by_wall_shifts(enumerate_periodic_strips(pres, neck.labels),
                                             neck.period)
             assert [(c["representative"], c["phases"]) for c in json.loads(out)["strip_classes"]] \
-                == [(cls[0].to_json(), len(cls)) for cls in expected], (wall, length)
+                == [(strip_json(cls[0]), len(cls)) for cls in expected], (wall, length)
             classes_seen += len(expected)
             strips_seen += sum(len(cls) for cls in expected)
     assert (classes_seen, strips_seen) == (882, 1048)

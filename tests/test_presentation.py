@@ -7,7 +7,7 @@ from a2cent import presentation
 from a2cent.errors import PresentationError
 from a2cent.presentation import (BUILTIN_PRESENTATIONS, _canonical_class, _rotations, load,
                                  load_named, loads)
-from presentations import NON_BUILDING, OTHER_Q2, relabelled_c1
+from presentations import NON_BUILDING, OTHER_Q2, SINGER_Q4, relabelled_c1, rotation_set
 
 
 def test_c1_shape(c1):
@@ -49,7 +49,7 @@ def test_straight_count_per_generator(c1):
 
 
 def test_rotations_closed_under_rotation(c1):
-    rots = c1.rotation_set
+    rots = rotation_set(c1)
     assert len(rots) == 21
     for (i, j, k) in rots:
         assert (j, k, i) in rots and (k, i, j) in rots
@@ -59,11 +59,11 @@ def test_completion_consistent_with_rotations(c1):
     # each rotation (i, j, k) is the only one with first/last pair (i, k),
     # and is listed in starting[i]
     middle = {}
-    for (i, j, k) in c1.rotation_set:
+    for (i, j, k) in rotation_set(c1):
         assert middle.setdefault((i, k), j) == j
         assert (j, k) in c1.starting[i]
         assert not c1.straight(i, j)
-    assert sum(len(row) for row in c1.starting) == len(c1.rotation_set)
+    assert sum(len(row) for row in c1.starting) == len(rotation_set(c1))
 
 
 def test_link_is_fano_incidence(c1):
@@ -79,7 +79,7 @@ def check_transitions(pres):
     (a, s, t, b, u) of each lower triangle, in the order of their upper
     triangles, whose next lower triangle (a', s', u) exists; no empty
     entries."""
-    rotations = sorted(pres.rotation_set)
+    rotations = sorted(rotation_set(pres))
     expected = {}
     for (a, s, t) in rotations:
         for a_next in range(pres.generator_count):
@@ -95,6 +95,14 @@ def check_transitions(pres):
 def test_strip_tables_of_c1(c1):
     check_transitions(c1)
     assert len(c1.transitions) == 105
+
+
+def test_singer_q4_is_a_building_of_thickness_4():
+    assert (SINGER_Q4.generator_count, SINGER_Q4.thickness_q) == (21, 4)
+    assert len(SINGER_Q4.rotation_classes) == 35
+    assert SINGER_Q4.warnings == ()
+    assert presentation._link_stats(SINGER_Q4.starting) == (42, {5}, 6, 3)
+    assert SINGER_Q4.link_stats() == (42, {5}, 6, 3)
 
 
 def test_strip_tables_of_a_non_building():
@@ -118,9 +126,9 @@ def test_disjoint_copies_load_with_tables_linear_in_the_generators(c1):
     assert all(len(row) == 3 for row in pres.starting)  # q+1 entries per generator
     assert 7 not in [k for (_j, k) in pres.starting[0]]
     assert (2793, 2799) in pres.starting[2793]
-    for name in ("rotation_set", "transitions"):
+    for name in ("bent_pairs", "transitions"):
         assert len(getattr(pres, name)) == 400 * len(getattr(c1, name)), name
-    assert max(len(pres.rotation_set), len(pres.transitions)) == len(pres.transitions) == 15 * 2800
+    assert len(pres.transitions) == 15 * 2800
 
 
 def test_round_trip(c1):

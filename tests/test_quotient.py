@@ -5,13 +5,14 @@ from math import gcd
 
 import pytest
 
-from a2cent.bassserre import simplify
+from a2cent.bassserre import IsoType, simplify
 from a2cent.errors import AmbiguousStrip, InvariantError, NotAWallWord
 from a2cent.presentation import BUILTIN_PRESENTATIONS, load, load_named
 from a2cent.quotient import build_quotient, vertex_witnesses
 from a2cent.strips import enumerate_periodic_strips
-from a2cent.walls import wall_necklaces
-from presentations import NON_BUILDING, OPPOSITE_BENDS, OTHER_Q2, deep_walls, relabelled_c1
+from a2cent.walls import minimal_period, wall_necklaces
+from presentations import (NON_BUILDING, OPPOSITE_BENDS, OTHER_Q2, SINGER_Q4, deep_walls,
+                           relabelled_c1)
 from strip_oracle import (full_scan_flip_shifts, full_scan_median_display_label,
                           full_scan_minimal_period)
 
@@ -101,8 +102,9 @@ def check_graph_invariants(pres, word):
     2n; an edge group includes injectively into both endpoint groups, by
     positive multipliers; one tree edge per vertex but the base; at most
     q+1 strips at every wall visited; each median label, minimized over
-    one strip period, equals the label minimized over all n phases; and
-    every wall period and strip period equals its full scan."""
+    one strip period, equals the label minimized over all n phases; every
+    wall period equals its full scan; and an edge has order n/p_e, with
+    p_e its strip's full-scan period."""
     g = build_quotient(pres, word)
     n = g.n
     for v in g.vertices:
@@ -113,7 +115,7 @@ def check_graph_invariants(pres, word):
         else:
             assert (2 * n) % v.group_order == 0, (word, v.display_label)
     for e in g.edges:
-        assert e.strip.period == full_scan_minimal_period(e.strip.rows()), (word, e.index)
+        assert e.group_order * full_scan_minimal_period(e.strip) == n, (word, e.index)
         for end, mu in zip(e.endpoints, e.multipliers):
             o = g.vertices[end].group_order
             assert o % e.group_order == 0, (word, e.index)
@@ -203,13 +205,34 @@ def test_quotient_outcomes_where_the_opposite_wall_bends():
         "0b136e6ab3a71ee7c417085d2d613e2bb1f310dbb4c991bdbc9e7ce2796585bf"
 
 
+def test_translation_keeps_the_signature_on_singer_q4():
+    """x -> x+1 is an automorphism of SINGER_Q4, so a wall word and its
+    translate have quotients of the same signature: vertex and edge counts,
+    the multiset of group orders and the isomorphism type.  Every graph
+    also passes check_graph_invariants.  All 1533 wall necklaces of length
+    1-3."""
+    def signature(word):
+        g = check_graph_invariants(SINGER_Q4, word)
+        result = simplify(g)
+        return (len(g.vertices), len(g.edges),
+                sorted((v.kind, v.group_order) for v in g.vertices),
+                sorted(e.group_order for e in g.edges),
+                result.render() if isinstance(result, IsoType) else None)
+
+    m = SINGER_Q4.generator_count
+    words = [w for n in (1, 2, 3) for w in wall_necklaces(SINGER_Q4, n)]
+    assert len(words) == 1533
+    for word in words:
+        assert signature(tuple((x + 1) % m for x in word)) == signature(word), word
+
+
 def test_graph_invariants_on_powers_of_the_fixtures():
     powers = [h * k for h in ((0, 5), (0, 1, 4)) for k in range(1, 41)]
     graphs = [check_graph_invariants(C1, word) for word in powers]
     assert sum(v.kind == "median" for g in graphs for v in g.vertices) == 240
     # 512 of the 520 wall vertices and 783 of the 800 strips have p < n
     assert sum(v.kind == "wall" and v.period < g.n for g in graphs for v in g.vertices) == 512
-    assert sum(e.strip.period < g.n for g in graphs for e in g.edges) == 783
+    assert sum(minimal_period(e.strip) < g.n for g in graphs for e in g.edges) == 783
 
 
 def test_quotient_of_a_word_over_ten_thousand_vertices():
@@ -277,6 +300,6 @@ def test_quotient_in_the_last_of_disjoint_copies_of_c1():
     assert [(v.kind, v.group_order, shifted(v.generator_witness)) for v in ref.vertices] == \
         [(v.kind, v.group_order, list(v.generator_witness.letters)) for v in got.vertices]
     assert [(e.endpoints, e.group_order, e.multipliers, shifted(e.conjugator_witness),
-             [tuple(x + off for x in row) for row in e.strip.rows()]) for e in ref.edges] == \
+             [tuple(x + off for x in row) for row in e.strip]) for e in ref.edges] == \
         [(e.endpoints, e.group_order, e.multipliers, list(e.conjugator_witness.letters),
-          list(e.strip.rows())) for e in got.edges]
+          list(e.strip)) for e in got.edges]

@@ -8,13 +8,15 @@ from hypothesis import strategies as st
 
 from a2cent.errors import AmbiguousStrip, InvariantError, NotAWallWord
 from a2cent.presentation import load, load_named
-from a2cent.strips import WINDOW, Strip, anchored_readings, enumerate_periodic_strips, flip_shifts
+from a2cent.strips import (WINDOW, anchored_readings, enumerate_periodic_strips, flip_shifts,
+                           strip_json, swapped_rows)
 from a2cent.walls import (check_wall_sequence, least_rotation, minimal_period, wall_necklaces,
                           wall_word)
-from presentations import NON_BUILDING, OPPOSITE_BENDS, OTHER_Q2, relabelled_c1
-from strip_oracle import (canonical_edge_key, full_scan_flip_shifts, full_scan_least_rotation,
-                          full_scan_wall_word, group_by_wall_shifts, oracle_enumerate,
-                          row_anchored_readings, shift, swap, validate_strip)
+from presentations import (NON_BUILDING, OPPOSITE_BENDS, OTHER_Q2, SINGER_Q4, relabelled_c1,
+                           rotation_set)
+from strip_oracle import (canonical_edge_key, columns, full_scan_flip_shifts,
+                          full_scan_least_rotation, full_scan_wall_word, group_by_wall_shifts,
+                          oracle_enumerate, row_anchored_readings, shift, validate_strip)
 
 C1 = load_named("c1")
 
@@ -28,12 +30,14 @@ WALL_WORDS_3 = [w for n in (1, 2, 3) for w in wall_necklaces(C1, n)]
 
 ALL_STRIPS = [s for w in WALL_WORDS_3 for s in enumerate_periodic_strips(C1, w)]
 
-# Figure fixture: the three strips along the (0,5) wall, all 30 labels.
+# Figure fixture: the three strips along the (0,5) wall, all 30 labels,
+# given by their columns a, s, t, b, u.
 FIG3_STRIPS = [
-    Strip(a=(0, 5), s=(0, 1), t=(6, 3), b=(2, 2), u=(3, 6)),
-    Strip(a=(0, 5), s=(2, 4), t=(3, 1), b=(6, 6), u=(1, 3)),
-    Strip(a=(0, 5), s=(6, 2), t=(0, 4), b=(3, 3), u=(4, 0)),
+    tuple(zip((0, 5), (0, 1), (6, 3), (2, 2), (3, 6))),
+    tuple(zip((0, 5), (2, 4), (3, 1), (6, 6), (1, 3))),
+    tuple(zip((0, 5), (6, 2), (0, 4), (3, 3), (4, 0))),
 ]
+CONST = tuple(zip((6, 6), (0, 0), (0, 0), (6, 6), (0, 0)))  # a strip along the (6) wall
 
 
 def test_fig3_fixture_strips_are_valid():
@@ -47,7 +51,7 @@ def test_enumerate_at_05_matches_figure():
 
 def test_enumerate_at_constant_wall():
     strips = enumerate_periodic_strips(C1, (6, 6))
-    assert strips[0] == Strip((6, 6), (0, 0), (0, 0), (6, 6), (0, 0))
+    assert strips[0] == CONST
     assert len(strips) == 3
     classes = group_by_wall_shifts(strips, wall_period=1)
     assert sorted(len(c) for c in classes) == [1, 2]
@@ -56,56 +60,56 @@ def test_enumerate_at_constant_wall():
 def test_shift_and_period():
     s = FIG3_STRIPS[0]
     assert shift(s, 2) == s
-    assert shift(s, 1).a == (5, 0)
-    assert s.period == 2
-    const = Strip((6, 6), (0, 0), (0, 0), (6, 6), (0, 0))
-    assert const.period == 1
+    assert columns(shift(s, 1))[0] == (5, 0)
+    assert minimal_period(s) == 2
+    assert minimal_period(CONST) == 1
 
 
 def test_swap_example():
-    s = FIG3_STRIPS[0]
-    sw = swap(s)
-    assert sw == Strip(a=(2, 2), s=(3, 6), t=(0, 1), b=(5, 0), u=(1, 0))
+    sw = swapped_rows(FIG3_STRIPS[0])
+    assert sw == tuple(zip((2, 2), (3, 6), (0, 1), (5, 0), (1, 0)))
     validate_strip(C1, sw)
 
 
-@pytest.mark.parametrize("s", ALL_STRIPS, ids=lambda s: str(s.a))
+def base_wall(rows):
+    """The strip's base wall a, as a test id."""
+    return str(columns(rows)[0])
+
+
+@pytest.mark.parametrize("s", ALL_STRIPS, ids=base_wall)
 def test_swap_squared_is_shift_by_one(s):
-    assert swap(swap(s)) == shift(s, 1)
-    validate_strip(C1, swap(s))
+    assert swapped_rows(swapped_rows(s)) == shift(s, 1)
+    validate_strip(C1, swapped_rows(s))
 
 
-@pytest.mark.parametrize("s", ALL_STRIPS, ids=lambda s: str(s.a))
+@pytest.mark.parametrize("s", ALL_STRIPS, ids=base_wall)
 def test_edge_key_invariant_under_shift_and_swap(s):
     key = canonical_edge_key(s)
-    for r in range(s.length):
+    for r in range(len(s)):
         assert canonical_edge_key(shift(s, r)) == key
-    assert canonical_edge_key(swap(s)) == key
+    assert canonical_edge_key(swapped_rows(s)) == key
 
 
 def test_empty_strip_has_no_period():
-    empty = Strip((), (), (), (), ())
     with pytest.raises(ValueError, match="empty sequence"):
-        empty.period
-    with pytest.raises(ValueError, match="empty sequence"):
-        flip_shifts(empty)
-    assert empty.to_json() == {"a": [], "s": [], "t": [], "b": [], "u": []}
+        minimal_period(())
+    assert strip_json(()) == {"a": [], "s": [], "t": [], "b": [], "u": []}
 
 
 def test_flip_shifts_examples():
-    const = Strip((6, 6), (0, 0), (0, 0), (6, 6), (0, 0))
-    assert flip_shifts(const) == [0, 1]
-    assert flip_shifts(FIG3_STRIPS[0]) == []
+    assert flip_shifts(CONST, 1) == [0, 1]
+    assert flip_shifts(FIG3_STRIPS[0], 2) == []
 
 
-@pytest.mark.parametrize("s", [s for s in ALL_STRIPS if flip_shifts(s)],
-                         ids=lambda s: str(s.a))
+@pytest.mark.parametrize("s", [s for s in ALL_STRIPS if flip_shifts(s, minimal_period(s))],
+                         ids=base_wall)
 def test_median_divisibility(s):
     """The least flip shift d of a flip strip has 2d+1 equal to its period:
-    swap(swap(s)) is the shift by 1, so the period divides 2d+1, and d is
-    below the period."""
-    assert s.period % 2 == 1
-    assert flip_shifts(s)[0] == (s.period - 1) // 2
+    the swap of the swap is the shift by 1, so the period divides 2d+1, and
+    d is below the period."""
+    pe = minimal_period(s)
+    assert pe % 2 == 1
+    assert flip_shifts(s, pe)[0] == (pe - 1) // 2
 
 
 @pytest.mark.parametrize(
@@ -114,8 +118,16 @@ def test_median_divisibility(s):
     + [pytest.param(w, marks=pytest.mark.slow) for w in wall_necklaces(C1, 5)],
     ids=str)
 def test_dfs_equals_oracle(wall):
-    assert sorted(enumerate_periodic_strips(C1, wall), key=lambda s: s.rows()) \
-        == sorted(oracle_enumerate(C1, wall), key=lambda s: s.rows())
+    assert sorted(enumerate_periodic_strips(C1, wall)) == sorted(oracle_enumerate(C1, wall))
+
+
+def test_dfs_equals_oracle_on_singer_q4():
+    """At q=4, at every wall necklace of length 1 and 2."""
+    walls = walls_through(SINGER_Q4, 2)
+    assert len(walls) == 168
+    for wall in walls:
+        assert sorted(enumerate_periodic_strips(SINGER_Q4, wall)) \
+            == sorted(oracle_enumerate(SINGER_Q4, wall)), wall
 
 
 @pytest.mark.parametrize("wall", WALL_WORDS_3, ids=str)
@@ -129,26 +141,26 @@ def test_enumeration_rotation_equivariant():
         base = enumerate_periodic_strips(C1, wall)
         for r in range(1, n):
             rotated = enumerate_periodic_strips(C1, wall[r:] + wall[:r])
-            assert sorted(s.rows() for s in rotated) == \
-                sorted(shift(s, r).rows() for s in base)
+            assert sorted(rotated) == sorted(shift(s, r) for s in base)
 
 
 def test_strip_periods_refine_wall_periods():
     for s in ALL_STRIPS:
-        assert s.period % minimal_period(s.a) == 0
-        assert s.period % minimal_period(s.b) == 0
+        a, _s, _t, b, _u = columns(s)
+        assert minimal_period(s) % minimal_period(a) == 0
+        assert minimal_period(s) % minimal_period(b) == 0
 
 
 def test_validate_rejects_broken_seam():
-    s = FIG3_STRIPS[0]
-    broken = Strip(s.a, s.s, (s.t[1], s.t[0]), s.b, s.u)
+    a, s, t, b, u = columns(FIG3_STRIPS[0])
+    broken = tuple(zip(a, s, (t[1], t[0]), b, u))
     with pytest.raises(InvariantError):
         validate_strip(C1, broken)
 
 
 def test_validate_rejects_degenerate_fold():
     # upper triangle mirroring the lower folds w back onto the base wall
-    folded = Strip((6, 6), (0, 0), (0, 0), (0, 0), (6, 6))
+    folded = tuple(zip((6, 6), (0, 0), (0, 0), (0, 0), (6, 6)))
     with pytest.raises(InvariantError):
         validate_strip(C1, folded)
 
@@ -158,19 +170,12 @@ def test_oracle_guard():
         oracle_enumerate(C1, (6,) * 7)
 
 
-def test_constructor_rejects_unequal_lengths():
-    with pytest.raises(InvariantError, match="sequence lengths differ"):
-        Strip((0, 5), (0, 1), (6, 3), (2, 2), (3,))
-
-
 def test_columns_round_trip():
     s = FIG3_STRIPS[0]
-    assert s.rows() == ((0, 0, 6, 2, 3), (5, 1, 3, 2, 6))
-    assert Strip.from_rows(s.rows()) == s
-    assert Strip(s.a, s.s, s.t, s.b, s.u) == s
-    assert s.to_json() == {"a": [0, 5], "s": [0, 1], "t": [6, 3], "b": [2, 2], "u": [3, 6]}
-    assert repr(s) == "Strip(a=(0, 5), s=(0, 1), t=(6, 3), b=(2, 2), u=(3, 6))"
-    assert len({s, Strip.from_rows(s.rows())}) == 1
+    assert s == ((0, 0, 6, 2, 3), (5, 1, 3, 2, 6))
+    assert columns(s) == ((0, 5), (0, 1), (6, 3), (2, 2), (3, 6))
+    assert tuple(zip(*columns(s))) == s
+    assert strip_json(s) == {"a": [0, 5], "s": [0, 1], "t": [6, 3], "b": [2, 2], "u": [3, 6]}
 
 
 @given(st.sampled_from(ALL_STRIPS), st.integers(min_value=0, max_value=11),
@@ -181,15 +186,11 @@ def test_shift_is_an_action(s, r1, r2):
 
 @given(st.sampled_from(ALL_STRIPS), st.integers(min_value=0, max_value=11))
 def test_swap_commutes_with_shift(s, r):
-    assert swap(shift(s, r)) == shift(swap(s), r)
+    assert swapped_rows(shift(s, r)) == shift(swapped_rows(s), r)
 
 
 # Reference: shift, swap and edge keys on the five label sequences, as the
 # strip was stored before it became a tuple of rows.
-
-def ref_columns(strip):
-    return (strip.a, strip.s, strip.t, strip.b, strip.u)
-
 
 def ref_shift(cols, r):
     r %= len(cols[0])
@@ -210,7 +211,7 @@ def ref_edge_key(cols):
 
 def any_strip(n):
     labels = st.tuples(*[st.integers(min_value=0, max_value=6)] * n)
-    return st.tuples(*[labels] * 5).map(lambda cols: Strip(*cols))
+    return st.tuples(*[labels] * 5).map(lambda cols: tuple(zip(*cols)))
 
 
 # valid strips of c1, plus arbitrary labels: the row algebra needs neither
@@ -222,31 +223,31 @@ STRIPS = st.one_of(
 
 @given(STRIPS, st.integers(min_value=-13, max_value=13))
 def test_shift_equals_column_reference(s, r):
-    assert ref_columns(shift(s, r)) == ref_shift(ref_columns(s), r)
+    assert columns(shift(s, r)) == ref_shift(columns(s), r)
 
 
 @given(STRIPS)
 def test_swap_equals_column_reference(s):
-    assert ref_columns(swap(s)) == ref_swap(ref_columns(s))
+    assert columns(swapped_rows(s)) == ref_swap(columns(s))
 
 
 @given(STRIPS)
 def test_edge_key_equals_column_reference(s):
-    assert canonical_edge_key(s) == ref_edge_key(ref_columns(s))
+    assert canonical_edge_key(s) == ref_edge_key(columns(s))
 
 
 @given(STRIPS)
 def test_flip_shifts_and_period_equal_column_reference(s):
-    cols = ref_columns(s)
+    cols = columns(s)
     n = len(cols[0])
-    assert flip_shifts(s) == [d for d in range(n) if ref_shift(ref_swap(cols), d) == cols]
-    assert s.period == min(p for p in range(1, n + 1)
-                           if n % p == 0 and ref_shift(cols, p) == cols)
+    pe = minimal_period(s)
+    assert flip_shifts(s, pe) == [d for d in range(n) if ref_shift(ref_swap(cols), d) == cols]
+    assert pe == min(p for p in range(1, n + 1) if n % p == 0 and ref_shift(cols, p) == cols)
 
 
 @st.composite
 def flip_symmetric_strip(draw):
-    """A strip with shift(swap(s), d) == s: a and s repeat with period
+    """A strip with shift(swapped_rows(s), d) == s: a and s repeat with period
     gcd(2d + 1, n), and b, u, t are read off them."""
     n = draw(st.integers(min_value=1, max_value=8))
     d = draw(st.integers(min_value=0, max_value=n - 1))
@@ -255,13 +256,14 @@ def flip_symmetric_strip(draw):
     s0 = draw(st.lists(st.integers(min_value=0, max_value=6), min_size=g, max_size=g))
     a = [a0[k % g] for k in range(n)]
     s = [s0[k % g] for k in range(n)]
-    return Strip(a, s, [s[(k + d) % n] for k in range(n)],
-                 [a[(k - d) % n] for k in range(n)], [s[(k - d) % n] for k in range(n)])
+    return tuple(zip(a, s, [s[(k + d) % n] for k in range(n)],
+                     [a[(k - d) % n] for k in range(n)], [s[(k - d) % n] for k in range(n)]))
 
 
 @given(st.one_of(STRIPS, flip_symmetric_strip()))
 def test_flip_shifts_equal_brute_force(s):
-    assert flip_shifts(s) == [d for d in range(s.length) if shift(swap(s), d) == s]
+    assert flip_shifts(s, minimal_period(s)) == \
+        [d for d in range(len(s)) if shift(swapped_rows(s), d) == s]
 
 
 # Reference: the recursive strip search, as it was before the strip walk
@@ -272,7 +274,7 @@ def reference_enumerate(presentation, wall):
     check_wall_sequence(presentation, a)
     # completion[i][k] is the unique j with rotation (i, j, k)
     completion = [{} for _ in range(presentation.generator_count)]
-    for (i, j, k) in presentation.rotation_set:
+    for (i, j, k) in rotation_set(presentation):
         completion[i][k] = j
     found = []
     for (s0, t0) in presentation.starting[a[0]]:
@@ -281,9 +283,8 @@ def reference_enumerate(presentation, wall):
         if len(completions) > 1:
             raise AmbiguousStrip((a[0], s0, t0))
         if completions:
-            strip = Strip.from_rows(completions[0])
-            validate_strip(presentation, strip)
-            found.append(strip)
+            validate_strip(presentation, completions[0])
+            found.append(completions[0])
     return found
 
 
@@ -377,7 +378,7 @@ def test_opposite_wall_bends_where_the_link_has_a_4_cycle():
         got = outcome(enumerate_periodic_strips, pres, wall)
         if isinstance(got, list):
             kinds["ok"] += 1
-            digest.update(repr((wall, [s.rows() for s in got])).encode())
+            digest.update(repr((wall, got)).encode())
             continue
         kinds[got[0].__name__] += 1
         digest.update(repr((wall, got[0].__name__, got[1])).encode())
@@ -417,7 +418,7 @@ def check_skip_equals_filtered_walk(presentation, walls):
         for skip in [frozenset([pair]) for pair in pairs] + [frozenset(pairs)]:
             got = walk_outcome(presentation, wall, skip)
             if isinstance(full, list):
-                kept = [strip for strip in full if strip.rows()[0][1:3] not in skip]
+                kept = [rows for rows in full if rows[0][1:3] not in skip]
                 assert got == kept, (wall, skip)
                 dropped += len(full) - len(kept)
             else:
@@ -543,11 +544,12 @@ def check_one_period_scans(presentation, walls):
             rotated = wall[r:] + wall[:r]
             assert wall_word(presentation, rotated) == full_scan_wall_word(presentation, rotated)
         for s in enumerate_periodic_strips(presentation, wall):
-            assert flip_shifts(s) == full_scan_flip_shifts(s), wall
-            canon, r, p = least_rotation(s.b[:s.period])
-            assert (canon * (s.length // s.period), r, p) == full_scan_least_rotation(s.b), wall
+            pe, b = minimal_period(s), columns(s)[3]
+            assert flip_shifts(s, pe) == full_scan_flip_shifts(s), wall
+            canon, r, p = least_rotation(b[:pe])
+            assert (canon * (len(s) // pe), r, p) == full_scan_least_rotation(b), wall
             strips_seen += 1
-            flips_seen += bool(flip_shifts(s))
+            flips_seen += bool(flip_shifts(s, pe))
     return strips_seen, flips_seen
 
 
@@ -579,16 +581,17 @@ def check_strip_facts(presentation, walls):
                 continue
             walls_seen += 1
             strips_seen += len(strips)
-            assert [s.rows() for s in strips] == sorted(s.rows() for s in strips), rotated
+            assert strips == sorted(strips), rotated
             wall_period = minimal_period(rotated)
             for cls in group_by_wall_shifts(strips, wall_period):
-                assert len(cls) == cls[0].period // wall_period, rotated
+                assert len(cls) == minimal_period(cls[0]) // wall_period, rotated
                 assert len({canonical_edge_key(s) for s in cls}) == 1, rotated
             for s in strips:
-                ds = flip_shifts(s)
+                pe = minimal_period(s)
+                ds = flip_shifts(s, pe)
                 if ds:
                     flips_seen += 1
-                    assert s.period % 2 == 1 and ds[0] == (s.period - 1) // 2, rotated
+                    assert pe % 2 == 1 and ds[0] == (pe - 1) // 2, rotated
     return walls_seen, strips_seen, flips_seen
 
 
@@ -634,22 +637,23 @@ def check_anchored_readings(presentation, walls):
         except AmbiguousStrip:
             continue
         for s in strips:
-            canon_b, dd, p_b = least_rotation(s.b)
-            flips = flip_shifts(s)
+            pe = minimal_period(s)
+            canon_b, dd, p_b = least_rotation(columns(s)[3])
+            flips = flip_shifts(s, pe)
             assert not flips or canon_b == wall, (wall, s)
             args = (minimal_period(wall),) if flips else (minimal_period(wall), dd, p_b)
             reference = row_anchored_readings(s, *args)
             key = canonical_edge_key(s)
-            orbit = {t.rows() for w in {wall, canon_b} for t in strips_at(w)
+            orbit = {t for w in {wall, canon_b} for t in strips_at(w)
                      if canonical_edge_key(t) == key}
             assert len(reference) == len(set(reference)), (wall, s)
             assert set(reference) == orbit, (wall, s)
-            own, opposite = anchored_readings(s, *args)
+            own, opposite = anchored_readings(s, pe, *args)
             assert len(own) + len(opposite) == len(reference), (wall, s)
             ats = [wall] * len(own) + [canon_b] * len(opposite)
             for pair, reading, at in zip(own + opposite, reference, ats):
                 assert pair == reading[0][1:3], (wall, s)
-                named = [t.rows() for t in strips_at(at) if t.rows()[0][1:3] == pair]
+                named = [t for t in strips_at(at) if t[0][1:3] == pair]
                 assert named == [reading], (wall, s, pair)
             checked += 1
             one_necklace += canon_b == wall
