@@ -5,11 +5,13 @@ one letter c_<index> per non-tree geometric edge; tree-edge letters are set
 to the identity at construction.  Simplification repeatedly collapses edges
 whose edge group surjects onto an endpoint group; when only trivial edge
 groups remain the result is a free product of cyclics with an explicit free
-rank.
+rank.  Every inclusion is injective, so an edge group surjects exactly when
+its order equals the endpoint's: the collapse reads group orders only, and
+the multipliers are output data for fundamental_group.
 
 The collapse runs off a worklist: a heap of edge indices, an
 incidence set per vertex and a count per vertex of incident edges with a
-nontrivial group.  A collapse rewrites only the edges at the absorbed vertex
+nontrivial group.  A collapse moves only the edges at the absorbed vertex
 and revisits only the edges at the vertex that absorbed it, so a step costs
 time in the degrees of those two vertices, not in the edge count.  Each step
 still takes the collapsible edge of least index (see simplify).
@@ -18,7 +20,6 @@ still takes the collapsible edge of least index (see simplify).
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from math import gcd
 
 from .errors import InvariantError
 from .frozen import Frozen
@@ -189,23 +190,28 @@ def simplify(graph: QuotientGraphOfGroups):
     Returns an IsoType when every surviving edge group is trivial, otherwise
     Unsimplified wrapping the raw presentation.
 
+    Collapsibility reads only group orders and the tree flag.  Every edge
+    group includes injectively, so its image in an endpoint group of order
+    o has its own order: the inclusion is onto iff the two orders are equal.
+    A collapse composes injections, so an edge moved onto the kept vertex
+    still includes injectively, and the rule stays exact.
+
     Every edge index starts on a heap.  Each step pops indices until one
     names an edge that still exists and is collapsible now, and collapses
     it; the indices popped before it are dropped.  A collapse of ``gone``
-    into ``kept`` rewrites only the edges that were at ``gone`` and pushes
-    every edge now at ``kept`` again.  No other edge changes its endpoints,
-    its multipliers or the nontrivial counts at its endpoints, so no other
-    edge can become collapsible, and a dropped edge is pushed again whenever
-    it could.  So each step takes the collapsible edge of least index, as a
-    scan of all edges would.
+    into ``kept`` moves only the edges that were at ``gone`` and pushes
+    every edge now at ``kept`` again.  No other edge changes its endpoints
+    or the nontrivial counts at its endpoints, so no other edge can become
+    collapsible, and a dropped edge is pushed again whenever it could.  So
+    each step takes the collapsible edge of least index, as a scan of all
+    edges would.
     """
     orders = {v.index: v.group_order for v in graph.vertices}
-    edges = {e.index: (e.endpoints[0], e.endpoints[1], e.group_order,
-                       e.multipliers[0], e.multipliers[1], e.in_spanning_tree)
+    edges = {e.index: (e.endpoints[0], e.endpoints[1], e.group_order, e.in_spanning_tree)
              for e in graph.edges}
     incident = {v: set() for v in orders}
     nontrivial = dict.fromkeys(orders, 0)  # incident edges with oe > 1, loops once
-    for idx, (v1, v2, oe, _m1, _m2, _t) in edges.items():
+    for idx, (v1, v2, oe, _t) in edges.items():
         incident[v1].add(idx)
         incident[v2].add(idx)
         if oe > 1:
@@ -214,21 +220,19 @@ def simplify(graph: QuotientGraphOfGroups):
     heap = sorted(edges)
 
     def collapsible(idx):
-        """(gone, kept, mu_gone, mu_kept) for a collapsible edge, else None."""
-        v1, v2, oe, m1, m2, tree = edges[idx]
+        """(gone, kept) for a collapsible edge, else None."""
+        v1, v2, oe, tree = edges[idx]
         if v1 == v2:
             return None
-        own = 1 if oe > 1 else 0
         # absorb an endpoint whose group the edge group surjects onto;
         # across a non-tree edge the absorbed generator comes back
         # conjugated by the edge letter, which is only sound when no
-        # other nontrivial edge group includes into that endpoint
-        if oe == orders[v2] and gcd(m2, orders[v2]) == 1 and \
-                (tree or nontrivial[v2] == own):
-            return v2, v1, m2, m1
-        if oe == orders[v1] and gcd(m1, orders[v1]) == 1 and \
-                (tree or nontrivial[v1] == own):
-            return v1, v2, m1, m2
+        # other nontrivial edge group includes into that endpoint: the
+        # edge itself is its one nontrivial edge, or it has none
+        if oe == orders[v2] and (tree or nontrivial[v2] <= 1):
+            return v2, v1
+        if oe == orders[v1] and (tree or nontrivial[v1] <= 1):
+            return v1, v2
         return None
 
     while heap:
@@ -238,11 +242,7 @@ def simplify(graph: QuotientGraphOfGroups):
         move = collapsible(idx)
         if move is None:
             continue
-        gone, kept, mu_gone, mu_kept = move
-        o_gone, o_kept = orders[gone], orders[kept]
-        # h_gone = (h_kept^mu_kept)^c with c = mu_gone^-1 mod o_gone
-        c = pow(mu_gone, -1, o_gone) if o_gone > 1 else 0
-        factor = (mu_kept * c) % o_kept if o_kept > 1 else 1
+        gone, kept = move
         if edges.pop(idx)[2] > 1:
             nontrivial[kept] -= 1
         del orders[gone]
@@ -251,24 +251,16 @@ def simplify(graph: QuotientGraphOfGroups):
         at_kept = incident[kept]
         at_kept.discard(idx)
         for jdx in moved:
-            w1, w2, oe, m1, m2, tree = edges[jdx]
+            w1, w2, oe, tree = edges[jdx]
             if oe > 1 and kept not in (w1, w2):
                 nontrivial[kept] += 1
-            if w1 == gone:
-                w1 = kept
-                m1 = (m1 * factor) % o_kept if o_kept > 1 else 1
-                m1 = m1 or o_kept
-            if w2 == gone:
-                w2 = kept
-                m2 = (m2 * factor) % o_kept if o_kept > 1 else 1
-                m2 = m2 or o_kept
-            edges[jdx] = (w1, w2, oe, m1, m2, tree)
+            edges[jdx] = (kept if w1 == gone else w1, kept if w2 == gone else w2, oe, tree)
         del nontrivial[gone]
         at_kept |= moved
         for jdx in at_kept:
             heappush(heap, jdx)
 
-    if any(oe > 1 for (_v1, _v2, oe, _m1, _m2, _t) in edges.values()):
+    if any(oe > 1 for (_v1, _v2, oe, _t) in edges.values()):
         return Unsimplified(fundamental_group(graph))
     free_rank = len(edges) - len(orders) + 1
     cyclic = tuple(sorted(o for o in orders.values() if o > 1))

@@ -1,4 +1,7 @@
 import random
+from collections import Counter
+from fractions import Fraction
+from itertools import chain
 from math import gcd
 from types import SimpleNamespace
 
@@ -178,18 +181,24 @@ def test_simplify_equals_reference_at_length_7():
     check_simplify_equals_reference(wall_necklaces(C1, 7))
 
 
+RANDOM_ORDERS = (1, 2, 3, 4, 6, 12)
+
+
 def random_graph_of_groups(rng):
-    """A connected graph of cyclic groups on up to 6 vertices with a marked
+    """A connected graph of cyclic groups on up to 7 vertices with a marked
     spanning tree, loops, parallel edges and consistent inclusions: more
-    nontrivial non-tree edges than the quotients of c1 have."""
-    orders = [rng.choice((1, 2, 2, 4)) for _v in range(rng.randint(1, 6))]
+    nontrivial non-tree edges, and more primes, than the quotients of c1
+    have.  Each end has multiplier k*u with k = o_v/o_e and u a unit mod
+    o_e, so each inclusion is injective."""
+    orders = [rng.choice(RANDOM_ORDERS) for _v in range(rng.randint(1, 7))]
     ends = [(rng.randrange(k), k, True) for k in range(1, len(orders))]
     ends += [(rng.randrange(len(orders)), rng.randrange(len(orders)), False)
              for _e in range(rng.randint(0, 6))]
     rng.shuffle(ends)
     edges = []
     for idx, (v1, v2, tree) in enumerate(ends):
-        oe = rng.choice([d for d in (1, 2, 4) if orders[v1] % d == 0 and orders[v2] % d == 0])
+        oe = rng.choice([d for d in RANDOM_ORDERS
+                         if orders[v1] % d == 0 and orders[v2] % d == 0])
         units = [u for u in range(1, oe + 1) if gcd(u, oe) == 1]
         multipliers = tuple(orders[v] // oe * rng.choice(units) for v in (v1, v2))
         edges.append(SimpleNamespace(index=idx, endpoints=(v1, v2), group_order=oe,
@@ -199,13 +208,52 @@ def random_graph_of_groups(rng):
     return SimpleNamespace(vertices=vertices, edges=edges)
 
 
-def test_simplify_equals_reference_on_random_graphs():
+def random_graphs():
+    """2000 seeded random graphs of groups, each followed by a copy with
+    some of its edges renumbered first."""
     rng = random.Random(20110112)
     for _trial in range(2000):
         g = random_graph_of_groups(rng)
+        yield g
         indices = [e.index for e in g.edges]
-        for graph in (g, renumbered(g, rng.sample(indices, rng.randint(0, len(indices))))):
-            assert simplify(graph) == reference_simplify(graph), graph
+        yield renumbered(g, rng.sample(indices, rng.randint(0, len(indices))))
+
+
+def test_simplify_equals_reference_on_random_graphs():
+    results = Counter()
+    for graph in random_graphs():
+        result = simplify(graph)
+        assert result == reference_simplify(graph), graph
+        results[type(result).__name__] += 1
+    # pinned, so that a weaker collapse rule fails here even when it never
+    # returns a wrong type: it leaves more graphs Unsimplified
+    assert results == {"IsoType": 1394, "Unsimplified": 2606}
+
+
+def euler_characteristic(graph):
+    """chi = sum 1/|G_v| - sum 1/|G_e| of a finite graph of finite groups
+    (Brown, Cohomology of Groups, IX.7); a collapse leaves it unchanged."""
+    return (sum(Fraction(1, v.group_order) for v in graph.vertices)
+            - sum(Fraction(1, e.group_order) for e in graph.edges))
+
+
+def test_euler_characteristic_of_every_isotype():
+    """chi(Z^{*r} * Z/o_1 * ... * Z/o_k) = 1 - r - sum (1 - 1/o_i) must
+    equal chi of the graph simplify classified.  The check reads no
+    multiplier."""
+    graphs = chain((build_quotient(C1, word) for word in WALL_WORDS_6),
+                   (build_quotient(OTHER_Q2, word)
+                    for n in range(1, 6) for word in wall_necklaces(OTHER_Q2, n)),
+                   random_graphs())
+    checked = 0
+    for graph in graphs:
+        result = simplify(graph)
+        if isinstance(result, IsoType):
+            expected = 1 - result.free_rank - sum(1 - Fraction(1, o)
+                                                  for o in result.cyclic_orders)
+            assert euler_characteristic(graph) == expected, result
+            checked += 1
+    assert checked == 1010 + 303 + 1394  # c1, OTHER_Q2, random graphs
 
 
 @pytest.mark.parametrize("word", WALL_WORDS_3, ids=str)

@@ -158,9 +158,17 @@ def test_centralizer_unparsable_word(capsys):
 
 
 def test_centralizer_index_out_of_range(capsys):
-    code, _out, err = run(capsys, "centralizer", "builtin:c1", "--word", "0,9")
-    assert code == EXIT_UNSUPPORTED
-    assert err == "error: generator index 9 out of range 0..6\n"
+    # c1 has m = 7 generators: index 7 is the least out of range
+    for index in (7, 9):
+        code, out, err = run(capsys, "centralizer", "builtin:c1", "--word", f"0,{index}")
+        assert code == EXIT_UNSUPPORTED
+        assert out == ""
+        assert err == f"error: generator index {index} out of range 0..6\n"
+
+
+def test_exit_codes_are_the_documented_values():
+    """The other tests compare against the names; README documents the numbers."""
+    assert (EXIT_OK, EXIT_VALIDATION, EXIT_UNSUPPORTED, EXIT_INTERNAL) == (0, 2, 3, 4)
 
 
 @pytest.mark.parametrize("argv", [
@@ -500,6 +508,20 @@ def test_centralizer_structured_byte_stable_on_big_graphs_words(capsys, word, ex
     wall periods were carried through the BFS."""
     code, out, _err = run(capsys, "centralizer", "builtin:c1", "--word", word,
                           "--format", "structured")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+
+@pytest.mark.parametrize("word, fmt, expected", [
+    ("0,5", "text", "60c0d2c7499b271797a93f1d5d756bf14a133766508c4a3be31090ecca33d331"),
+    ("0,5", "dot", "820626a1fe06e1eb0dd92575fb245986efbf63d3000cc3d9c8ec6ef7e73536b5"),
+    ("0,1,4", "text", "7c11373a45db9fb0e27a68b18bf4a730f323252228affc64465b2ab417634c28"),
+    ("0,1,4", "dot", "77ca8a29261681f34ec7e05848fafe1e1f776334c34cd88e3244cae600e36c19"),
+], ids=["0,5-text", "0,5-dot", "0,1,4-text", "0,1,4-dot"])
+def test_centralizer_text_and_dot_byte_stable_on_paper_figures(capsys, word, fmt, expected):
+    """sha256 of ``centralizer`` standard output in the text and dot formats
+    on the two paper figures: every vertex, edge, group, witness and shape."""
+    code, out, _err = run(capsys, "centralizer", "builtin:c1", "--word", word, "--format", fmt)
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == expected
 

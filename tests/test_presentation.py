@@ -161,6 +161,10 @@ def test_reject_duplicate_class():
 def test_reject_out_of_range():
     with pytest.raises(PresentationError, match="out of range"):
         load(_doc([[0, 2, 9]]))
+    # m = 7: index 7 is the least out of range
+    with pytest.raises(PresentationError,
+                       match=r"relator \(0, 2, 7\) has a generator index out of range"):
+        load(_doc([[0, 2, 7]]))
 
 
 def test_reject_pair_violation():

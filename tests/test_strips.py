@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from a2cent.errors import AmbiguousStrip, InvariantError, NotAWallWord
 from a2cent.presentation import load, load_named
+from a2cent.quotient import build_quotient
 from a2cent.strips import (WINDOW, anchored_readings, enumerate_periodic_strips, flip_shifts,
                            strip_json, swapped_rows)
 from a2cent.walls import (check_wall_sequence, least_rotation, minimal_period, wall_necklaces,
@@ -511,6 +512,22 @@ def test_warm_memo_skips_the_wall_check_with_the_same_outcome():
             errors.add(got[0])
     assert errors == {ValueError, IndexError, NotAWallWord}
     assert warmed._windows.keys() == memo.keys()  # no window of a bent wall was kept
+
+
+def test_warm_memo_builds_the_quotient_without_the_wall_check(monkeypatch):
+    """A second build on the same presentation finds the windows of every
+    wall it walks in the memo: it never calls check_wall_sequence and
+    returns the same graphs.  A wall longer than WINDOW takes more than one
+    window, so a memo key of the wrong length would miss on it."""
+    pres = load_named("c1")
+    words = [(0, 5), (0, 1, 4), (0, 1, 4, 3, 3, 1, 1)]
+    cold = [build_quotient(pres, word).to_json() for word in words]
+
+    def unexpected_check(*_args):
+        raise AssertionError("check_wall_sequence called on a warm memo")
+
+    monkeypatch.setattr("a2cent.strips.check_wall_sequence", unexpected_check)
+    assert [build_quotient(pres, word).to_json() for word in words] == cold
 
 
 def test_window_memo_holds_straight_windows_only():
