@@ -12,9 +12,12 @@ the multipliers are output data for fundamental_group.
 The collapse runs off a worklist: a heap of edge indices, an
 incidence set per vertex and a count per vertex of incident edges with a
 nontrivial group.  A collapse moves only the edges at the absorbed vertex
-and revisits only the edges at the vertex that absorbed it, so a step costs
-time in the degrees of those two vertices, not in the edge count.  Each step
-still takes the collapsible edge of least index (see simplify).
+and pushes them again; the other edges at the vertex that absorbed it are
+pushed again only when that vertex's count fell, the one change that can
+make them collapsible.  So a step costs time in the degrees of those two
+vertices, not in the edge count, and where every edge group is trivial it
+pushes only the moved edges.  Each step still takes the collapsible edge
+of least index (see simplify).
 """
 
 from __future__ import annotations
@@ -199,12 +202,14 @@ def simplify(graph: QuotientGraphOfGroups):
     Every edge index starts on a heap.  Each step pops indices until one
     names an edge that still exists and is collapsible now, and collapses
     it; the indices popped before it are dropped.  A collapse of ``gone``
-    into ``kept`` moves only the edges that were at ``gone`` and pushes
-    every edge now at ``kept`` again.  No other edge changes its endpoints
-    or the nontrivial counts at its endpoints, so no other edge can become
-    collapsible, and a dropped edge is pushed again whenever it could.  So
-    each step takes the collapsible edge of least index, as a scan of all
-    edges would.
+    into ``kept`` moves only the edges that were at ``gone``, and pushes
+    them again.  An edge that stays at ``kept`` keeps its endpoints and
+    their orders; of its inputs to collapsible only ``nontrivial[kept]``
+    can change, and only a fall can make it collapsible, so these edges
+    are pushed again only when that count fell.  No other edge changes
+    at all.  So a dropped edge is pushed again whenever it could become
+    collapsible, and each step takes the collapsible edge of least index,
+    as a scan of all edges would.
     """
     orders = {v.index: v.group_order for v in graph.vertices}
     edges = {e.index: (e.endpoints[0], e.endpoints[1], e.group_order, e.in_spanning_tree)
@@ -243,6 +248,7 @@ def simplify(graph: QuotientGraphOfGroups):
         if move is None:
             continue
         gone, kept = move
+        before = nontrivial[kept]
         if edges.pop(idx)[2] > 1:
             nontrivial[kept] -= 1
         del orders[gone]
@@ -257,7 +263,7 @@ def simplify(graph: QuotientGraphOfGroups):
             edges[jdx] = (kept if w1 == gone else w1, kept if w2 == gone else w2, oe, tree)
         del nontrivial[gone]
         at_kept |= moved
-        for jdx in at_kept:
+        for jdx in at_kept if nontrivial[kept] < before else moved:
             heappush(heap, jdx)
 
     if any(oe > 1 for (_v1, _v2, oe, _t) in edges.values()):

@@ -148,7 +148,7 @@ class QuotientGraphOfGroups:
         return "\n".join(lines) + "\n"
 
 
-def _median_display_label(rows: tuple, period: int, d: int) -> str:
+def _median_display_label(rows: tuple, period: int, d: int, digits: list[str]) -> str:
     """Bracketed positive word conjugate to the glide, e.g. "[0]" or "[2,3,5]".
 
     For the least flip shift d (the glide step) the core word is
@@ -156,7 +156,8 @@ def _median_display_label(rows: tuple, period: int, d: int) -> str:
     single letter t_0 (the inverse glide), otherwise x_{t_d}^-1 expands
     through the lower triangle to x_{a_d} x_{s_d}.
     The label is minimized over anchor phases below the strip's minimal
-    period (the others repeat them) and rotations.
+    period (the others repeat them) and rotations.  ``digits[x]`` is the
+    decimal string of generator x.
     """
     candidates = []
     for k0 in range(period):
@@ -167,13 +168,14 @@ def _median_display_label(rows: tuple, period: int, d: int) -> str:
             word = tuple([row[0] for row in sp[:d]]) + sp[d][:2]
         candidates.append(canonical_rotation(word))
     best = min(candidates)
-    return "[" + ",".join(str(x) for x in best) + "]"
+    return "[" + ",".join([digits[x] for x in best]) + "]"
 
 
 def build_quotient(presentation: TrianglePresentation, element) -> QuotientGraphOfGroups:
     """Quotient graph of groups of the axial-wall tree for a wall word."""
     neck = wall_word(presentation, element)
     n = neck.length
+    digits = [str(x) for x in range(presentation.generator_count)]
 
     vertices: list[QuotientVertex] = []
     edges: list[QuotientEdge] = []
@@ -211,7 +213,7 @@ def build_quotient(presentation: TrianglePresentation, element) -> QuotientGraph
         vertices.append(QuotientVertex(
             index=vid, kind="wall",
             group_order=order, generator_witness=gen,
-            display_label="(" + ",".join(map(str, sequence[:p])) + ")",
+            display_label="(" + ",".join([digits[x] for x in sequence[:p]]) + ")",
             sequence=sequence, period=p))
         wall_ids[sequence] = vid
         readings[vid] = set()
@@ -234,7 +236,9 @@ def build_quotient(presentation: TrianglePresentation, element) -> QuotientGraph
         for rows in enumerate_periodic_strips(presentation, v.sequence, seen):
             if rows[0][1:3] in seen:
                 continue
-            pe = minimal_period(rows)
+            # p | pe | n, so pe is the least period among the multiples of
+            # p: a primitive wall (p == n) has none below n, and pe == n
+            pe = n if v.period == n else minimal_period(rows, v.period)
             # b repeats with period dividing pe: the least rotation of one
             # period, repeated, and its minimal period, that of b
             canon_b, dd, p_b = least_rotation([row[3] for row in rows[:pe]])
@@ -251,7 +255,8 @@ def build_quotient(presentation: TrianglePresentation, element) -> QuotientGraph
                 other = len(vertices)
                 vertices.append(QuotientVertex(
                     index=other, kind="median", group_order=2 * n // pe,
-                    generator_witness=glide, display_label=_median_display_label(rows, pe, d)))
+                    generator_witness=glide,
+                    display_label=_median_display_label(rows, pe, d, digits)))
                 mu_other, conj, is_new = 2, FormalWord.identity(), True
                 seen.update(anchored_readings(rows, pe, v.period)[0])
             else:

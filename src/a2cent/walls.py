@@ -42,16 +42,17 @@ def least_rotation(labels):
     return canon, r, period
 
 
-def minimal_period(labels):
+def minimal_period(labels, unit=1):
     """The least p dividing n with the sequence invariant under rotation by
     p; a rotation is built only where its first element already matches.
+    Only multiples of ``unit``, a divisor of the minimal period, are tried.
     Raises ValueError on an empty sequence."""
     seq = tuple(labels)
     n = len(seq)
     if not n:
         raise ValueError("empty sequence has no period")
     first = seq[0]
-    for p in range(1, n):
+    for p in range(unit, n, unit):
         if n % p == 0 and seq[p] == first and seq == seq[p:] + seq[:p]:
             return p
     return n

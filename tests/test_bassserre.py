@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from heapq import heappush
 from itertools import chain
 from math import gcd
 from types import SimpleNamespace
@@ -228,6 +229,43 @@ def test_simplify_equals_reference_on_random_graphs():
     # pinned, so that a weaker collapse rule fails here even when it never
     # returns a wrong type: it leaves more graphs Unsimplified
     assert results == {"IsoType": 1394, "Unsimplified": 2606}
+
+
+def test_collapse_pushes_the_edges_at_kept_when_its_nontrivial_count_falls():
+    """Edge 0 (K-X, non-tree, Z/2) is not collapsible while K has two
+    nontrivial edges.  Collapsing edge 1 (K-Y, tree) absorbs Y into K and
+    leaves K one nontrivial edge, so edge 0, already dropped from the
+    heap, becomes collapsible without moving: it must be pushed again, or
+    the Z/2 edge group stays."""
+    vertices = [SimpleNamespace(index=v, group_order=o, display_label=label)
+                for v, (label, o) in enumerate((("K", 2), ("Y", 2), ("X", 4)))]
+    edges = [SimpleNamespace(index=idx, endpoints=ends, group_order=oe, multipliers=mus,
+                             in_spanning_tree=tree)
+             for idx, (ends, oe, mus, tree) in enumerate((
+                 ((0, 2), 2, (1, 2), False),
+                 ((0, 1), 2, (1, 1), True),
+                 ((1, 2), 1, (2, 4), True)))]
+    graph = SimpleNamespace(vertices=vertices, edges=edges)
+    assert simplify(graph) == reference_simplify(graph) == IsoType(1, (4,))
+    assert simplify(graph).render() == "Z * (Z/4)"
+
+
+def test_simplify_pushes_each_edge_at_most_once_where_every_group_is_trivial(monkeypatch):
+    """Where every group is trivial no nontrivial count falls, so a
+    collapse pushes only the edges it moved: on the flat 19 760-vertex
+    quotient of an 18-letter word, fewer pushes than edges."""
+    g = build_quotient(C1, (6, 5, 3, 1, 6, 6, 4, 2, 2, 0, 1, 4, 2, 0, 1, 0, 4, 3))
+    assert {v.group_order for v in g.vertices} == {e.group_order for e in g.edges} == {1}
+    pushes = 0
+
+    def counted(heap, item):
+        nonlocal pushes
+        pushes += 1
+        heappush(heap, item)
+
+    monkeypatch.setattr("a2cent.bassserre.heappush", counted)
+    assert simplify(g) == IsoType(1, ())
+    assert 0 < pushes <= len(g.edges) == 19760
 
 
 def euler_characteristic(graph):

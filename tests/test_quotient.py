@@ -235,6 +235,37 @@ def test_graph_invariants_on_powers_of_the_fixtures():
     assert sum(minimal_period(e.strip) < g.n for g in graphs for e in g.edges) == 783
 
 
+def test_primitive_walls_take_their_strip_periods_without_a_scan(monkeypatch):
+    """p | p_e | n, so every strip at a primitive wall has p_e == n: on a
+    big-graphs catalog word whose walls are all primitive, the quotient is
+    the same with minimal_period patched to raise."""
+    word = (4, 3, 6, 2, 2, 0, 4, 4, 3, 2, 1, 0, 3, 2, 2, 0)
+    cold = build_quotient(C1, word)
+    assert len(cold.vertices) == 100
+    assert all(v.period == cold.n for v in cold.vertices)
+
+    def unexpected_scan(*_args):
+        raise AssertionError("minimal_period called at a primitive wall")
+
+    monkeypatch.setattr("a2cent.quotient.minimal_period", unexpected_scan)
+    assert build_quotient(C1, word).to_json() == cold.to_json()
+
+
+def test_wall_labels_with_multi_digit_generators():
+    """SINGER_Q4 has 21 generators: every wall vertex label through L=3 is
+    one period of its sequence, in decimal, in round brackets; 3197 of the
+    walls have a two-digit letter.  Through L=2 each quotient is its base
+    wall alone; at L=3 the BFS adds 2142 more walls."""
+    walls = []
+    for n in (1, 2, 3):
+        for word in wall_necklaces(SINGER_Q4, n):
+            walls += [v for v in build_quotient(SINGER_Q4, word).vertices if v.kind == "wall"]
+    for v in walls:
+        assert v.display_label == "(" + ",".join(map(str, v.sequence[:v.period])) + ")"
+    assert len(walls) == 168 + 1365 + 2142
+    assert sum(max(v.sequence) > 9 for v in walls) == 3197
+
+
 def test_quotient_of_a_word_over_ten_thousand_vertices():
     """Every wall word has a finite quotient: V <= (q+2) x (wall necklaces
     of length n).  This 18-letter word has a flat quotient, a cycle with a

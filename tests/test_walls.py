@@ -87,6 +87,15 @@ def test_minimal_period_examples():
     assert minimal_period((0, 5, 0, 6)) == 4
 
 
+@given(label_seqs, st.integers(min_value=1, max_value=4))
+def test_minimal_period_among_the_multiples_of_a_unit(seq, k):
+    """Searched among the multiples of a divisor of the minimal period, the
+    period of a power is that of its root."""
+    p = minimal_period(seq)
+    for unit in (d for d in range(1, p + 1) if p % d == 0):
+        assert minimal_period(seq * k, unit) == p
+
+
 @st.composite
 def false_start_period(draw):
     """A sequence with seq[p] == seq[0] for a proper divisor p of its
