@@ -2,27 +2,16 @@
 
 The presentation has one generator h_<label> per nontrivial vertex group and
 one letter c_<index> per non-tree geometric edge; tree-edge letters are set
-to the identity at construction.  Simplification repeatedly collapses edges
-whose edge group surjects onto an endpoint group; when only trivial edge
-groups remain the result is a free product of cyclics with an explicit free
-rank.  Every inclusion is injective, so an edge group surjects exactly when
-its order equals the endpoint's: the collapse reads group orders only, and
-the multipliers are output data for fundamental_group.
-
-The collapse runs off a worklist: a heap of edge indices, an
-incidence set per vertex and a count per vertex of incident edges with a
-nontrivial group.  A collapse moves only the edges at the absorbed vertex
-and pushes them again; the other edges at the vertex that absorbed it are
-pushed again only when that vertex's count fell, the one change that can
-make them collapsible.  So a step costs time in the degrees of those two
-vertices, not in the edge count, and where every edge group is trivial it
-pushes only the moved edges.  Each step still takes the collapsible edge
-of least index (see simplify).
+to the identity at construction.  Simplification contracts, in one pass
+over the edges, every edge whose edge group is all of an endpoint group;
+when only trivial edge groups remain the result is a free product of
+cyclics with an explicit free rank.  Every inclusion is injective, so an
+edge group is all of an endpoint group exactly when the two orders are
+equal: the contraction reads group orders only, and the multipliers and
+the tree flag are output data for fundamental_group.
 """
 
 from __future__ import annotations
-
-from heapq import heappop, heappush
 
 from .errors import InvariantError
 from .frozen import Frozen
@@ -188,88 +177,55 @@ def full_centralizer_presentation(graph: QuotientGraphOfGroups) -> GroupPresenta
 # -- simplification ---------------------------------------------------------
 
 def simplify(graph: QuotientGraphOfGroups):
-    """Collapse edges with surjective inclusions; classify if possible.
+    """Contract edges with surjective inclusions; classify if possible.
 
-    Returns an IsoType when every surviving edge group is trivial, otherwise
+    Returns an IsoType when every edge group left is trivial, otherwise
     Unsimplified wrapping the raw presentation.
 
-    Collapsibility reads only group orders and the tree flag.  Every edge
-    group includes injectively, so its image in an endpoint group of order
-    o has its own order: the inclusion is onto iff the two orders are equal.
-    A collapse composes injections, so an edge moved onto the kept vertex
-    still includes injectively, and the rule stays exact.
+    One pass over the edges, in any order, keeps ``into``: a union-find
+    map from each absorbed vertex to the vertex that absorbed it.  An edge
+    between two representatives whose order equals one's order absorbs
+    that one; any other nontrivial edge group survives.  This is exact
+    (Serre, Trees, I.4-5):
 
-    Every edge index starts on a heap.  Each step pops indices until one
-    names an edge that still exists and is collapsible now, and collapses
-    it; the indices popped before it are dropped.  A collapse of ``gone``
-    into ``kept`` moves only the edges that were at ``gone``, and pushes
-    them again.  An edge that stays at ``kept`` keeps its endpoints and
-    their orders; of its inputs to collapsible only ``nontrivial[kept]``
-    can change, and only a fall can make it collapsible, so these edges
-    are pushed again only when that count fell.  No other edge changes
-    at all.  So a dropped edge is pushed again whenever it could become
-    collapsible, and each step takes the collapsible edge of least index,
-    as a scan of all edges would.
+    1. Contracting a non-loop edge whose group has an endpoint's order
+       keeps pi_1: inclusions are injective, and any non-loop edge lies
+       in some maximal tree, on which pi_1 does not depend.
+    2. The absorbed vertex's order divides the kept vertex's, which keeps
+       its order.  So an edge that is a loop, or whose order is below
+       both its endpoints' orders, when the pass reaches it stays so: no
+       contraction makes another edge contractible.
+    3. A nontrivial edge group C left over has an infinite normalizer: on
+       a loop the stable letter conjugates C onto the one subgroup of its
+       order in a cyclic vertex group, C itself; on a non-loop C is normal
+       in the infinite amalgam Z/a *_C Z/b.  In a free product of cyclics
+       a nontrivial finite subgroup lies in a conjugate of a finite factor
+       (Kurosh), which contains its normalizer; so pi_1 is no such product.
+    4. Otherwise pi_1 is the free product of the vertex groups left and a
+       free group of rank E - V + 1, as each contraction removes one edge
+       and one vertex; Grushko and Kurosh fix that rank and those orders.
     """
     orders = {v.index: v.group_order for v in graph.vertices}
-    edges = {e.index: (e.endpoints[0], e.endpoints[1], e.group_order, e.in_spanning_tree)
-             for e in graph.edges}
-    incident = {v: set() for v in orders}
-    nontrivial = dict.fromkeys(orders, 0)  # incident edges with oe > 1, loops once
-    for idx, (v1, v2, oe, _t) in edges.items():
-        incident[v1].add(idx)
-        incident[v2].add(idx)
-        if oe > 1:
-            for v in {v1, v2}:
-                nontrivial[v] += 1
-    heap = sorted(edges)
+    into = {}
 
-    def collapsible(idx):
-        """(gone, kept) for a collapsible edge, else None."""
-        v1, v2, oe, tree = edges[idx]
-        if v1 == v2:
-            return None
-        # absorb an endpoint whose group the edge group surjects onto;
-        # across a non-tree edge the absorbed generator comes back
-        # conjugated by the edge letter, which is only sound when no
-        # other nontrivial edge group includes into that endpoint: the
-        # edge itself is its one nontrivial edge, or it has none
-        if oe == orders[v2] and (tree or nontrivial[v2] <= 1):
-            return v2, v1
-        if oe == orders[v1] and (tree or nontrivial[v1] <= 1):
-            return v1, v2
-        return None
+    def find(v):
+        while v in into:
+            up = into[v]
+            into[v] = into.get(up, up)  # path halving
+            v = into[v]
+        return v
 
-    while heap:
-        idx = heappop(heap)
-        if idx not in edges:
-            continue
-        move = collapsible(idx)
-        if move is None:
-            continue
-        gone, kept = move
-        before = nontrivial[kept]
-        if edges.pop(idx)[2] > 1:
-            nontrivial[kept] -= 1
-        del orders[gone]
-        moved = incident.pop(gone)
-        moved.discard(idx)
-        at_kept = incident[kept]
-        at_kept.discard(idx)
-        for jdx in moved:
-            w1, w2, oe, tree = edges[jdx]
-            if oe > 1 and kept not in (w1, w2):
-                nontrivial[kept] += 1
-            edges[jdx] = (kept if w1 == gone else w1, kept if w2 == gone else w2, oe, tree)
-        del nontrivial[gone]
-        at_kept |= moved
-        for jdx in at_kept if nontrivial[kept] < before else moved:
-            heappush(heap, jdx)
-
-    if any(oe > 1 for (_v1, _v2, oe, _t) in edges.values()):
-        return Unsimplified(fundamental_group(graph))
-    free_rank = len(edges) - len(orders) + 1
-    cyclic = tuple(sorted(o for o in orders.values() if o > 1))
+    for e in graph.edges:
+        v1, v2 = find(e.endpoints[0]), find(e.endpoints[1])
+        oe = e.group_order
+        if v1 != v2 and oe == orders[v2]:
+            into[v2] = v1
+        elif v1 != v2 and oe == orders[v1]:
+            into[v1] = v2
+        elif oe > 1:
+            return Unsimplified(fundamental_group(graph))
+    free_rank = len(graph.edges) - len(orders) + 1
+    cyclic = tuple(sorted(o for v, o in orders.items() if o > 1 and v not in into))
     return IsoType(free_rank, cyclic)
 
 

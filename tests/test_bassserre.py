@@ -1,7 +1,6 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from heapq import heappush
 from itertools import chain
 from math import gcd
 from types import SimpleNamespace
@@ -25,22 +24,25 @@ WALL_WORDS_6 = [w for n in range(1, 7) for w in wall_necklaces(C1, n)]
 
 
 def renumbered(graph, first):
-    """The graph with its edges renumbered: the edges indexed in ``first``
-    take indices 0, 1, ... in that order, and the others follow in index
-    order.  simplify collapses the least index first, so this steers it."""
+    """The graph with its edges renumbered and listed by their new index:
+    the edges indexed in ``first`` take indices 0, 1, ... in that order,
+    and the others follow in index order.  simplify reads the edges in list
+    order, so this steers it."""
     rest = sorted(e.index for e in graph.edges if e.index not in set(first))
     new_index = {old: new for new, old in enumerate(list(first) + rest)}
     edges = [SimpleNamespace(index=new_index[e.index], endpoints=e.endpoints,
                              group_order=e.group_order, multipliers=e.multipliers,
                              in_spanning_tree=e.in_spanning_tree)
              for e in graph.edges]
+    edges.sort(key=lambda e: e.index)
     return SimpleNamespace(vertices=graph.vertices, edges=edges)
 
 
 def reference_simplify(graph):
     """The collapse loop that rescans every edge after each collapse and
-    takes the collapsible edge of least index: the reference for the
-    worklist in ``simplify``."""
+    takes the collapsible edge of least index, and absorbs an endpoint
+    across a non-tree edge only when no other nontrivial edge group
+    includes into it: the reference for the one pass in ``simplify``."""
     orders = {v.index: v.group_order for v in graph.vertices}
     edges = {e.index: (e.endpoints[0], e.endpoints[1], e.group_order,
                        e.multipliers[0], e.multipliers[1], e.in_spanning_tree)
@@ -185,21 +187,29 @@ def test_simplify_equals_reference_at_length_7():
 RANDOM_ORDERS = (1, 2, 3, 4, 6, 12)
 
 
-def random_graph_of_groups(rng):
-    """A connected graph of cyclic groups on up to 7 vertices with a marked
-    spanning tree, loops, parallel edges and consistent inclusions: more
-    nontrivial non-tree edges, and more primes, than the quotients of c1
-    have.  Each end has multiplier k*u with k = o_v/o_e and u a unit mod
-    o_e, so each inclusion is injective."""
-    orders = [rng.choice(RANDOM_ORDERS) for _v in range(rng.randint(1, 7))]
+def random_graph_of_groups(rng, pool=RANDOM_ORDERS, max_vertices=7, max_non_tree=6,
+                           common_bias=0.0):
+    """A connected graph of cyclic groups on up to ``max_vertices`` vertices
+    with a marked spanning tree, up to ``max_non_tree`` loops, parallel and
+    other non-tree edges, and consistent inclusions: more nontrivial
+    non-tree edges, and more primes, than the quotients of c1 have.  Orders
+    come from the divisor-closed ``pool``; with probability
+    ``common_bias`` an edge takes the greatest common divisor of its
+    endpoints' orders, else any common divisor.  Each end has multiplier
+    k*u with k = o_v/o_e and u a unit mod o_e, so each inclusion is
+    injective."""
+    orders = [rng.choice(pool) for _v in range(rng.randint(1, max_vertices))]
     ends = [(rng.randrange(k), k, True) for k in range(1, len(orders))]
     ends += [(rng.randrange(len(orders)), rng.randrange(len(orders)), False)
-             for _e in range(rng.randint(0, 6))]
+             for _e in range(rng.randint(0, max_non_tree))]
     rng.shuffle(ends)
     edges = []
     for idx, (v1, v2, tree) in enumerate(ends):
-        oe = rng.choice([d for d in RANDOM_ORDERS
-                         if orders[v1] % d == 0 and orders[v2] % d == 0])
+        common = gcd(orders[v1], orders[v2])
+        if common_bias and rng.random() < common_bias:
+            oe = common
+        else:
+            oe = rng.choice([d for d in pool if common % d == 0])
         units = [u for u in range(1, oe + 1) if gcd(u, oe) == 1]
         multipliers = tuple(orders[v] // oe * rng.choice(units) for v in (v1, v2))
         edges.append(SimpleNamespace(index=idx, endpoints=(v1, v2), group_order=oe,
@@ -231,41 +241,91 @@ def test_simplify_equals_reference_on_random_graphs():
     assert results == {"IsoType": 1394, "Unsimplified": 2606}
 
 
-def test_collapse_pushes_the_edges_at_kept_when_its_nontrivial_count_falls():
-    """Edge 0 (K-X, non-tree, Z/2) is not collapsible while K has two
-    nontrivial edges.  Collapsing edge 1 (K-Y, tree) absorbs Y into K and
-    leaves K one nontrivial edge, so edge 0, already dropped from the
-    heap, becomes collapsible without moving: it must be pushed again, or
-    the Z/2 edge group stays."""
-    vertices = [SimpleNamespace(index=v, group_order=o, display_label=label)
-                for v, (label, o) in enumerate((("K", 2), ("Y", 2), ("X", 4)))]
-    edges = [SimpleNamespace(index=idx, endpoints=ends, group_order=oe, multipliers=mus,
-                             in_spanning_tree=tree)
-             for idx, (ends, oe, mus, tree) in enumerate((
-                 ((0, 2), 2, (1, 2), False),
-                 ((0, 1), 2, (1, 1), True),
-                 ((1, 2), 1, (2, 4), True)))]
-    graph = SimpleNamespace(vertices=vertices, edges=edges)
+DIVISOR_POOLS = ((1, 2, 4, 8), (1, 2, 3, 6), (1, 2, 3, 5, 6, 10, 15, 30))
+
+
+@pytest.mark.slow
+def test_simplify_equals_reference_on_adversarial_graphs():
+    """20 000 seeded graphs on up to 10 vertices with up to 12 non-tree
+    edges, orders from one divisor-closed pool per graph and edge groups
+    biased to the greatest common divisor of their endpoints' orders: many
+    edges that fill an endpoint group at a vertex with other nontrivial
+    edges, which the reference blocks and the one pass contracts."""
+    rng = random.Random(20111219)
+    results = Counter()
+    for _trial in range(20000):
+        graph = random_graph_of_groups(rng, rng.choice(DIVISOR_POOLS), 10, 12, 0.5)
+        result = simplify(graph)
+        assert result == reference_simplify(graph), graph
+        results[type(result).__name__] += 1
+    assert results == {"IsoType": 4669, "Unsimplified": 15331}
+
+
+def hand_built(vertices, edges):
+    """A graph of groups from (label, order) vertices and (endpoints,
+    order, multipliers, tree flag) edges, each indexed by its position."""
+    return SimpleNamespace(
+        vertices=[SimpleNamespace(index=v, group_order=o, display_label=label)
+                  for v, (label, o) in enumerate(vertices)],
+        edges=[SimpleNamespace(index=idx, endpoints=ends, group_order=oe,
+                               multipliers=mus, in_spanning_tree=tree)
+               for idx, (ends, oe, mus, tree) in enumerate(edges)])
+
+
+def test_simplify_contracts_a_non_tree_edge_at_a_vertex_with_two_nontrivial_edges():
+    """Edge 0 (K-X, non-tree, Z/2) fills K, which has a second nontrivial
+    edge (K-Y).  The one pass absorbs K into X at once; the reference
+    first collapses edge 1 (K-Y, tree), after which K has one nontrivial
+    edge.  Both give Z * (Z/4)."""
+    graph = hand_built((("K", 2), ("Y", 2), ("X", 4)),
+                       (((0, 2), 2, (1, 2), False),
+                        ((0, 1), 2, (1, 1), True),
+                        ((1, 2), 1, (2, 4), True)))
     assert simplify(graph) == reference_simplify(graph) == IsoType(1, (4,))
     assert simplify(graph).render() == "Z * (Z/4)"
 
 
-def test_simplify_pushes_each_edge_at_most_once_where_every_group_is_trivial(monkeypatch):
-    """Where every group is trivial no nontrivial count falls, so a
-    collapse pushes only the edges it moved: on the flat 19 760-vertex
-    quotient of an 18-letter word, fewer pushes than edges."""
+def test_simplify_contracts_an_edge_the_reference_blocks_at_that_step():
+    """A path W1-X-Y-W2 of Z/2 vertices with trivial tree edges and
+    non-tree Z/2 edges X-Y (listed first), W1-X and Y-W2.  The one pass
+    contracts X-Y first, where the reference, which needs X or Y to have
+    no other nontrivial edge, blocks it until W1-X is collapsed.  Both
+    end in one Z/2 vertex and three trivial loops."""
+    graph = hand_built((("W1", 2), ("X", 2), ("Y", 2), ("W2", 2)),
+                       (((1, 2), 2, (1, 1), False),
+                        ((0, 1), 2, (1, 1), False),
+                        ((2, 3), 2, (1, 1), False),
+                        ((0, 1), 1, (2, 2), True),
+                        ((1, 2), 1, (2, 2), True),
+                        ((2, 3), 1, (2, 2), True)))
+    assert simplify(graph) == reference_simplify(graph) == IsoType(3, (2,))
+    assert simplify(graph).render() == "Z^{*3} * (Z/2)"
+
+
+def test_simplify_leaves_an_amalgam_the_contractions_create():
+    """A 4-cycle V(2)-L1(6)-Z(3)-L2(6) of non-tree edges of orders 2, 3, 3
+    and 2, with trivial tree edges.  The reference collapses nothing: each
+    vertex has two nontrivial edges.  The one pass absorbs V and Z into
+    L1, which leaves L1 and L2 joined by a Z/2 and a Z/3 edge, neither
+    filling Z/6: no free product of cyclics."""
+    graph = hand_built((("V", 2), ("L1", 6), ("Z", 3), ("L2", 6)),
+                       (((0, 1), 2, (1, 3), False),
+                        ((1, 2), 3, (2, 1), False),
+                        ((2, 3), 3, (1, 2), False),
+                        ((3, 0), 2, (3, 1), False),
+                        ((0, 1), 1, (2, 6), True),
+                        ((1, 2), 1, (6, 3), True),
+                        ((2, 3), 1, (3, 6), True)))
+    assert simplify(graph) == reference_simplify(graph) == Unsimplified(fundamental_group(graph))
+
+
+def test_simplify_the_flat_quotient_of_an_18_letter_word():
+    """The 19 760-vertex quotient of an 18-letter word has only trivial
+    groups: one pass contracts a spanning tree and leaves Z."""
     g = build_quotient(C1, (6, 5, 3, 1, 6, 6, 4, 2, 2, 0, 1, 4, 2, 0, 1, 0, 4, 3))
     assert {v.group_order for v in g.vertices} == {e.group_order for e in g.edges} == {1}
-    pushes = 0
-
-    def counted(heap, item):
-        nonlocal pushes
-        pushes += 1
-        heappush(heap, item)
-
-    monkeypatch.setattr("a2cent.bassserre.heappush", counted)
+    assert len(g.edges) == 19760
     assert simplify(g) == IsoType(1, ())
-    assert 0 < pushes <= len(g.edges) == 19760
 
 
 def euler_characteristic(graph):

@@ -1,6 +1,8 @@
 """Smoke tests of the scripts under scripts/ and of the benchmark's
-self-test, each run as a fresh process."""
+self-test, each run as a fresh process but the mutant generator, which is
+imported and not run."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -45,3 +47,27 @@ def test_benchmark_selftest():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "selftest ok"
+
+
+def test_mutants_of_one_module():
+    """scripts/mutants.py makes every kind of mutant of a module, each one
+    changed line that still parses, without running any of them."""
+    sys.path.insert(0, str(ROOT / "scripts"))
+    try:
+        import mutants
+    finally:
+        sys.path.remove(str(ROOT / "scripts"))
+    source = (ROOT / "src" / "a2cent" / "bassserre.py").read_text()
+    unparsed = ast.unparse(ast.parse(source))
+    found = list(mutants.mutants("bassserre"))
+    assert len(found) > 50
+    kinds = {m.change.split(" -> ")[0] for m in found}
+    assert {"Lt", "Eq", "NotIn", "And", "Or", "Add", "Sub", "1"} <= kinds
+    for m in found:
+        assert m.module == "bassserre"
+        assert m.source != unparsed
+        ast.parse(m.source)
+        before = source.splitlines()[m.lineno - 1].strip()
+        assert m.line != before, m
+    assert {"simplify", "simplify.find"} <= {m.function for m in found}
+    assert len({m.key() for m in found}) == len(found)
