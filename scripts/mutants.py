@@ -17,7 +17,7 @@ the sites in EQUIVALENT are reported with the reason they cannot change an
 output; any other survivor marks a missing test or unneeded code, and makes
 the exit status 1.
 
-Usage: python scripts/mutants.py bassserre [walls ...]
+Usage: python scripts/mutants.py [bassserre walls ...]   (default: every module)
 """
 
 import argparse
@@ -133,6 +133,11 @@ def mutants(module):
                      ast.unparse(tree))
 
 
+def package_modules():
+    """The name of every module under src/a2cent but __init__."""
+    return sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__")
+
+
 def _run_tests(copy, module):
     """'passed', 'failed' or 'timeout' for tier-1 in ``copy``."""
     own = copy / "tests" / f"test_{module}.py"
@@ -155,7 +160,8 @@ def _copy_checkout(dest):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("modules", nargs="+", help="module names under src/a2cent, e.g. bassserre")
+    parser.add_argument("modules", nargs="*", default=package_modules(),
+                        help="module names under src/a2cent, e.g. bassserre (default: all)")
     args = parser.parse_args()
 
     todo = [m for module in args.modules for m in mutants(module)]

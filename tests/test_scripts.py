@@ -51,7 +51,8 @@ def test_benchmark_selftest():
 
 def test_mutants_of_one_module():
     """scripts/mutants.py makes every kind of mutant of a module, each one
-    changed line that still parses, without running any of them."""
+    changed line that still parses, without running any of them, and
+    defaults to every module of the package."""
     sys.path.insert(0, str(ROOT / "scripts"))
     try:
         import mutants
@@ -71,3 +72,7 @@ def test_mutants_of_one_module():
         assert m.line != before, m
     assert {"simplify", "simplify.find"} <= {m.function for m in found}
     assert len({m.key() for m in found}) == len(found)
+    # with no arguments the probe covers every module of the package
+    modules = mutants.package_modules()
+    assert "__init__" not in modules
+    assert {"bassserre", "cli", "errors", "frozen"} <= set(modules)
