@@ -17,15 +17,15 @@ from .presentation import (BUILTIN_PRESENTATIONS, TrianglePresentation, load,
 from .quotient import (QuotientEdge, QuotientGraphOfGroups, QuotientVertex,
                        build_quotient, vertex_witnesses)
 from .strips import enumerate_periodic_strips, flip_shifts
-from .walls import (Necklace, canonical_rotation, minimal_period,
-                    stabilizer_generator_word, wall_word)
+from .walls import (canonical_rotation, minimal_period, stabilizer_generator_word,
+                    wall_word)
 from .words import FormalWord
 
 __all__ = [
     "A2CentError", "AmbiguousStrip", "BUILTIN_PRESENTATIONS", "FormalWord",
-    "GroupPresentation", "InvariantError", "IsoType", "Necklace",
-    "NotAWallWord", "PresentationError", "QuotientEdge",
-    "QuotientGraphOfGroups", "QuotientVertex", "TrianglePresentation",
+    "GroupPresentation", "InvariantError", "IsoType", "NotAWallWord",
+    "PresentationError", "QuotientEdge", "QuotientGraphOfGroups",
+    "QuotientVertex", "TrianglePresentation",
     "Unsimplified", "abelianization", "build_quotient", "canonical_rotation",
     "enumerate_periodic_strips", "flip_shifts",
     "full_centralizer_presentation", "fundamental_group", "load", "load_named",

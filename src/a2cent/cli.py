@@ -181,8 +181,8 @@ def cmd_strips(args) -> int:
     if n % len(word) != 0:
         raise UnsupportedInput(f"--length {n} is not a multiple of the wall word length")
     seq = word * (n // len(word))
-    neck = wall_word(pres, seq)
-    strips = enumerate_periodic_strips(pres, neck.labels)
+    labels, period = wall_word(pres, seq)
+    strips = enumerate_periodic_strips(pres, labels)
     # wall-stabilizer classes, in enumeration order, by the start pairs of
     # the readings that build_quotient registers for an edge at its own wall:
     # [first strip's rows, its period, phases]
@@ -191,14 +191,14 @@ def cmd_strips(args) -> int:
         start = rows[0][1:3]
         if start not in class_of:
             pe = minimal_period(rows)
-            own = anchored_readings(rows, pe, neck.period)[0]
+            own = anchored_readings(rows, pe, period)[0]
             class_of.update(dict.fromkeys(own, len(classes)))
             classes.append([rows, pe, 0])
         classes[class_of[start]][2] += 1
     if args.format == "structured":
         payload = {
-            "wall": list(neck.labels),
-            "period": neck.period,
+            "wall": list(labels),
+            "period": period,
             "strip_classes": [
                 {
                     "representative": strip_json(rows),
@@ -212,7 +212,8 @@ def cmd_strips(args) -> int:
         }
         _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     else:
-        lines = [f"wall {neck.display_label} at length {n}: "
+        label = ",".join(str(x) for x in labels[:period])
+        lines = [f"wall ({label}) at length {n}: "
                  f"{len(classes)} strip class(es), {len(strips)} anchored strip(s)"]
         for num, (rows, pe, phases) in enumerate(classes):
             a, s, t, b, u = zip(*rows)
@@ -225,7 +226,7 @@ def cmd_strips(args) -> int:
             fs = flip_shifts(rows, pe)
             if fs:
                 lines.append(f"  flip shifts {fs}: glide step {fs[0]}+1/2, "
-                             f"median group order {2 * n // (2 * fs[0] + 1)}")
+                             f"median group order {2 * n // pe}")
         _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

@@ -153,8 +153,7 @@ def _link_stats(starting):
                     queue.append(nb)
                 elif parent[node] != nb:
                     cycle = dist[node] + dist[nb] + 1
-                    if girth is None or cycle < girth:
-                        girth = cycle
+                    girth = cycle if girth is None else min(girth, cycle)
         if len(dist) < 2 * m:
             diameter = None  # disconnected
         elif diameter is not None:
@@ -221,20 +220,16 @@ def load(document, strict: bool = True) -> TrianglePresentation:
     for c in classes:
         rotations.update(_rotations(c))
 
-    # pair uniqueness
-    middle = {}  # (i, k) -> the j of the rotation (i, j, k)
+    # pair uniqueness: two rotations (i, j, k) and (i, j', k) sharing a
+    # first/last pair rotate to (k, i, j) and (k, i, j'), which share a first
+    # pair, and conversely, so checking first pairs suffices
+    last = {}  # (i, j) -> the k of the rotation (i, j, k)
     starting = {i: [] for i in range(m)}
-    first_pairs = set()
     for (i, j, k) in sorted(rotations):
-        if (i, k) in middle:
+        if last.setdefault((i, j), k) != k:
             issues.append(
-                f"pair-uniqueness violation: rotations ({i},{middle[(i, k)]},{k}) "
-                f"and ({i},{j},{k}) share first/last pair ({i},{k})")
-        else:
-            middle[(i, k)] = j
-        if (i, j) in first_pairs:
-            issues.append(f"pair-uniqueness violation: two rotations start with ({i},{j})")
-        first_pairs.add((i, j))
+                f"pair-uniqueness violation: rotations ({i},{j},{last[(i, j)]}) "
+                f"and ({i},{j},{k}) share first pair ({i},{j})")
         starting[i].append((j, k))
     if issues:
         raise PresentationError(issues)
@@ -273,7 +268,7 @@ def load(document, strict: bool = True) -> TrianglePresentation:
         rotation_classes=frozenset(classes),
         thickness_q=q,
         starting=starting,
-        bent_pairs=frozenset(first_pairs),
+        bent_pairs=frozenset(last),
         transitions=transitions,
         warnings=(link_issue,) if link_issue else (),
     )
@@ -285,7 +280,8 @@ def _transitions(rotations, starting):
 
     A row (a, s, t, b, u) is valid when (a, s, t) and (s, b, u) are
     rotations and the upper triangle does not fold onto the lower one
-    (b == t and u == a).
+    (b == t, as (s, t) heads one rotation, (s, t, a), so b == t forces
+    u == a).
     """
     lowers = sorted(rotations)
     ending = defaultdict(list)  # u -> the (a', s') with rotation (a', s', u)
@@ -294,7 +290,7 @@ def _transitions(rotations, starting):
     transitions = defaultdict(list)
     for (a, s, t) in lowers:
         for (b, u) in starting[s]:
-            if b == t and u == a:
+            if b == t:
                 continue
             row = (a, s, t, b, u)
             for (a_next, s_next) in ending[u]:

@@ -32,8 +32,9 @@ conjugator, which also reads the suffix of its own strip), and then once.
 The group data holds by construction: a wall of minimal period p (p | n)
 gets order n/p; an edge whose strip has period p_e (p | p_e | n) gets order
 n/p_e and multipliers p_e/p at its walls; a median vertex gets order 2n/p_e
-and multiplier 2, as its glide step d has 2d+1 = p_e; each new vertex adds
-one tree edge.  tests/test_quotient.py asserts this through wall length 6.
+and multiplier 2, as its glide step d has 2d+1 = p_e (``strips.flip_shifts``);
+each new vertex adds one tree edge.  tests/test_quotient.py asserts this
+through wall length 6.
 """
 
 from __future__ import annotations
@@ -101,12 +102,10 @@ class QuotientEdge:
 
 
 class QuotientGraphOfGroups:
-    __slots__ = ("presentation", "element", "n", "classification", "vertices", "edges")
+    __slots__ = ("element", "n", "classification", "vertices", "edges")
 
-    def __init__(self, presentation: TrianglePresentation, element: tuple[int, ...], n: int,
-                 classification: str, vertices: list[QuotientVertex],
-                 edges: list[QuotientEdge]):
-        self.presentation = presentation
+    def __init__(self, element: tuple[int, ...], n: int, classification: str,
+                 vertices: list[QuotientVertex], edges: list[QuotientEdge]):
         self.element = element
         self.n = n
         self.classification = classification  # "single_axis" | "graph_of_groups"
@@ -173,8 +172,8 @@ def _median_display_label(rows: tuple, period: int, d: int, digits: list[str]) -
 
 def build_quotient(presentation: TrianglePresentation, element) -> QuotientGraphOfGroups:
     """Quotient graph of groups of the axial-wall tree for a wall word."""
-    neck = wall_word(presentation, element)
-    n = neck.length
+    labels, period = wall_word(presentation, element)
+    n = len(labels)
     digits = [str(x) for x in range(presentation.generator_count)]
 
     vertices: list[QuotientVertex] = []
@@ -219,7 +218,7 @@ def build_quotient(presentation: TrianglePresentation, element) -> QuotientGraph
         readings[vid] = set()
         return vid
 
-    base = new_wall_vertex(neck.labels, neck.period)
+    base = new_wall_vertex(labels, period)
     queue = deque([base])
 
     while queue:
@@ -245,9 +244,7 @@ def build_quotient(presentation: TrianglePresentation, element) -> QuotientGraph
             canon_b *= n // pe
             ds = flip_shifts(rows, pe) if canon_b == v.sequence else None
             if ds:
-                # swapping twice shifts by 1, so a flip at d gives
-                # pe | 2d+1; the least d is below pe, so 2d+1 == pe
-                d = ds[0]
+                d = ds[0]  # 2d+1 == pe
                 witness = base_witness(vid)
                 glide = FormalWord.product((
                     witness, FormalWord.from_indices([row[0] for row in rows[:d]]),
@@ -286,8 +283,7 @@ def build_quotient(presentation: TrianglePresentation, element) -> QuotientGraph
     # a strip at the base vertex always makes an edge, the first one
     classification = "graph_of_groups" if edges else "single_axis"
     return QuotientGraphOfGroups(
-        presentation=presentation, element=neck.labels, n=n,
-        classification=classification, vertices=vertices, edges=edges)
+        element=labels, n=n, classification=classification, vertices=vertices, edges=edges)
 
 
 def vertex_witnesses(graph: QuotientGraphOfGroups) -> dict[str, FormalWord]:

@@ -170,12 +170,17 @@ def flip_shifts(rows: tuple, period: int) -> list[int]:
     rows, for a strip of minimal period ``period``.
 
     Nonempty iff the strip carries a glide reflection exchanging its two
-    walls; the minimal d gives glide translation d + 1/2 base edges, and
-    2d+1 is the strip period, as swapping twice shifts by 1.  The
-    median vertex group has order 2n/(2d+1).  Only the d below the strip
-    period are tested, of which at most one holds (2d+1 is the period): the
-    others add multiples of it.
+    walls; the least d gives glide translation d + 1/2 base edges, and the
+    median vertex group has order 2n/(2d+1).  A flip at d reads row k as
+    row k+d of the swap, so t_k = s_{k+d} and u_k = s_{k+d+1}: the seams
+    t_{k+1} = u_k close, and swapping twice shifts by 1.  Swapping both
+    sides of "the swap shifted by d is the rows" gives the rows shifted by
+    d+1 equal to the swap, the rows shifted by -d, so the period divides
+    2d+1; two flips differ by a period of the swap, a rotation of the rows.
+    So the flips are (period - 1)/2 plus the multiples of an odd period,
+    and one comparison at d = period // 2 decides them all; for an even
+    period it fails, as the period does not divide 2d+1 = period + 1.
     """
     sw = swapped_rows(rows)
-    ds = [d for d, row in enumerate(sw[:period]) if row == rows[0] and sw[d:] + sw[:d] == rows]
-    return [d + k for d in ds for k in range(0, len(sw), period)]
+    d = period // 2
+    return list(range(d, len(rows), period)) if sw[d:] + sw[:d] == rows else []

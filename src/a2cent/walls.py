@@ -9,8 +9,7 @@ period.
 
 from __future__ import annotations
 
-from .errors import InvariantError, NotAWallWord
-from .frozen import Frozen
+from .errors import NotAWallWord
 from .presentation import TrianglePresentation
 from .words import FormalWord
 
@@ -56,34 +55,6 @@ def minimal_period(labels, unit=1):
         if n % p == 0 and seq[p] == first and seq == seq[p:] + seq[:p]:
             return p
     return n
-
-
-class Necklace(Frozen):
-    """Canonical cyclic label sequence of an oriented wall, at g-length n."""
-
-    __slots__ = ("labels", "period")
-
-    def __init__(self, labels: tuple[int, ...], period: int):
-        """``labels`` is the canonical rotation, of length n; ``period`` divides n."""
-        if not labels:
-            raise ValueError("necklace must be nonempty")
-        if period < 1 or len(labels) % period:
-            raise InvariantError(
-                f"period {period} is not a positive divisor of length {len(labels)}")
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "period", period)
-
-    def _key(self):
-        return (self.labels, self.period)
-
-    @property
-    def length(self) -> int:
-        return len(self.labels)
-
-    @property
-    def display_label(self) -> str:
-        """One period in round brackets, e.g. "(0,5)" or "(2)"."""
-        return "(" + ",".join(str(x) for x in self.labels[: self.period]) + ")"
 
 
 def check_wall_sequence(presentation: TrianglePresentation, labels) -> None:
@@ -136,17 +107,18 @@ def wall_necklaces(presentation: TrianglePresentation, n: int) -> list[tuple[int
     return out
 
 
-def wall_word(presentation: TrianglePresentation, word) -> Necklace:
-    """Canonical Necklace of a cyclic positive wall word.
+def wall_word(presentation: TrianglePresentation, word) -> tuple[tuple[int, ...], int]:
+    """The canonical rotation of a cyclic positive wall word and its
+    minimal period p, a divisor of n.
 
     The oriented bi-infinite path with these periodic labels is a wall, and
-    an axial wall for the element the word spells, with |g| = len(word).
+    an axial wall for the element the word spells, with |g| = n = len(word).
     The canonical rotation is that of one period, repeated.
     """
     seq = tuple(word)
     check_wall_sequence(presentation, seq)
     p = minimal_period(seq)
-    return Necklace(canonical_rotation(seq[:p]) * (len(seq) // p), p)
+    return canonical_rotation(seq[:p]) * (len(seq) // p), p
 
 
 def stabilizer_generator_word(base: FormalWord, labels, period: int) -> FormalWord:

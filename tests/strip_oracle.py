@@ -16,7 +16,7 @@ import itertools
 from a2cent.errors import InvariantError, NotAWallWord
 from a2cent.presentation import TrianglePresentation
 from a2cent.strips import swapped_rows
-from a2cent.walls import Necklace, canonical_rotation, check_wall_sequence, minimal_period
+from a2cent.walls import canonical_rotation, check_wall_sequence, minimal_period
 from presentations import rotation_set
 
 ORACLE_MAX_LENGTH = 6  # (q+1)^(2n) blowup guard for the brute-force oracle
@@ -142,11 +142,11 @@ def full_scan_minimal_period(labels):
     return min(p for p in range(1, len(seq) + 1) if seq[p:] + seq[:p] == seq)
 
 
-def full_scan_wall_word(presentation: TrianglePresentation, word) -> Necklace:
+def full_scan_wall_word(presentation: TrianglePresentation, word):
     """``walls.wall_word``, with the canonical rotation taken over all n."""
     seq = tuple(word)
     check_wall_sequence(presentation, seq)
-    return Necklace(canonical_rotation(seq), full_scan_minimal_period(seq))
+    return canonical_rotation(seq), full_scan_minimal_period(seq)
 
 
 def full_scan_least_rotation(labels):

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -144,10 +145,21 @@ def test_text_and_dot_runs_do_not_build_the_structured_report(capsys, monkeypatc
     assert out
 
 
+def test_run_centralizer_times_its_own_work():
+    pres = load_named("c1")
+    start = time.perf_counter()
+    *_, elapsed = run_centralizer(pres, (0, 1, 4))
+    assert 0 < elapsed <= time.perf_counter() - start
+
+
 def test_centralizer_not_a_wall_word(capsys):
-    code, _out, err = run(capsys, "centralizer", "builtin:c1", "--word", "0,2")
+    # in 5,0,2 the pair (5, 0) is straight and (0, 2) bends
+    code, out, err = run(capsys, "centralizer", "builtin:c1", "--word", "5,0,2")
     assert code == EXIT_UNSUPPORTED
-    assert "not a wall word" in err or "bent" in err or "pair" in err
+    assert out == ""
+    assert err == ("error: not a wall word: pair x0,x2 at position 1 lies on a common triangle "
+                   "(the path bends); regular, median-line and general elements are outside "
+                   "the supported class\n")
 
 
 def test_centralizer_unparsable_word(capsys):
@@ -590,9 +602,8 @@ def test_strips_classes_equal_wall_shift_reference(capsys, tmp_path):
             code, out, err = run(capsys, "strips", str(path), "--wall", ",".join(map(str, wall)),
                                  "--length", str(length), "--format", "structured")
             assert code == EXIT_OK, err
-            neck = wall_word(pres, wall * (length // len(wall)))
-            expected = group_by_wall_shifts(enumerate_periodic_strips(pres, neck.labels),
-                                            neck.period)
+            labels, period = wall_word(pres, wall * (length // len(wall)))
+            expected = group_by_wall_shifts(enumerate_periodic_strips(pres, labels), period)
             assert [(c["representative"], c["phases"]) for c in json.loads(out)["strip_classes"]] \
                 == [(strip_json(cls[0]), len(cls)) for cls in expected], (wall, length)
             classes_seen += len(expected)

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 
@@ -7,7 +8,8 @@ from a2cent import presentation
 from a2cent.errors import PresentationError
 from a2cent.presentation import (BUILTIN_PRESENTATIONS, _canonical_class, _rotations, load,
                                  load_named, loads)
-from presentations import NON_BUILDING, OTHER_Q2, SINGER_Q4, relabelled_c1, rotation_set
+from presentations import (NON_BUILDING, OPPOSITE_BENDS, OTHER_Q2, SINGER_Q4, relabelled_c1,
+                           rotation_set)
 
 
 def test_c1_shape(c1):
@@ -36,9 +38,9 @@ def test_relators_starting_with(c1):
 
 
 def test_index_range(c1):
-    with pytest.raises(IndexError):
+    with pytest.raises(IndexError, match=r"^generator index 7 out of range 0\.\.6$"):
         c1.straight(7, 0)
-    with pytest.raises(IndexError):
+    with pytest.raises(IndexError, match=r"^generator index -1 out of range 0\.\.6$"):
         c1.straight(0, -1)
 
 
@@ -110,6 +112,14 @@ def test_strip_tables_of_a_non_building():
     check_transitions(pres)
 
 
+@pytest.mark.parametrize("pres", [relabelled_c1(20111), OTHER_Q2, OPPOSITE_BENDS, SINGER_Q4],
+                         ids=["relabelled_c1", "other_q2", "opposite_bends", "singer_q4"])
+def test_strip_tables_of_the_test_presentations(pres):
+    """load's fold test b == t drops exactly the rows with (b, u) == (t, a),
+    as (s, t) heads one rotation."""
+    check_transitions(pres)
+
+
 def copies_of_c1(k):
     """k disjoint copies of c1, copy c on the generators 7c..7c+6."""
     return _doc([[7 * c + x for x in t] for c in range(k)
@@ -172,8 +182,57 @@ def test_reject_pair_violation():
                                      [(0, 0, 6), (0, 2, 3), (1, 2, 6), (1, 3, 5),
                                       (1, 5, 4), (2, 4, 5), (3, 4, 6)]})]
     rels.append([0, 2, 5])  # rotation (0,2,5) clashes with (0,2,3) on first pair
-    with pytest.raises(PresentationError, match="pair-uniqueness"):
+    with pytest.raises(PresentationError) as exc:
         load(_doc(rels))
+    # (2,3,0) and (2,5,0) also share a first/last pair, which is the same fact
+    assert exc.value.issues == [
+        "pair-uniqueness violation: rotations (0,2,3) and (0,2,5) share first pair (0,2)"]
+
+
+def random_relator_classes(rng):
+    """3 to 7 generators and enough distinct rotation classes, none a
+    torsion triple, that every generator could head a rotation: a document
+    that reaches the pair-uniqueness check."""
+    m = rng.randint(3, 7)
+    count = rng.randint(-(-m // 3), m + 2)  # m >= 3 letters give at least 8 classes
+    classes = set()
+    while len(classes) < count:
+        t = tuple(rng.randrange(m) for _ in range(3))
+        if not t[0] == t[1] == t[2]:
+            classes.add(_canonical_class(t))
+    return m, sorted(classes)
+
+
+def test_pair_uniqueness_checks_first_pairs_only():
+    """Over seeded random rotation-closed relator sets, load reports a
+    pair-uniqueness issue exactly when two rotations share a first pair,
+    which is exactly when two share a first/last pair (brute force over all
+    pairs of rotations); each issue names two rotations that share the
+    named pair."""
+    rng = random.Random(2024)
+    outcomes = {True: 0, False: 0}
+    for _ in range(5000):
+        m, classes = random_relator_classes(rng)
+        rotations = {r for c in classes for r in _rotations(c)}
+        shared_first = any(r != s and r[:2] == s[:2] for r in rotations for s in rotations)
+        shared_first_last = any(r != s and r[::2] == s[::2] for r in rotations for s in rotations)
+        assert shared_first == shared_first_last, classes
+        try:
+            load(_doc([list(c) for c in classes], m=m), strict=False)
+            issues = []
+        except PresentationError as exc:
+            issues = exc.issues
+        pair_issues = [i for i in issues if i.startswith("pair-uniqueness")]
+        assert bool(pair_issues) == shared_first, (m, classes, issues)
+        assert pair_issues == issues or not pair_issues, issues
+        for issue in pair_issues:
+            r, s, pair = re.fullmatch(
+                r"pair-uniqueness violation: rotations \((.*)\) and \((.*)\) "
+                r"share first pair \((.*)\)", issue).groups()
+            r, s, pair = (tuple(map(int, x.split(","))) for x in (r, s, pair))
+            assert r != s and {r, s} <= rotations and r[:2] == s[:2] == pair, issue
+        outcomes[shared_first] += 1
+    assert min(outcomes.values()) > 1000, outcomes
 
 
 def test_reject_non_uniform_thickness():
@@ -189,6 +248,25 @@ def test_reject_more_generators_than_rotations_before_building_tables():
     # the per-relator checks still come first
     with pytest.raises(PresentationError, match="torsion triple"):
         load(_doc([[1, 1, 1]], m=400_000))
+
+
+def test_reject_more_generators_than_rotations_at_the_boundary():
+    """c1's 7 classes make 21 rotations: 21 generators pass the count and
+    fail on the rotations per generator, 22 fail the count."""
+    with pytest.raises(PresentationError) as exc:
+        load(_doc(BUILTIN_PRESENTATIONS["c1"]["relators"], m=22))
+    assert exc.value.issues == [
+        "non-uniform thickness: 22 generators but only 21 rotations, so some generator heads none"]
+    with pytest.raises(PresentationError, match="rotation counts per first generator"):
+        load(_doc(BUILTIN_PRESENTATIONS["c1"]["relators"], m=21))
+
+
+def test_one_generator_passes_the_count_check():
+    """One generator is a positive count; its only triple is torsion."""
+    with pytest.raises(PresentationError) as exc:
+        load(_doc([[0, 0, 0]], m=1))
+    assert exc.value.issues == [
+        "torsion triple (0, 0, 0): x0^3 = 1 contradicts torsion-freeness"]
 
 
 def c1_with_false_for_0():

@@ -49,15 +49,20 @@ def test_benchmark_selftest():
     assert proc.stdout.splitlines()[-1] == "selftest ok"
 
 
-def test_mutants_of_one_module():
-    """scripts/mutants.py makes every kind of mutant of a module, each one
-    changed line that still parses, without running any of them, and
-    defaults to every module of the package."""
+def import_mutants():
     sys.path.insert(0, str(ROOT / "scripts"))
     try:
         import mutants
     finally:
         sys.path.remove(str(ROOT / "scripts"))
+    return mutants
+
+
+def test_mutants_of_one_module():
+    """scripts/mutants.py makes every kind of mutant of a module, each one
+    changed line that still parses, without running any of them, and
+    defaults to every module of the package."""
+    mutants = import_mutants()
     source = (ROOT / "src" / "a2cent" / "bassserre.py").read_text()
     unparsed = ast.unparse(ast.parse(source))
     found = list(mutants.mutants("bassserre"))
@@ -76,3 +81,13 @@ def test_mutants_of_one_module():
     modules = mutants.package_modules()
     assert "__init__" not in modules
     assert {"bassserre", "cli", "errors", "frozen"} <= set(modules)
+
+
+def test_equivalent_mutants_are_still_generated():
+    """Every site that scripts/mutants.py lists as equivalent is a mutant of
+    the current source, so an entry left behind by a change to its line
+    fails here rather than going unread."""
+    mutants = import_mutants()
+    modules = {module for (module, _function, _line) in mutants.EQUIVALENT}
+    generated = {m.key() for module in modules for m in mutants.mutants(module)}
+    assert set(mutants.EQUIVALENT) - generated == set()

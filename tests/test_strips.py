@@ -267,6 +267,21 @@ def test_flip_shifts_equal_brute_force(s):
         [d for d in range(len(s)) if shift(swapped_rows(s), d) == s]
 
 
+def test_flip_shifts_equal_brute_force_on_enumerated_strips():
+    """The one comparison at d = period // 2 against all n shifts, on every
+    strip of OTHER_Q2 through length 4 and of the fixtures' powers h^k,
+    k <= 12."""
+    strips = [s for w in walls_through(OTHER_Q2, 4) for s in enumerate_periodic_strips(OTHER_Q2, w)]
+    strips += [s for h in ((0, 5), (0, 1, 4)) for k in range(1, 13)
+               for s in enumerate_periodic_strips(C1, h * k)]
+    flips = 0
+    for s in strips:
+        brute = [d for d in range(len(s)) if shift(swapped_rows(s), d) == s]
+        assert flip_shifts(s, minimal_period(s)) == brute, s
+        flips += bool(brute)
+    assert (len(strips), flips) == (162 + 72, 4 + 12)
+
+
 # Reference: the recursive strip search, as it was before the strip walk
 # read the transitions of the presentation, window by window.
 

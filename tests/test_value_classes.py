@@ -3,7 +3,7 @@ defaults, value equality and hashing, and read-only fields."""
 
 import pytest
 
-from a2cent import (FormalWord, GroupPresentation, IsoType, Necklace, QuotientGraphOfGroups,
+from a2cent import (FormalWord, GroupPresentation, IsoType, QuotientGraphOfGroups,
                     QuotientVertex, TrianglePresentation, Unsimplified, load, load_named)
 from a2cent.presentation import BUILTIN_PRESENTATIONS
 
@@ -33,7 +33,6 @@ EQUAL_AND_DIFFERENT = [
     (FormalWord(((0, 1), (5, -1))), FormalWord(letters=((0, 1), (5, -1))),
      FormalWord(((0, 1), (5, 1)))),
     (FormalWord(), FormalWord.identity(), FormalWord.generator(0)),
-    (Necklace((0, 5), 2), Necklace(labels=(0, 5), period=2), Necklace((0, 5, 0, 5), 2)),
     (GP, GroupPresentation(generators=("a", "b"), relations=GP.relations, central=None),
      GroupPresentation(GP.generators, GP.relations, "a")),
     (IsoType(1, (2, 2)), IsoType(free_rank=1, cyclic_orders=(2, 2)), IsoType(2, (2, 2))),
@@ -58,7 +57,6 @@ def test_equal_values_compare_and_hash_equal(value, same, other):
 # (value, field name, a value to assign)
 READ_ONLY = [
     (FormalWord(), "letters", ((0, 1),)),
-    (Necklace((0, 5), 2), "period", 1),
     (C1, "warnings", ()),
     (C1, "starting", ()),
     (GP, "central", "a"),
@@ -85,7 +83,7 @@ def test_defaults():
     wall = QuotientVertex(index=0, kind="wall", group_order=1, generator_witness=FormalWord(),
                           display_label="(0,5)", sequence=(0, 5), period=2)
     assert (wall.sequence, wall.period) == ((0, 5), 2)
-    graph = QuotientGraphOfGroups(C1, (0, 5), 2, "single_axis", [wall], [])
+    graph = QuotientGraphOfGroups((0, 5), 2, "single_axis", [wall], [])
     assert graph.to_json()["base_vertex"] == "(0,5)"
     assert graph.betti_number == 0
 

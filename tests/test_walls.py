@@ -5,8 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from a2cent import walls
-from a2cent.errors import InvariantError, NotAWallWord
-from a2cent.walls import (Necklace, canonical_rotation, check_wall_sequence,
+from a2cent.errors import NotAWallWord
+from a2cent.walls import (canonical_rotation, check_wall_sequence,
                           minimal_period, stabilizer_generator_word,
                           wall_necklaces, wall_word)
 from a2cent.words import FormalWord
@@ -122,12 +122,9 @@ def test_minimal_period_of_an_empty_sequence():
 
 
 def test_wall_word_canonicalizes(c1):
-    assert wall_word(c1, (5, 0)) == wall_word(c1, (0, 5))
-    neck = wall_word(c1, (0, 5))
-    assert neck.labels == (0, 5)
-    assert neck.period == 2
-    assert neck.display_label == "(0,5)"
-    assert wall_word(c1, (6, 6)).display_label == "(6)"
+    assert wall_word(c1, (5, 0)) == wall_word(c1, (0, 5)) == ((0, 5), 2)
+    assert wall_word(c1, (6, 6)) == ((6, 6), 1)
+    assert wall_word(c1, (5, 0, 5, 0)) == ((0, 5, 0, 5), 2)
 
 
 def test_wall_word_rejects_bent_pairs(c1):
@@ -135,6 +132,9 @@ def test_wall_word_rejects_bent_pairs(c1):
         wall_word(c1, (0, 2))
     assert exc.value.position == 0
     assert exc.value.pair == (0, 2)
+    with pytest.raises(NotAWallWord) as exc:
+        wall_word(c1, (5, 0, 2))
+    assert (exc.value.position, exc.value.pair) == (1, (0, 2))
     with pytest.raises(NotAWallWord) as exc:
         wall_word(c1, (5, 0, 0))  # wraps: the bent pair is cyclic
     assert exc.value.pair == (0, 0)
@@ -182,15 +182,7 @@ def test_all_rotations_of_a_wall_word_are_wall_words(c1):
     for word in [(0, 5), (0, 1, 4), (5, 5, 6)]:
         n = len(word)
         for r in range(n):
-            assert wall_word(c1, word[r:] + word[:r]).labels == canonical_rotation(word)
-
-
-def test_necklace_validates_period():
-    for period in (3, 0, -1, -2):
-        with pytest.raises(InvariantError, match=f"period {period} is not a positive divisor"):
-            Necklace((0, 5), period)
-    with pytest.raises(ValueError):
-        Necklace((), 1)
+            assert wall_word(c1, word[r:] + word[:r])[0] == canonical_rotation(word)
 
 
 def test_stabilizer_generator_word():
