@@ -54,8 +54,6 @@ EQUIVALENT = {
         "zip stops at the shorter list, so b[:2] gives the same pairs",
     ("walls", "check_wall_sequence", "pairs = tuple(zip(seq, seq[1:] + seq[:2]))"):
         "zip stops at the shorter list, so seq[:2] gives the same pairs",
-    ("strips", "anchored_readings", "other_period: int = 1) -> tuple[list, list]:"):
-        "every caller passes other_period, so the default is never read",
     ("presentation", "_link_stats", "girth, diameter = None, 1"):
         "a connected link has 2m >= 2 nodes, so each BFS reaches distance >= 1 and the start "
         "value 0 or 1 is never the maximum",

@@ -4,7 +4,9 @@ A triangle presentation has generators x_0..x_{m-1} and relators
 x_i x_j x_k = 1 stored as rotation classes.  The derived lookup tables answer
 the two local questions everything else is built on: which rotations start
 with a given label, and does a pair of consecutive edge labels continue
-straight (no common triangle).
+straight (no common triangle).  As the pair (k, i) heads at most one
+rotation (k, i, j), the rotations starting with i hold at most one (j, k)
+per k, and the strip walk reads no other table.
 
 The vertex link is the incidence graph with a point t and a line s for each
 generator, t on s iff some rotation (s, t, .) exists.  The presentation
@@ -17,9 +19,8 @@ counting point pairs, in O(m q^2); they force the link's girth 6 and diameter
 from __future__ import annotations
 
 import json
-from collections import defaultdict, deque
+from collections import deque
 from itertools import combinations
-from types import MappingProxyType
 
 from .errors import PresentationError
 from .frozen import Frozen
@@ -54,17 +55,17 @@ class TrianglePresentation(Frozen):
     """Validated triangle presentation; immutable after construction.
 
     The lookup tables are built once by load() and never change, and each
-    holds O(|rotations|) entries (times a factor of q), never one per pair of
-    generators: ``starting[i]`` holds the sorted (j, k) with rotation
-    (i, j, k), and ``bent_pairs`` the (i, j) that lie on a common triangle.
-    The strip layer reads ``transitions[(a, s, t, a')]``, which holds, for
-    the lower triangle (a, s, t) (a rotation) and each upper choice (b, u) in
-    ``starting[s]`` that does not fold onto it, in that order, the
-    ``(row, s', u)`` whose next lower triangle (a', s', u) exists, where row
-    is (a, s, t, b, u), and has no empty entries: a strip built from it has
-    valid rows and closed seams by construction, so the strip walk checks
-    only its opposite wall against ``bent_pairs``.  Strips and walls read
-    the tables directly; ``straight`` adds the generator range check.
+    holds one entry per rotation, never one per pair of generators:
+    ``starting[i]`` holds the sorted (j, k) with rotation (i, j, k), and
+    ``bent_pairs`` the (i, j) that lie on a common triangle.
+    A strip row (a, s, t, b, u) is a lower triangle (a, s, t) and an upper
+    triangle (s, b, u), both rotations, so ``starting[s]`` lists its upper
+    choices; the next lower triangle (a', s', u) is the rotation (u, a', s'),
+    and (u, a') heads at most one, so ``starting[a']`` holds at most one
+    (s', u) for each u.  The strip walk chains its rows from ``starting``
+    alone: they are valid and their seams close by construction, so it
+    checks only the opposite wall against ``bent_pairs``.  Strips and walls
+    read the tables directly; ``straight`` adds the generator range check.
     ``rotation_classes`` holds the canonical (least) rotation of each class.
     Equality and hashing read only ``generator_count``, ``rotation_classes``,
     ``thickness_q`` and ``warnings``: the tables follow from the first two.
@@ -75,17 +76,15 @@ class TrianglePresentation(Frozen):
     """
 
     __slots__ = ("generator_count", "rotation_classes", "thickness_q", "starting",
-                 "bent_pairs", "transitions", "warnings", "_windows")
+                 "bent_pairs", "warnings", "_windows")
 
     def __init__(self, generator_count: int, rotation_classes: frozenset, thickness_q: int,
-                 starting: tuple, bent_pairs: frozenset, transitions: MappingProxyType,
-                 warnings: tuple = ()):
+                 starting: tuple, bent_pairs: frozenset, warnings: tuple = ()):
         object.__setattr__(self, "generator_count", generator_count)
         object.__setattr__(self, "rotation_classes", rotation_classes)
         object.__setattr__(self, "thickness_q", thickness_q)
         object.__setattr__(self, "starting", starting)
         object.__setattr__(self, "bent_pairs", bent_pairs)
-        object.__setattr__(self, "transitions", transitions)
         object.__setattr__(self, "warnings", warnings)
         object.__setattr__(self, "_windows", {})
 
@@ -262,40 +261,14 @@ def load(document, strict: bool = True) -> TrianglePresentation:
     if link_issue and strict:
         raise PresentationError([f"link condition failure ({2 * m} nodes): {link_issue}"])
 
-    transitions = _transitions(rotations, starting)
     return TrianglePresentation(
         generator_count=m,
         rotation_classes=frozenset(classes),
         thickness_q=q,
         starting=starting,
         bent_pairs=frozenset(last),
-        transitions=transitions,
         warnings=(link_issue,) if link_issue else (),
     )
-
-
-def _transitions(rotations, starting):
-    """The transition table of strips: the valid rows of each lower triangle
-    that continue across their seam, keyed by the next base label.
-
-    A row (a, s, t, b, u) is valid when (a, s, t) and (s, b, u) are
-    rotations and the upper triangle does not fold onto the lower one
-    (b == t, as (s, t) heads one rotation, (s, t, a), so b == t forces
-    u == a).
-    """
-    lowers = sorted(rotations)
-    ending = defaultdict(list)  # u -> the (a', s') with rotation (a', s', u)
-    for (a, s, t) in lowers:
-        ending[t].append((a, s))
-    transitions = defaultdict(list)
-    for (a, s, t) in lowers:
-        for (b, u) in starting[s]:
-            if b == t:
-                continue
-            row = (a, s, t, b, u)
-            for (a_next, s_next) in ending[u]:
-                transitions[a, s, t, a_next].append((row, s_next, u))
-    return MappingProxyType({key: tuple(entry) for key, entry in transitions.items()})
 
 
 def loads(text: str, strict: bool = True) -> TrianglePresentation:

@@ -239,7 +239,8 @@ def build_quotient(presentation: TrianglePresentation, element) -> QuotientGraph
             # p: a primitive wall (p == n) has none below n, and pe == n
             pe = n if v.period == n else minimal_period(rows, v.period)
             # b repeats with period dividing pe: the least rotation of one
-            # period, repeated, and its minimal period, that of b
+            # period, repeated, and its minimal period, that of b and so of
+            # the wall vertex canon_b
             canon_b, dd, p_b = least_rotation([row[3] for row in rows[:pe]])
             canon_b *= n // pe
             ds = flip_shifts(rows, pe) if canon_b == v.sequence else None
@@ -269,9 +270,8 @@ def build_quotient(presentation: TrianglePresentation, element) -> QuotientGraph
                     other = wall_ids[canon_b]
                     conj = FormalWord.spell((base_witness(vid).letters, suffix,
                                              base_witness(other).inverse().letters))
-                p_other = vertices[other].period
-                mu_other = pe // p_other
-                own, opposite = anchored_readings(rows, pe, v.period, dd, p_other)
+                mu_other = pe // p_b
+                own, opposite = anchored_readings(rows, pe, v.period, (dd, p_b))
                 seen.update(own)
                 # the other end of a loop is this wall, whose set is popped
                 (seen if other == vid else readings[other]).update(opposite)

@@ -24,15 +24,17 @@ shifts of a strip and of its swap (the strip read from the opposite wall)
 that read off a canonical wall.
 
 The strips along a wall are found by one walk that extends rows WINDOW
-wall letters at a time, by one lookup in ``presentation.transitions`` (for
-a lower triangle and the next base label, each non-folding row with the
-next lower triangle across its seam) chained over those letters; each
-presentation memoizes the chains per window of letters.  So every row of a
-closed walk is two relator rotations that do not fold, every seam closes,
-and the base wall is checked or straight by the memo: the walk checks only
-the opposite wall b.  At w_{k+1} the upper triangles k, k+1 and the lower
-triangle k+1 make a path of length 3 in the vertex link that the fold rule
-and the straight base wall keep from backtracking, and a bent pair
+wall letters at a time; each presentation memoizes the row chains over a
+window of letters, built from ``presentation.starting`` alone.  A row's
+upper choices (b, u) are ``starting[s]`` but the fold b == t ((s, t) heads
+one rotation, (s, t, a), so b == t forces u == a), and its next lower
+triangle (a', s', u) is the rotation (u, a', s'), which the pair (u, a')
+heads at most once, so ``starting[a']`` gives at most one s' for u.  So
+every row of a closed walk is two relator rotations that do not fold, every
+seam closes, and the base wall is checked or straight by the memo: the walk
+checks only the opposite wall b.  At w_{k+1} the upper triangles k, k+1 and
+the lower triangle k+1 make a path of length 3 in the vertex link that the
+fold rule and the straight base wall keep from backtracking, and a bent pair
 (b_k, b_{k+1}) would close it into a 4-cycle: b bends only on a lenient
 load, as a strict one rejects a link of girth 4.
 """
@@ -75,7 +77,7 @@ def enumerate_periodic_strips(presentation: TrianglePresentation, wall,
     (a_{k+1}, s_{k+1}, u_k) is forced across the seam, and the extension
     dies when it does not exist.  A step advances WINDOW letters: the wall
     letters a_k .. a_{k+WINDOW} (fewer at the end) key the extensions of
-    each (s_k, t_k) over them, chained from ``presentation.transitions`` the
+    each (s_k, t_k) over them, chained from ``presentation.starting`` the
     first time the window is met and kept in the presentation's memo, so a
     step is one lookup per partial strip.  The memo holds only windows of
     walls that passed ``check_wall_sequence``, and a wall's windows cover
@@ -130,20 +132,23 @@ def enumerate_periodic_strips(presentation: TrianglePresentation, wall,
 
 def _window_steps(presentation, window):
     """For each (s, t) with (window[0], s, t) a rotation, the (rows, (s', u))
-    of each row chain over the window's letters, in the order of
-    ``transitions``."""
+    of each row chain over the window's letters, its upper choices in the
+    order of ``starting``; ``afters[k][u]`` is the s' of the next lower
+    triangle (window[k + 1], s', u)."""
+    starting = presentation.starting
+    afters = [{u: s_next for s_next, u in starting[a_next]} for a_next in window[1:]]
     steps = {}
-    for start in presentation.starting[window[0]]:
+    for start in starting[window[0]]:
         walks = [((), start)]
-        for ak, a_next in zip(window, window[1:]):
-            walks = [(rows + (row,), (s_next, u)) for rows, (sk, tk) in walks
-                     for row, s_next, u in presentation.transitions.get((ak, sk, tk, a_next), ())]
+        for ak, after in zip(window, afters):
+            walks = [(rows + ((ak, sk, tk, b, u),), (after[u], u)) for rows, (sk, tk) in walks
+                     for b, u in starting[sk] if b != tk and u in after]
         steps[start] = tuple(walks)
     return steps
 
 
-def anchored_readings(rows: tuple, period: int, wall_period: int, swap_shift: int | None = None,
-                      other_period: int = 0) -> tuple[list, list]:
+def anchored_readings(rows: tuple, period: int, wall_period: int,
+                      swap: tuple[int, int] | None = None) -> tuple[list, list]:
     """The start pairs (s_0, t_0) of every shift of the strip, and of its
     swap, that reads off a canonical wall, in two lists: its edge orbit as
     enumerated at its own wall and at the opposite one.  A wall closes at
@@ -151,18 +156,19 @@ def anchored_readings(rows: tuple, period: int, wall_period: int, swap_shift: in
 
     ``period`` is the strip's minimal period.  The shift by r reads off a
     canonical wall of period ``wall_period`` iff r is a multiple of it, and
-    starts (s_r, t_r).  With ``(canon_b, swap_shift, other_period) =
-    least_rotation(b)``, the swap shifted by r
-    reads off canon_b iff r is swap_shift plus a multiple of other_period,
-    and starts (u_r, s_r), as its row 0 is (b_r, u_r, s_r, a_{r+1}, s_{r+1}).
-    With ``swap_shift`` None the second list is empty: the first is the
-    wall-stabilizer class, and a glide strip's swap is one of its shifts.
-    Shifts run over one strip period, so the pairs in a list are distinct.
+    starts (s_r, t_r).  With ``swap = (dd, p_b)`` from ``(canon_b, dd, p_b)
+    = least_rotation(b)``, the swap shifted by r reads off canon_b iff r is
+    dd plus a multiple of p_b, and starts (u_r, s_r), as its row 0 is
+    (b_r, u_r, s_r, a_{r+1}, s_{r+1}).  With ``swap`` None the second list
+    is empty: the first is the wall-stabilizer class, and a glide strip's
+    swap is one of its shifts.  Shifts run over one strip period, so the
+    pairs in a list are distinct.
     """
     own = [row[1:3] for row in rows[:period:wall_period]]
-    if swap_shift is None:
+    if swap is None:
         return own, []
-    return own, [(row[4], row[1]) for row in rows[swap_shift:period:other_period]]
+    dd, p_b = swap
+    return own, [(row[4], row[1]) for row in rows[dd:period:p_b]]
 
 
 def flip_shifts(rows: tuple, period: int) -> list[int]:

@@ -97,17 +97,16 @@ def canonical_edge_key(rows):
     return min(canonical_rotation(rows), canonical_rotation(swapped_rows(rows)))
 
 
-def row_anchored_readings(rows, wall_period: int, swap_shift: int | None = None,
-                          other_period: int = 0) -> list[tuple]:
+def row_anchored_readings(rows, wall_period: int, swap=None) -> list[tuple]:
     """``strips.anchored_readings`` as whole readings: the rows of every
     shift of the strip, and of its swap, that reads off a canonical wall, in
     the order of the start pairs that the package lists (its own wall's,
     then the opposite wall's)."""
     pe = minimal_period(rows)
     readings = [rows[r:] + rows[:r] for r in range(0, pe, wall_period)]
-    if swap_shift is not None:
+    if swap is not None:
         sw = swapped_rows(rows)
-        readings += [sw[r:] + sw[:r] for r in range(swap_shift, pe, other_period)]
+        readings += [sw[r:] + sw[:r] for r in range(swap[0], pe, swap[1])]
     return readings
 
 

@@ -555,6 +555,25 @@ def test_structured_output_byte_stable_on_the_big_graphs_catalog(c1):
         (129, "32d27b726e59445bb818f29820ca554df1ee63fd4f8389b739559e7652f49716")
 
 
+@pytest.mark.parametrize("wall, fmt, expected", [
+    ("0,5", "structured", "19d7538ffe6a8437318f41c2155e734b4ee1b43a03178da5016950edab73cb4f"),
+    ("0,5", "text", "f349102cc798dd2a1ef88cea3a90e05b2882c60f06b02a74dc0f60af902bc9a5"),
+    ("0,1,4", "structured", "469cf8323e358ad3f6fb180cd699e4beca91a580e5e897486e94f2bd65917fc9"),
+    ("0,1,4", "text", "ac1b44e90095c354f192e1db68b9bd100e7e6967752a4ec91cb5f2e8ab7b24d7"),
+    ("6", "structured", "3e0199165307e279794cfa679ab53280a964c05633363800962904c29faa3bdd"),
+    ("6", "text", "e8689b4c173182c51a40add596ec65a827ac230e94523e1ec85320ed2631ac93"),
+], ids=["0,5-structured", "0,5-text", "0,1,4-structured", "0,1,4-text", "6-structured",
+        "6-text"])
+def test_strips_output_byte_stable_at_length_2400(capsys, wall, fmt, expected):
+    """sha256 of ``strips --length 2400`` on the fixtures and the wall (6):
+    hundreds of walk steps through the window memo, as produced while the
+    row chains were read from a transition table."""
+    code, out, _err = run(capsys, "strips", "builtin:c1", "--wall", wall, "--length", "2400",
+                          "--format", fmt)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+
 def strips_digest(capsys, presentation, walls):
     """The number of runs and the sha256 of ``a2cent strips`` output over
     the walls in order, each at --length n and 2n in both formats."""

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from a2cent import presentation
+from a2cent import presentation, strips
 from a2cent.errors import PresentationError
 from a2cent.presentation import (BUILTIN_PRESENTATIONS, _canonical_class, _rotations, load,
                                  load_named, loads)
@@ -76,27 +76,65 @@ def test_link_is_fano_incidence(c1):
     assert diameter == 3
 
 
-def check_transitions(pres):
-    """transitions against its definition, from the rotations: the rows
-    (a, s, t, b, u) of each lower triangle, in the order of their upper
-    triangles, whose next lower triangle (a', s', u) exists; no empty
-    entries."""
-    rotations = sorted(rotation_set(pres))
-    expected = {}
-    for (a, s, t) in rotations:
-        for a_next in range(pres.generator_count):
-            entry = tuple(((a, s, t, b, u), s_next, u)
-                          for (s2, b, u) in rotations if s2 == s and (b, u) != (t, a)
-                          for (a2, s_next, u2) in rotations if a2 == a_next and u2 == u)
-            if entry:
-                expected[a, s, t, a_next] = entry
-    assert dict(pres.transitions) == expected
-    assert all(pres.transitions.values())
+def straight_windows(pres, length):
+    """Every window of ``length`` letters whose consecutive pairs are
+    straight, in lexicographic order."""
+    windows = [(i,) for i in range(pres.generator_count)]
+    for _ in range(length - 1):
+        windows = [w + (j,) for w in windows for j in range(pres.generator_count)
+                   if (w[-1], j) not in pres.bent_pairs]
+    return windows
+
+
+def brute_window_steps(pres, window):
+    """The strip walk's row chains over a window, from the rotation set:
+    for each lower triangle (window[0], s, t), every chain of rows
+    (a_k, s_k, t_k, b_k, u_k) with a_k = window[k], (s_k, b_k, u_k) a
+    rotation other than the fold (s_k, t_k, a_k), and (a_{k+1}, s_{k+1}, u_k)
+    a rotation, with t_{k+1} = u_k, each with the pair (s, t) it ends in,
+    in lexicographic order of the upper triangles."""
+    by_first = {}
+    for rot in sorted(rotation_set(pres)):
+        by_first.setdefault(rot[0], []).append(rot)
+
+    def chains(k, s, t):
+        if k == len(window) - 1:
+            return [((), (s, t))]
+        return [(((window[k], s, t, b, u),) + rows, end)
+                for (_s, b, u) in by_first[s] if (b, u) != (t, window[k])
+                for (_a, s_next, u_next) in by_first.get(window[k + 1], ()) if u_next == u
+                for rows, end in chains(k + 1, s_next, u)]
+
+    return {(s, t): tuple(chains(0, s, t)) for (_a, s, t) in by_first.get(window[0], ())}
+
+
+def check_window_steps(pres, windows):
+    """``strips._window_steps`` equals its brute force on every window;
+    returns the number of windows and of the chains over them."""
+    chains = 0
+    for window in windows:
+        steps = strips._window_steps(pres, window)
+        assert steps == brute_window_steps(pres, window), window
+        chains += sum(len(entry) for entry in steps.values())
+    return len(windows), chains
+
+
+def sampled_windows(pres, seed=25, count=60):
+    """Every straight 2-letter window and a seeded sample of ``count``
+    straight windows of each longer length up to WINDOW + 1."""
+    rng = random.Random(seed)
+    windows = straight_windows(pres, 2)
+    for length in range(3, strips.WINDOW + 2):
+        every = straight_windows(pres, length)
+        windows += rng.sample(every, min(count, len(every)))
+    return windows
 
 
 def test_strip_tables_of_c1(c1):
-    check_transitions(c1)
-    assert len(c1.transitions) == 105
+    """Every straight window the strip walk can memoize on c1: 2 to
+    WINDOW + 1 letters."""
+    windows = [w for length in range(2, strips.WINDOW + 2) for w in straight_windows(c1, length)]
+    assert check_window_steps(c1, windows) == (588, 3 * 588)  # one chain per start
 
 
 def test_singer_q4_is_a_building_of_thickness_4():
@@ -108,16 +146,25 @@ def test_singer_q4_is_a_building_of_thickness_4():
 
 
 def test_strip_tables_of_a_non_building():
+    """Partial strips branch here, so a window's chains outnumber its three
+    starts: every straight window of 2 to 4 letters, 168 chains."""
     pres = load(_doc([[3, 0, 1], [3, 1, 2], [0, 2, 1], [3, 2, 0]], m=4), strict=False)
-    check_transitions(pres)
+    assert check_window_steps(pres, sampled_windows(pres)) == (12, 168)
 
 
-@pytest.mark.parametrize("pres", [relabelled_c1(20111), OTHER_Q2, OPPOSITE_BENDS, SINGER_Q4],
-                         ids=["relabelled_c1", "other_q2", "opposite_bends", "singer_q4"])
-def test_strip_tables_of_the_test_presentations(pres):
-    """load's fold test b == t drops exactly the rows with (b, u) == (t, a),
-    as (s, t) heads one rotation."""
-    check_transitions(pres)
+@pytest.mark.parametrize("pres, expected", [
+    (relabelled_c1(20111), (148, 444)),
+    (OTHER_Q2, (148, 444)),
+    (OPPOSITE_BENDS, (70, 440)),
+    (SINGER_Q4, (456, 2280)),
+], ids=["relabelled_c1", "other_q2", "opposite_bends", "singer_q4"])
+def test_strip_tables_of_the_test_presentations(pres, expected):
+    """The fold test b == t of the strip walk drops exactly the rows with
+    (b, u) == (t, a), as (s, t) heads one rotation, and ``starting[a']``
+    finds the one next lower triangle: the chains over every straight
+    2-letter window and a sample of longer ones equal their brute force;
+    the numbers of windows and chains."""
+    assert check_window_steps(pres, sampled_windows(pres)) == expected
 
 
 def copies_of_c1(k):
@@ -136,9 +183,7 @@ def test_disjoint_copies_load_with_tables_linear_in_the_generators(c1):
     assert all(len(row) == 3 for row in pres.starting)  # q+1 entries per generator
     assert 7 not in [k for (_j, k) in pres.starting[0]]
     assert (2793, 2799) in pres.starting[2793]
-    for name in ("bent_pairs", "transitions"):
-        assert len(getattr(pres, name)) == 400 * len(getattr(c1, name)), name
-    assert len(pres.transitions) == 15 * 2800
+    assert len(pres.bent_pairs) == 400 * len(c1.bent_pairs) == 21 * 400
 
 
 def test_round_trip(c1):

@@ -103,8 +103,9 @@ def check_graph_invariants(pres, word):
     positive multipliers; one tree edge per vertex but the base; at most
     q+1 strips at every wall visited; each median label, minimized over
     one strip period, equals the label minimized over all n phases; every
-    wall period equals its full scan; and an edge has order n/p_e, with
-    p_e its strip's full-scan period."""
+    wall period equals its full scan; and an edge has order n/p_e and
+    multiplier p_e/p at a wall of period p, with p_e its strip's full-scan
+    period."""
     g = build_quotient(pres, word)
     n = g.n
     for v in g.vertices:
@@ -115,11 +116,13 @@ def check_graph_invariants(pres, word):
         else:
             assert (2 * n) % v.group_order == 0, (word, v.display_label)
     for e in g.edges:
-        assert e.group_order * full_scan_minimal_period(e.strip) == n, (word, e.index)
+        pe = full_scan_minimal_period(e.strip)
+        assert e.group_order * pe == n, (word, e.index)
         for end, mu in zip(e.endpoints, e.multipliers):
             o = g.vertices[end].group_order
             assert o % e.group_order == 0, (word, e.index)
-            assert mu >= 1, (word, e.index)
+            p = g.vertices[end].period
+            assert mu == (pe // p if p else 2), (word, e.index)
             # Z/o_e -> Z/o, gen -> gen^mu, is injective
             assert o // gcd(mu, o) == e.group_order, (word, e.index)
         median = g.vertices[e.endpoints[1]]

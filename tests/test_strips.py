@@ -283,7 +283,7 @@ def test_flip_shifts_equal_brute_force_on_enumerated_strips():
 
 
 # Reference: the recursive strip search, as it was before the strip walk
-# read the transitions of the presentation, window by window.
+# chained its rows window by window.
 
 def reference_enumerate(presentation, wall):
     a = tuple(wall)
@@ -455,8 +455,9 @@ def test_skip_equals_filtered_walk(pres):
     assert (ambiguous_skipped > 0) == branching
 
 
-# The walk advances WINDOW wall letters per step through the chained
-# transitions that each presentation keeps in its memo, ``_windows``.
+# The walk advances WINDOW wall letters per step through the row chains,
+# built from ``starting``, that each presentation keeps in its memo,
+# ``_windows``.
 
 def test_window_memo_cold_and_warm():
     """The same strips as the reference on a fresh presentation, whose memo
@@ -673,7 +674,7 @@ def check_anchored_readings(presentation, walls):
             canon_b, dd, p_b = least_rotation(columns(s)[3])
             flips = flip_shifts(s, pe)
             assert not flips or canon_b == wall, (wall, s)
-            args = (minimal_period(wall),) if flips else (minimal_period(wall), dd, p_b)
+            args = (minimal_period(wall),) if flips else (minimal_period(wall), (dd, p_b))
             reference = row_anchored_readings(s, *args)
             key = canonical_edge_key(s)
             orbit = {t for w in {wall, canon_b} for t in strips_at(w)

@@ -20,8 +20,7 @@ def c1_fields(**changes):
     """The constructor arguments of c1, by name, with some replaced."""
     fields = dict(
         generator_count=C1.generator_count, rotation_classes=C1.rotation_classes,
-        thickness_q=C1.thickness_q, starting=C1.starting, bent_pairs=C1.bent_pairs,
-        transitions=C1.transitions)
+        thickness_q=C1.thickness_q, starting=C1.starting, bent_pairs=C1.bent_pairs)
     fields.update(changes)
     return fields
 
@@ -89,8 +88,7 @@ def test_defaults():
 
 
 def test_presentation_compares_only_its_defining_fields():
-    stripped = TrianglePresentation(**c1_fields(
-        starting=(), bent_pairs=frozenset(), transitions={}))
+    stripped = TrianglePresentation(**c1_fields(starting=(), bent_pairs=frozenset()))
     assert stripped == C1 and hash(stripped) == hash(C1)
     assert TrianglePresentation(**c1_fields(thickness_q=3)) != C1
 
