@@ -24,10 +24,12 @@ All witness words are relative to the base vertex of the canonical rotation
 of the input element.  The BFS records a witness tree: each new wall vertex
 keeps its parent and the letters of the short reduced suffix
 x_{t_0}^-1 x_{b_0} ... x_{b_{dd-1}} that carries the parent's base vertex
-to its own.  A vertex's base witness is the product of the suffixes along
-its tree path; it is spelled, and validated as a FormalWord, only when an
-output word needs it (a stabilizer generator, a median glide or a non-tree
-conjugator, which also reads the suffix of its own strip), and then once.
+to its own, taken from the shared letter tables of ``words``, so that the
+witnesses of a graph hold at most 2m distinct letter objects.  A vertex's
+base witness is the product of the suffixes along its tree path; it is
+spelled, and validated as a FormalWord, only when an output word needs it
+(a stabilizer generator, a median glide or a non-tree conjugator, which also
+reads the suffix of its own strip), and then once.
 
 The group data holds by construction: a wall of minimal period p (p | n)
 gets order n/p; an edge whose strip has period p_e (p | p_e | n) gets order
@@ -45,7 +47,7 @@ from .presentation import TrianglePresentation
 from .strips import anchored_readings, enumerate_periodic_strips, flip_shifts, strip_json
 from .walls import (canonical_rotation, least_rotation, minimal_period, stabilizer_generator_word,
                     wall_word)
-from .words import FormalWord
+from .words import NEGATIVE, POSITIVE, FormalWord, share_letters
 
 
 class QuotientVertex:
@@ -64,15 +66,6 @@ class QuotientVertex:
         self.sequence = sequence
         self.period = period
 
-    def to_json(self):
-        return {
-            "label": self.display_label,
-            "kind": self.kind,
-            "group_order": self.group_order,
-            "generator_witness": self.generator_witness.to_json(),
-            "generator_witness_str": str(self.generator_witness) if self.generator_witness else None,
-        }
-
 
 class QuotientEdge:
     __slots__ = ("index", "endpoints", "group_order", "multipliers", "conjugator_witness",
@@ -88,17 +81,6 @@ class QuotientEdge:
         self.conjugator_witness = conjugator_witness
         self.in_spanning_tree = in_spanning_tree
         self.strip = strip  # the rows (a_k, s_k, t_k, b_k, u_k)
-
-    def to_json(self, graph):
-        return {
-            "endpoints": [graph.vertices[self.endpoints[0]].display_label,
-                          graph.vertices[self.endpoints[1]].display_label],
-            "group_order": self.group_order,
-            "multipliers": list(self.multipliers),
-            "in_spanning_tree": self.in_spanning_tree,
-            "conjugator_witness": self.conjugator_witness.to_json(),
-            "strip": strip_json(self.strip),
-        }
 
 
 class QuotientGraphOfGroups:
@@ -117,14 +99,28 @@ class QuotientGraphOfGroups:
         return len(self.edges) - len(self.vertices) + 1
 
     def to_json(self):
+        labels = [v.display_label for v in self.vertices]
         return {
             "element": list(self.element),
             "n": self.n,
             "classification": self.classification,
-            "base_vertex": self.vertices[0].display_label,
+            "base_vertex": labels[0],
             "betti_number": self.betti_number,
-            "vertices": [v.to_json() for v in self.vertices],
-            "edges": [e.to_json(self) for e in self.edges],
+            "vertices": [{
+                "label": v.display_label,
+                "kind": v.kind,
+                "group_order": v.group_order,
+                "generator_witness": v.generator_witness.to_json(),
+                "generator_witness_str": str(v.generator_witness) if v.generator_witness else None,
+            } for v in self.vertices],
+            "edges": [{
+                "endpoints": [labels[e.endpoints[0]], labels[e.endpoints[1]]],
+                "group_order": e.group_order,
+                "multipliers": list(e.multipliers),
+                "in_spanning_tree": e.in_spanning_tree,
+                "conjugator_witness": e.conjugator_witness.to_json(),
+                "strip": strip_json(e.strip),
+            } for e in self.edges],
         }
 
     def to_dot(self) -> str:
@@ -175,6 +171,7 @@ def build_quotient(presentation: TrianglePresentation, element) -> QuotientGraph
     labels, period = wall_word(presentation, element)
     n = len(labels)
     digits = [str(x) for x in range(presentation.generator_count)]
+    share_letters(range(presentation.generator_count))
 
     vertices: list[QuotientVertex] = []
     edges: list[QuotientEdge] = []
@@ -210,10 +207,8 @@ def build_quotient(presentation: TrianglePresentation, element) -> QuotientGraph
         gen = (stabilizer_generator_word(base_witness(vid), sequence, p)
                if order > 1 else FormalWord.identity())
         vertices.append(QuotientVertex(
-            index=vid, kind="wall",
-            group_order=order, generator_witness=gen,
-            display_label="(" + ",".join([digits[x] for x in sequence[:p]]) + ")",
-            sequence=sequence, period=p))
+            vid, "wall", order, gen, "(" + ",".join([digits[x] for x in sequence[:p]]) + ")",
+            sequence, p))
         wall_ids[sequence] = vid
         readings[vid] = set()
         return vid
@@ -252,15 +247,14 @@ def build_quotient(presentation: TrianglePresentation, element) -> QuotientGraph
                     FormalWord.generator(rows[d][2], -1), witness.inverse()))
                 other = len(vertices)
                 vertices.append(QuotientVertex(
-                    index=other, kind="median", group_order=2 * n // pe,
-                    generator_witness=glide,
-                    display_label=_median_display_label(rows, pe, d, digits)))
+                    other, "median", 2 * n // pe, glide,
+                    _median_display_label(rows, pe, d, digits)))
                 mu_other, conj, is_new = 2, FormalWord.identity(), True
                 seen.update(anchored_readings(rows, pe, v.period)[0])
             else:
                 # x_{t_0}^-1 x_{b_0} ... x_{b_{dd-1}} is reduced: t_0 == b_0
                 # would make the upper triangle (s_0, t_0, a_0), the fold
-                suffix = ((rows[0][2], -1),) + tuple([(row[3], 1) for row in rows[:dd]])
+                suffix = (NEGATIVE[rows[0][2]],) + tuple([POSITIVE[row[3]] for row in rows[:dd]])
                 is_new = canon_b not in wall_ids
                 if is_new:
                     other = new_wall_vertex(canon_b, p_b, vid, suffix)
@@ -275,15 +269,12 @@ def build_quotient(presentation: TrianglePresentation, element) -> QuotientGraph
                 seen.update(own)
                 # the other end of a loop is this wall, whose set is popped
                 (seen if other == vid else readings[other]).update(opposite)
-            edges.append(QuotientEdge(
-                index=len(edges), endpoints=(vid, other), group_order=n // pe,
-                multipliers=(pe // v.period, mu_other), conjugator_witness=conj,
-                in_spanning_tree=is_new, strip=rows))
+            edges.append(QuotientEdge(len(edges), (vid, other), n // pe,
+                                      (pe // v.period, mu_other), conj, is_new, rows))
 
     # a strip at the base vertex always makes an edge, the first one
     classification = "graph_of_groups" if edges else "single_axis"
-    return QuotientGraphOfGroups(
-        element=labels, n=n, classification=classification, vertices=vertices, edges=edges)
+    return QuotientGraphOfGroups(labels, n, classification, vertices, edges)
 
 
 def vertex_witnesses(graph: QuotientGraphOfGroups) -> dict[str, FormalWord]:

@@ -57,8 +57,7 @@ def swapped_rows(rows: tuple) -> tuple:
 
 def strip_json(rows: tuple) -> dict:
     """The strip's five label sequences, as lists keyed by their names."""
-    a, s, t, b, u = map(list, zip(*rows)) if rows else ([], [], [], [], [])
-    return {"a": a, "s": s, "t": t, "b": b, "u": u}
+    return dict(zip("astbu", map(list, zip(*rows)) if rows else ([], [], [], [], [])))
 
 
 WINDOW = 3  # wall letters per step of the strip walk

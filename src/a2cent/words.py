@@ -8,6 +8,20 @@ from __future__ import annotations
 
 from .frozen import Frozen
 
+# The process's one tuple per letter: generator index -> (index, +1) and
+# -> (index, -1).  Indices are entered on first use, not per call, so the
+# words spelled from these tables share at most 2m letter objects however
+# long they grow.
+POSITIVE: dict[int, tuple[int, int]] = {}
+NEGATIVE: dict[int, tuple[int, int]] = {}
+
+
+def share_letters(gens) -> None:
+    """Enter the letters of the generator indices ``gens`` in the tables."""
+    for g in gens:
+        if g not in POSITIVE:
+            POSITIVE[g], NEGATIVE[g] = (g, 1), (g, -1)
+
 
 class FormalWord(Frozen):
     """A freely reduced word; letters are (generator index, exponent in {+1,-1})."""
@@ -33,11 +47,16 @@ class FormalWord(Frozen):
     @staticmethod
     def from_indices(indices) -> "FormalWord":
         """Positive word x_{i0} x_{i1} ... (no reduction needed)."""
-        return FormalWord(tuple((i, 1) for i in indices))
+        indices = tuple(indices)
+        share_letters(indices)
+        return FormalWord(tuple([POSITIVE[i] for i in indices]))
 
     @staticmethod
     def generator(i: int, exp: int = 1) -> "FormalWord":
-        return FormalWord(((i, exp),))
+        share_letters((i,))
+        # a bad exponent keeps a letter of its own, for the constructor to reject
+        letter = POSITIVE[i] if exp == 1 else NEGATIVE[i] if exp == -1 else (i, exp)
+        return FormalWord((letter,))
 
     @staticmethod
     def product(factors) -> "FormalWord":
@@ -64,7 +83,12 @@ class FormalWord(Frozen):
         return FormalWord.product((self, other))
 
     def inverse(self) -> "FormalWord":
-        return FormalWord(tuple((g, -e) for g, e in reversed(self.letters)))
+        try:
+            return FormalWord(tuple([NEGATIVE[g] if e == 1 else POSITIVE[g]
+                                     for g, e in reversed(self.letters)]))
+        except KeyError:  # a word made with generator indices not yet entered
+            share_letters([g for g, _e in self.letters])
+            return self.inverse()
 
     def conjugate_by(self, c: "FormalWord") -> "FormalWord":
         """c * self * c^-1."""

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from collections import Counter
 from math import gcd
 
@@ -269,13 +270,72 @@ def test_wall_labels_with_multi_digit_generators():
     assert sum(max(v.sequence) > 9 for v in walls) == 3197
 
 
+EIGHTEEN = (6, 5, 3, 1, 6, 6, 4, 2, 2, 0, 1, 4, 2, 0, 1, 0, 4, 3)
+
+
+@pytest.fixture(scope="module")
+def eighteen():
+    return build_quotient(C1, EIGHTEEN)
+
+
 def test_quotient_of_a_word_over_ten_thousand_vertices():
     """Every wall word has a finite quotient: V <= (q+2) x (wall necklaces
     of length n).  This 18-letter word has a flat quotient, a cycle with a
     pendant leaf at each vertex and all groups trivial, so Z(g)/<g> is Z."""
-    g = check_graph_invariants(C1, (6, 5, 3, 1, 6, 6, 4, 2, 2, 0, 1, 4, 2, 0, 1, 0, 4, 3))
+    g = check_graph_invariants(C1, EIGHTEEN)
     assert (len(g.vertices), len(g.edges), g.betti_number) == (19760, 19760, 1)
     assert simplify(g).render() == "Z"
+
+
+def distinct_witness_letters(graph):
+    """The number of letters in the graph's vertex generator and edge
+    conjugator witnesses, and of distinct objects among them."""
+    letters = ([x for v in graph.vertices for x in v.generator_witness.letters]
+               + [x for e in graph.edges for x in e.conjugator_witness.letters])
+    return len(letters), len({id(x) for x in letters})
+
+
+@pytest.mark.parametrize("pres, word", [(C1, (0, 5)), (C1, (0, 1, 4)), (C1, (0, 5) * 3),
+                                        (OTHER_Q2, (0, 4))],
+                         ids=["c1-0,5", "c1-0,1,4", "c1-(0,5)^3", "other_q2-0,4"])
+def test_witnesses_share_one_object_per_letter(pres, word):
+    """Both paper fixtures (with their median vertices), a proper power and
+    an OTHER_Q2 word whose 9 vertices all have groups of order 2: every
+    letter of every witness is one of at most 2m objects."""
+    g = build_quotient(pres, word)
+    total, distinct = distinct_witness_letters(g)
+    assert total > 2 * pres.generator_count
+    assert distinct <= 2 * pres.generator_count
+
+
+def test_witnesses_of_a_flat_quotient_share_one_object_per_letter(eighteen):
+    """The 18-letter word's quotient has trivial groups and one non-tree
+    edge, whose conjugator has 93 606 letters."""
+    assert distinct_witness_letters(eighteen)[0] == 93606
+    assert distinct_witness_letters(eighteen)[1] <= 2 * C1.generator_count
+
+
+def test_structured_document_of_a_flat_quotient(eighteen):
+    """The sha256 of the 18-letter word's document, as sorted compact JSON,
+    pinned from the program before the graph wrote its vertex and edge
+    dicts itself and before its witnesses shared their letters."""
+    text = json.dumps(eighteen.to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "fc233d477a82d7c52722d4eed9f707b95913185894b4fb86cfc6a9ab9035e9c5"
+
+
+@pytest.mark.slow
+def test_building_a_flat_quotient_peaks_under_30_mb():
+    """Under tracemalloc, building the 18-letter word's 19 760-vertex
+    quotient peaks at about 23 MB (Python 3.11), and at about 36 MB when
+    every witness letter was a fresh tuple."""
+    tracemalloc.start()
+    try:
+        build_quotient(C1, EIGHTEEN)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30e6
 
 
 @pytest.mark.slow

@@ -36,6 +36,25 @@ def test_str():
     assert str(FormalWord()) == "1"
 
 
+def test_letters_are_shared():
+    """generator, from_indices and inverse take their letters from one
+    table per process, so equal letters are one object."""
+    inverse = FormalWord.from_indices([3]).inverse()
+    assert FormalWord.generator(3, -1).letters[0] is inverse.letters[0]
+    assert FormalWord.generator(3).letters[0] is FormalWord.from_indices([3]).letters[0]
+    assert FormalWord.generator(3).letters[0] is FormalWord.generator(3, -1).inverse().letters[0]
+    with pytest.raises(ValueError, match="exponent must be"):
+        FormalWord.generator(3, 2)
+
+
+def test_inverse_of_letters_made_elsewhere():
+    """A word built from its own letter tuples, at generator indices no
+    shared letter has been made for, still inverts."""
+    w = FormalWord(((1000, 1), (1001, -1)))
+    assert w.inverse().letters == ((1001, 1), (1000, -1))
+    assert w.inverse().letters[1] is FormalWord.generator(1000, -1).letters[0]
+
+
 def test_conjugate():
     h = FormalWord.generator(2).conjugate_by(FormalWord.generator(6, -1))
     assert h.letters == ((6, -1), (2, 1), (6, 1))
