@@ -37,10 +37,17 @@ n/p_e and multipliers p_e/p at its walls; a median vertex gets order 2n/p_e
 and multiplier 2, as its glide step d has 2d+1 = p_e (``strips.flip_shifts``);
 each new vertex adds one tree edge.  tests/test_quotient.py asserts this
 through wall length 6.
+
+``build_quotient`` and ``QuotientGraphOfGroups.to_json`` run with the
+cyclic garbage collector paused (``_collector_paused``): they make no
+reference cycles, so every collection they would trigger only re-traverses
+the graph built so far.
 """
 
 from __future__ import annotations
 
+import functools
+import gc
 from collections import deque
 
 from .presentation import TrianglePresentation
@@ -48,6 +55,32 @@ from .strips import anchored_readings, enumerate_periodic_strips, flip_shifts, s
 from .walls import (canonical_rotation, least_rotation, minimal_period, stabilizer_generator_word,
                     wall_word)
 from .words import NEGATIVE, POSITIVE, FormalWord, share_letters
+
+
+def _collector_paused(build):
+    """``build`` run with CPython's cyclic garbage collector paused.
+
+    The two bulk builders, ``build_quotient`` and
+    ``QuotientGraphOfGroups.to_json``, allocate tens of thousands of
+    tracked objects on a large quotient, and each collection they trigger
+    re-traverses the graph built so far; on the 18-letter c1 word the
+    collector took about two thirds of ``to_json``.  Neither makes a
+    reference cycle (tests/test_quotient.py checks the whole pipeline for
+    cyclic garbage), so reference counting frees all they allocate and the
+    pause leaves nothing behind.  The pause is process-wide: what another
+    thread allocates meanwhile is not collected either.  A collector that
+    the caller had disabled stays disabled.
+    """
+    @functools.wraps(build)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return build(*args, **kwargs)
+        gc.disable()
+        try:
+            return build(*args, **kwargs)
+        finally:
+            gc.enable()
+    return paused
 
 
 class QuotientVertex:
@@ -98,6 +131,7 @@ class QuotientGraphOfGroups:
     def betti_number(self) -> int:
         return len(self.edges) - len(self.vertices) + 1
 
+    @_collector_paused
     def to_json(self):
         labels = [v.display_label for v in self.vertices]
         return {
@@ -166,6 +200,7 @@ def _median_display_label(rows: tuple, period: int, d: int, digits: list[str]) -
     return "[" + ",".join([digits[x] for x in best]) + "]"
 
 
+@_collector_paused
 def build_quotient(presentation: TrianglePresentation, element) -> QuotientGraphOfGroups:
     """Quotient graph of groups of the axial-wall tree for a wall word."""
     labels, period = wall_word(presentation, element)

@@ -88,22 +88,18 @@ def wall_necklaces(presentation: TrianglePresentation, n: int) -> list[tuple[int
     bent = presentation.bent_pairs
     succ = [[j for j in range(m) if (i, j) not in bent] for i in range(m)]
     out = []
-
-    def extend(walk):
+    # depth first, least successor first: a walk's extensions are pushed
+    # in reverse, so the words come out sorted.  An explicit stack, as a
+    # closure that calls itself is a reference cycle and would keep the
+    # result alive until a collection
+    stack = [(first,) for first in reversed(range(m))]
+    while stack:
+        walk = stack.pop()
         if len(walk) == n:
-            if (walk[-1], walk[0]) not in bent:
-                word = tuple(walk)
-                if canonical_rotation(word) == word:
-                    out.append(word)
-            return
-        for j in succ[walk[-1]]:
-            if j >= walk[0]:
-                walk.append(j)
-                extend(walk)
-                walk.pop()
-
-    for first in range(m):
-        extend([first])
+            if (walk[-1], walk[0]) not in bent and canonical_rotation(walk) == walk:
+                out.append(walk)
+            continue
+        stack += [walk + (j,) for j in reversed(succ[walk[-1]]) if j >= walk[0]]
     return out
 
 

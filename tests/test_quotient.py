@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import tracemalloc
@@ -6,7 +7,9 @@ from math import gcd
 
 import pytest
 
-from a2cent.bassserre import IsoType, simplify
+from a2cent import quotient
+from a2cent.bassserre import IsoType, fundamental_group, simplify
+from a2cent.cli import structured_report
 from a2cent.errors import AmbiguousStrip, InvariantError, NotAWallWord
 from a2cent.presentation import BUILTIN_PRESENTATIONS, load, load_named
 from a2cent.quotient import build_quotient, vertex_witnesses
@@ -322,6 +325,75 @@ def test_structured_document_of_a_flat_quotient(eighteen):
     text = json.dumps(eighteen.to_json(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "fc233d477a82d7c52722d4eed9f707b95913185894b4fb86cfc6a9ab9035e9c5"
+
+
+def cyclic_garbage(run):
+    """The number of objects that ``run()`` leaves unreachable but alive,
+    found by one collection after a run with the collector off; reference
+    counting frees everything else, its result included."""
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("pres, word", [(C1, (0, 5)), (C1, (0, 1, 4)), (C1, (0, 5) * 3),
+                                        (OTHER_Q2, (0, 4)), (SINGER_Q4, (0, 0, 0, 1)),
+                                        (C1, EIGHTEEN)],
+                         ids=["c1-0,5", "c1-0,1,4", "c1-(0,5)^3", "other_q2-0,4",
+                              "singer_q4-0,0,0,1", "c1-eighteen"])
+def test_pipeline_makes_no_cyclic_garbage(pres, word):
+    """The whole ``--format structured`` pipeline frees all it allocates by
+    reference counting, so pausing the collector in ``build_quotient`` and
+    ``to_json`` leaves nothing for it to find."""
+    def run():
+        graph = build_quotient(pres, word)
+        presentation = fundamental_group(graph)
+        result = simplify(graph)
+        return (vertex_witnesses(graph), graph.to_json(),
+                structured_report(graph, presentation, result))
+    assert cyclic_garbage(run) == 0
+
+
+def test_wall_necklaces_make_no_cyclic_garbage():
+    """A recursive closure that refers to itself kept the 720 objects of
+    this list alive after it was dropped, until a collection."""
+    assert cyclic_garbage(lambda: wall_necklaces(C1, 6)) == 0
+
+
+def test_builders_pause_the_collector(monkeypatch):
+    """The collector is off inside ``build_quotient`` and ``to_json``, on
+    again after each, even after a raise, and a collector that the caller
+    turned off stays off."""
+    states = []
+
+    def recording(inner):
+        def record(*args):
+            states.append(gc.isenabled())
+            return inner(*args)
+        return record
+
+    monkeypatch.setattr(quotient, "enumerate_periodic_strips",
+                        recording(quotient.enumerate_periodic_strips))
+    monkeypatch.setattr(quotient, "strip_json", recording(quotient.strip_json))
+    assert gc.isenabled()
+    graph = build_quotient(C1, (0, 1, 4))
+    assert gc.isenabled() and states and not any(states)
+    states.clear()
+    graph.to_json()
+    assert gc.isenabled() and states and not any(states)
+    with pytest.raises(NotAWallWord):
+        build_quotient(C1, (0, 2))
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        build_quotient(C1, (0, 1, 4)).to_json()
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 @pytest.mark.slow
