@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
 """Mutation probe: run the tier-1 tests on small mutants of a2cent's modules.
 
-A mutant changes one node of a module's syntax tree, in one of four ways:
+A mutant changes one node of a module's syntax tree, in one of six ways:
 
 - swap a comparison: < and <=, > and >=, == and !=, in and not in;
 - add 1 to an integer constant;
 - swap and / or;
-- swap + and - (also in += and -=).
+- swap + and - (also in += and -=);
+- drop a call statement: ``f(x)`` becomes ``None``;
+- drop a ``not``: ``not x`` becomes ``not not x``.
 
 Each mutant is written with ast.unparse into a copy of the checkout in a
 temporary directory, and the tier-1 tests run there with -x and a 180 s
@@ -39,6 +41,7 @@ TIMEOUT = 180  # seconds per tier-1 run; a clean run takes 15-30 s
 # (or unparses), so it would fail there whatever the mutant changes
 OWN_TEST = "tests/test_scripts.py::test_equivalent_mutants_are_still_generated"
 
+DROP_CALL, DROP_NOT = "call -> None", "not -> not not"
 SWAPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
          ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.In: ast.NotIn, ast.NotIn: ast.In,
          ast.And: ast.Or, ast.Or: ast.And, ast.Add: ast.Sub, ast.Sub: ast.Add}
@@ -109,6 +112,10 @@ def _sites(tree):
         elif isinstance(node, (ast.BoolOp, ast.BinOp, ast.AugAssign)) and type(node.op) in SWAPS:
             swapped = SWAPS[type(node.op)].__name__
             yield node, None, f"{type(node.op).__name__} -> {swapped}", function
+        elif isinstance(node, ast.Expr) and isinstance(node.value, ast.Call):
+            yield node, None, DROP_CALL, function
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+            yield node, None, DROP_NOT, function
         for child in ast.iter_child_nodes(node):
             yield from walk(child, function)
     yield from walk(tree, "")
@@ -119,6 +126,10 @@ def _apply(node, index):
         node.ops[index] = SWAPS[type(node.ops[index])]()
     elif isinstance(node, ast.Constant):
         node.value += 1
+    elif isinstance(node, ast.Expr):
+        node.value = ast.Constant(None)
+    elif isinstance(node, ast.UnaryOp):
+        node.operand = ast.UnaryOp(ast.Not(), node.operand)
     else:
         node.op = SWAPS[type(node.op)]()
 
@@ -131,10 +142,13 @@ def mutants(module):
     for k in range(count):
         tree = ast.parse(source)  # a fresh tree per mutant
         node, index, change, function = next(site for i, site in enumerate(_sites(tree)) if i == k)
+        dropped = ast.unparse(node)
         _apply(node, index)
         line = lines[node.lineno - 1]
         if node.end_lineno == node.lineno:
             line = line[:node.col_offset] + ast.unparse(node).encode() + line[node.end_col_offset:]
+            if change == DROP_CALL:  # name the call, as every dropped one reads None
+                line += f"  # {dropped}".encode()
         else:  # the node's first line, marked with the change
             line += f"  [{change}]".encode()
         yield Mutant(module, node.lineno, function, line.decode().strip(), change,

@@ -13,6 +13,7 @@ lines on stderr; the parser reports a usage error the same way.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -258,7 +259,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_UNSUPPORTED, f"error: {self.prog}: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one command-line parser, built on first use: an
+    argparse parser is a web of reference cycles, so a parser per call
+    would leave it to the cyclic collector each time.  Parsing leaves the
+    parser unchanged; callers must not change it either."""
     parser = _Parser(
         prog="a2cent",
         description="Centralizers in A~2 triangle-presentation groups")

@@ -22,12 +22,13 @@ swap of a strip already kept (see ``enumerate_periodic_strips``).
 
 All witness words are relative to the base vertex of the canonical rotation
 of the input element.  The BFS records a witness tree: each new wall vertex
-keeps its parent and the letters of the short reduced suffix
-x_{t_0}^-1 x_{b_0} ... x_{b_{dd-1}} that carries the parent's base vertex
-to its own, taken from the shared letter tables of ``words``, so that the
-witnesses of a graph hold at most 2m distinct letter objects.  A vertex's
-base witness is the product of the suffixes along its tree path; it is
-spelled, and validated as a FormalWord, only when an output word needs it
+keeps its parent and the strip that found it, whose rows give the short
+reduced suffix x_{t_0}^-1 x_{b_0} ... x_{b_{dd-1}} that carries the
+parent's base vertex to its own.  Suffix letters come from the shared
+letter tables of ``words``, so that the witnesses of a graph hold at most
+2m distinct letter objects.  A vertex's base witness is the product of the
+suffixes along its tree path; the suffixes are read, and the witness
+spelled and validated as a FormalWord, only when an output word needs it
 (a stabilizer generator, a median glide or a non-tree conjugator, which also
 reads the suffix of its own strip), and then once.
 
@@ -134,27 +135,37 @@ class QuotientGraphOfGroups:
     @_collector_paused
     def to_json(self):
         labels = [v.display_label for v in self.vertices]
+        vertices = []
+        for v in self.vertices:
+            word = v.generator_witness
+            letters = word.letters
+            vertices.append({
+                "label": v.display_label,
+                "kind": v.kind,
+                "group_order": v.group_order,
+                "generator_witness": [[g, x] for g, x in letters] if letters else [],
+                "generator_witness_str": str(word) if letters else None,
+            })
+        edges = []
+        for e in self.edges:
+            i, j = e.endpoints
+            letters = e.conjugator_witness.letters
+            edges.append({
+                "endpoints": [labels[i], labels[j]],
+                "group_order": e.group_order,
+                "multipliers": list(e.multipliers),
+                "in_spanning_tree": e.in_spanning_tree,
+                "conjugator_witness": [[g, x] for g, x in letters] if letters else [],
+                "strip": strip_json(e.strip),
+            })
         return {
             "element": list(self.element),
             "n": self.n,
             "classification": self.classification,
             "base_vertex": labels[0],
             "betti_number": self.betti_number,
-            "vertices": [{
-                "label": v.display_label,
-                "kind": v.kind,
-                "group_order": v.group_order,
-                "generator_witness": v.generator_witness.to_json(),
-                "generator_witness_str": str(v.generator_witness) if v.generator_witness else None,
-            } for v in self.vertices],
-            "edges": [{
-                "endpoints": [labels[e.endpoints[0]], labels[e.endpoints[1]]],
-                "group_order": e.group_order,
-                "multipliers": list(e.multipliers),
-                "in_spanning_tree": e.in_spanning_tree,
-                "conjugator_witness": e.conjugator_witness.to_json(),
-                "strip": strip_json(e.strip),
-            } for e in self.edges],
+            "vertices": vertices,
+            "edges": edges,
         }
 
     def to_dot(self) -> str:
@@ -200,6 +211,14 @@ def _median_display_label(rows: tuple, period: int, d: int, digits: list[str]) -
     return "[" + ",".join([digits[x] for x in best]) + "]"
 
 
+def _suffix(rows: tuple, dd: int) -> tuple:
+    """The letters of x_{t_0}^-1 x_{b_0} ... x_{b_{dd-1}}, which carry the
+    base vertex of the strip's wall to that of its opposite wall, whose
+    canonical rotation starts at b_dd.  The word is reduced: t_0 == b_0
+    would make the upper triangle (s_0, t_0, a_0), the fold."""
+    return (NEGATIVE[rows[0][2]],) + tuple([POSITIVE[row[3]] for row in rows[:dd]])
+
+
 @_collector_paused
 def build_quotient(presentation: TrianglePresentation, element) -> QuotientGraphOfGroups:
     """Quotient graph of groups of the axial-wall tree for a wall word."""
@@ -213,8 +232,9 @@ def build_quotient(presentation: TrianglePresentation, element) -> QuotientGraph
     wall_ids: dict[tuple, int] = {}
     # wall vertex -> start pairs (s_0, t_0) of the kept edges' anchored readings there
     readings: dict[int, set] = {}
-    # witness tree: wall vertex -> (parent, suffix letters); spelled base witnesses
-    tree_links: dict[int, tuple[int, tuple]] = {}
+    # witness tree: wall vertex -> (parent, rows, dd) of the strip that found
+    # it; spelled base witnesses
+    tree_links: dict[int, tuple[int, tuple, int]] = {}
     spelled: dict[int, FormalWord] = {}
 
     def base_witness(vid) -> FormalWord:
@@ -223,21 +243,21 @@ def build_quotient(presentation: TrianglePresentation, element) -> QuotientGraph
         suffixes = []
         top = vid
         while top not in spelled:
-            top, suffix = tree_links[top]
-            suffixes.append(suffix)
+            top, rows, dd = tree_links[top]
+            suffixes.append(_suffix(rows, dd))
         if suffixes:
             suffixes.append(spelled[top].letters)
             spelled[vid] = FormalWord.spell(reversed(suffixes))
         return spelled[vid]
 
-    def new_wall_vertex(sequence, p, parent=None, suffix=None) -> int:
+    def new_wall_vertex(sequence, p, link=None) -> int:
         """A wall vertex for the canonical ``sequence`` of minimal period p,
-        a divisor of n."""
+        a divisor of n, found through ``link``, its witness-tree link."""
         vid = len(vertices)
-        if parent is None:
+        if link is None:
             spelled[vid] = FormalWord.identity()
         else:
-            tree_links[vid] = (parent, suffix)
+            tree_links[vid] = link
         order = n // p
         gen = (stabilizer_generator_word(base_witness(vid), sequence, p)
                if order > 1 else FormalWord.identity())
@@ -287,17 +307,14 @@ def build_quotient(presentation: TrianglePresentation, element) -> QuotientGraph
                 mu_other, conj, is_new = 2, FormalWord.identity(), True
                 seen.update(anchored_readings(rows, pe, v.period)[0])
             else:
-                # x_{t_0}^-1 x_{b_0} ... x_{b_{dd-1}} is reduced: t_0 == b_0
-                # would make the upper triangle (s_0, t_0, a_0), the fold
-                suffix = (NEGATIVE[rows[0][2]],) + tuple([POSITIVE[row[3]] for row in rows[:dd]])
                 is_new = canon_b not in wall_ids
                 if is_new:
-                    other = new_wall_vertex(canon_b, p_b, vid, suffix)
+                    other = new_wall_vertex(canon_b, p_b, (vid, rows, dd))
                     queue.append(other)
                     conj = FormalWord.identity()
                 else:
                     other = wall_ids[canon_b]
-                    conj = FormalWord.spell((base_witness(vid).letters, suffix,
+                    conj = FormalWord.spell((base_witness(vid).letters, _suffix(rows, dd),
                                              base_witness(other).inverse().letters))
                 mu_other = pe // p_b
                 own, opposite = anchored_readings(rows, pe, v.period, (dd, p_b))

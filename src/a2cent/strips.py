@@ -57,7 +57,8 @@ def swapped_rows(rows: tuple) -> tuple:
 
 def strip_json(rows: tuple) -> dict:
     """The strip's five label sequences, as lists keyed by their names."""
-    return dict(zip("astbu", map(list, zip(*rows)) if rows else ([], [], [], [], [])))
+    a, s, t, b, u = map(list, zip(*rows)) if rows else ([], [], [], [], [])
+    return {"a": a, "s": s, "t": t, "b": b, "u": u}
 
 
 WINDOW = 3  # wall letters per step of the strip walk
@@ -113,11 +114,12 @@ def enumerate_periodic_strips(presentation: TrianglePresentation, wall,
         walks = [(rows + more, st) for rows, start in walks for more, st in steps[start]]
         if not walks:
             return []
-    closed = [rows for rows, st in walks if rows[0][1:3] == st]
-    starts = [rows[0][1:3] for rows in closed]
+    # a closed walk ends in its start pair, so its st is its start
+    closed = [(rows, st) for rows, st in walks if rows[0][1:3] == st]
+    starts = [st for _rows, st in closed]
     bent = presentation.bent_pairs
     found = []
-    for rows, start in zip(closed, starts):
+    for rows, start in closed:
         if starts.count(start) > 1:
             raise AmbiguousStrip((a[0], *start))
         if start not in skip:

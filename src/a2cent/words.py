@@ -108,8 +108,5 @@ class FormalWord(Frozen):
             parts.append(f"x{g}" if e == 1 else f"x{g}^-1")
         return " ".join(parts)
 
-    def to_json(self):
-        return [[g, e] for g, e in self.letters]
-
 
 _IDENTITY = FormalWord()

@@ -1,5 +1,6 @@
 import contextlib
 import errno
+import gc
 import hashlib
 import io
 import json
@@ -12,13 +13,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from a2cent.cli import (EXIT_INTERNAL, EXIT_OK, EXIT_UNSUPPORTED,
-                        EXIT_VALIDATION, main, run_centralizer, structured_report)
+from a2cent import cli
+from a2cent.cli import (EXIT_INTERNAL, EXIT_OK, EXIT_UNSUPPORTED, EXIT_VALIDATION,
+                        _discard_stdout, main, run_centralizer, structured_report)
+from a2cent.errors import AmbiguousStrip, InvariantError
 from a2cent.presentation import BUILTIN_PRESENTATIONS, load_named
 from a2cent.quotient import QuotientGraphOfGroups
 from a2cent.strips import enumerate_periodic_strips, strip_json
 from a2cent.walls import wall_necklaces, wall_word
-from presentations import OTHER_Q2, deep_walls, relabelled_c1
+from presentations import OTHER_Q2, SINGER_Q4, deep_walls, relabelled_c1
 from strip_oracle import group_by_wall_shifts
 
 
@@ -272,6 +275,49 @@ def test_stdout_that_cannot_be_written(capsys, monkeypatch, argv):
     assert err == "error: cannot write standard output: No space left on device\n"
 
 
+def test_discarding_stdout_closes_the_descriptor_it_opens(tmp_path, monkeypatch):
+    """Pointing stdout at the null device leaves no descriptor open: the
+    lowest free descriptor is the same before and after."""
+    def lowest_free():
+        fd = os.open(os.devnull, os.O_RDONLY)
+        os.close(fd)
+        return fd
+
+    with open(tmp_path / "out", "w") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        before = lowest_free()
+        _discard_stdout()
+        assert lowest_free() == before
+
+
+@pytest.mark.parametrize("error", [AmbiguousStrip((0, 1, 2)), InvariantError("opposite wall bends")],
+                         ids=["ambiguous_strip", "invariant_error"])
+def test_internal_error_exits_4_with_one_line(capsys, monkeypatch, error):
+    """An internal assertion in a command, which no strictly loaded
+    presentation is known to raise, exits 4 with one ``internal error:``
+    line and no output."""
+    def build_quotient(pres, word):
+        raise error
+    monkeypatch.setattr(cli, "build_quotient", build_quotient)
+    code, out, err = run(capsys, "centralizer", "builtin:c1", "--word", "0,5")
+    assert (code, out, err) == (EXIT_INTERNAL, "", f"internal error: {error}\n")
+
+
+def test_validate_lenient_warns_where_strict_fails(capsys, tmp_path):
+    """A pair-unique document whose link has girth 4: ``validate`` exits 2,
+    and ``validate --lenient`` prints the link failure as a warning, then
+    the statistics of that link."""
+    path = tmp_path / "girth4.json"
+    path.write_text(json.dumps({"generators": 3, "relators": [[0, 0, 1], [0, 2, 2], [1, 1, 2]]}))
+    assert run(capsys, "validate", str(path)) == (
+        EXIT_VALIDATION, "",
+        "error: link condition failure (6 nodes): link graph girth is 4, expected 6\n")
+    assert run(capsys, "validate", "--lenient", str(path)) == (
+        EXIT_OK,
+        "ok: m=3 q=2 relator classes=3 link: 6 nodes, degrees [3], girth 4, diameter 2\n",
+        "warning: link graph girth is 4, expected 6\n")
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("argv", [
     ["centralizer", "builtin:c1", "--word", "0,5", "--format", "structured"],
@@ -341,6 +387,36 @@ def run_argv(argv):
         except SystemExit as exc:
             code = exc.code
     return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["validate", "builtin:c1"], EXIT_OK),
+    (["link", "builtin:c1"], EXIT_OK),
+    (["strips", "builtin:c1", "--wall", "0,1,4"], EXIT_OK),
+    (["centralizer", "builtin:c1", "--word", "0,1,4", "--format", "dot"], EXIT_OK),
+    (["validate", "{missing}"], EXIT_VALIDATION),
+    (["centralizer", "builtin:c1", "--word", "0,2"], EXIT_UNSUPPORTED),
+    (["centralizer", "builtin:c1", "--word", "-1,0"], EXIT_UNSUPPORTED),
+], ids=["validate", "link", "strips-text", "centralizer-dot", "exit-2", "exit-3",
+        "exit-3-usage"])
+def test_commands_leave_no_cyclic_garbage(tmp_path, argv, expected):
+    """After a first call, which builds the process's one parser, a command
+    frees all it allocates by reference counting: with the collector off,
+    a collection after the second call finds nothing.  Structured output
+    and the text centralizer (its presentation id hashes
+    ``TrianglePresentation.dumps``) are not covered: the stdlib's
+    pure-Python JSON encoder, which ``indent=2`` selects, leaves its
+    closures to the collector."""
+    argv = [arg.format(missing=tmp_path / "missing.json") for arg in argv]
+    assert run_argv(argv)[0] == expected
+    gc.collect()
+    gc.disable()
+    try:
+        code = run_argv(argv)[0]
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert (code, garbage) == (expected, 0)
 
 
 def test_usage_error_exits_3():
@@ -479,6 +555,14 @@ def test_structured_output_byte_stable_on_other_presentations(pres, expected):
     assert structured_digest(pres, necklaces_through(pres, 6)) == expected
 
 
+def test_structured_output_byte_stable_on_singer_q4():
+    """Number and sha256 of the structured reports of every SINGER_Q4
+    (m = 21) wall necklace of length 1-3, 3696 vertices in all, as produced
+    before witness-tree suffixes were read from their strips on demand."""
+    assert structured_digest(SINGER_Q4, necklaces_through(SINGER_Q4, 3)) == \
+        (1533, "32a4d8cb47a883e64543032e056f5f97cde63f9b8db9f5c3673f20332c0108c4")
+
+
 def test_structured_output_byte_stable_on_deep_walls(c1):
     """sha256 of the structured reports of 20 seeded primitive c1 walls of
     length 12-14, two of them with quotients of 784 and 876 vertices and
@@ -529,10 +613,15 @@ def test_centralizer_structured_byte_stable_on_big_graphs_words(capsys, word, ex
     ("0,5", "dot", "820626a1fe06e1eb0dd92575fb245986efbf63d3000cc3d9c8ec6ef7e73536b5"),
     ("0,1,4", "text", "7c11373a45db9fb0e27a68b18bf4a730f323252228affc64465b2ab417634c28"),
     ("0,1,4", "dot", "77ca8a29261681f34ec7e05848fafe1e1f776334c34cd88e3244cae600e36c19"),
-], ids=["0,5-text", "0,5-dot", "0,1,4-text", "0,1,4-dot"])
+    ("5,5", "text", "26a6a3f2686b077ba66360661812623d366e25b4b019c4749375db82d1695e78"),
+    ("0,1,0,3,1,1,1,4", "text",
+     "aca0331992ca908ff6d1eadb5c2db9fdb2acaa7604f62941943521be5f41add3"),
+], ids=["0,5-text", "0,5-dot", "0,1,4-text", "0,1,4-dot", "5,5-text", "0,1,0,3,1,1,1,4-text"])
 def test_centralizer_text_and_dot_byte_stable_on_paper_figures(capsys, word, fmt, expected):
     """sha256 of ``centralizer`` standard output in the text and dot formats
-    on the two paper figures: every vertex, edge, group, witness and shape."""
+    on the two paper figures: every vertex, edge, group, witness and shape;
+    and in the text format on a single-axis power, with its quotient group
+    line, and on a word whose quotient does not simplify."""
     code, out, _err = run(capsys, "centralizer", "builtin:c1", "--word", word, "--format", fmt)
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == expected

@@ -450,6 +450,34 @@ def test_to_json_round_trips_labels():
     assert len(doc["vertices"]) == 7 and len(doc["edges"]) == 7
 
 
+def containers(document):
+    """Every list and dict of a JSON document, once per place it holds."""
+    stack, found = [document], []
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, (dict, list)):
+            found.append(obj)
+            stack.extend(obj.values() if isinstance(obj, dict) else obj)
+    return found
+
+
+# the paper figures, a proper power, and the 120-vertex word of the
+# benchmark's big-graphs catalog, with its one non-tree conjugator
+@pytest.mark.parametrize("word", [(0, 5), (0, 1, 4), (0, 5) * 3,
+                                  (5, 0, 4, 4, 0, 5, 3, 2, 2, 5, 5, 5, 5, 6, 5, 0)],
+                         ids=["0,5", "0,1,4", "(0,5)^3", "big_graphs_120"])
+def test_to_json_documents_share_no_lists_or_dicts(word):
+    """No list or dict appears twice in a document, the empty witnesses of
+    the identity included, and a second call gives an equal document that
+    shares none of them with the first, so a caller may change either."""
+    graph = build_quotient(C1, word)
+    first, second = graph.to_json(), graph.to_json()
+    assert first == second
+    ids = [id(obj) for obj in containers(first)]
+    assert len(set(ids)) == len(ids)
+    assert set(ids).isdisjoint(id(obj) for obj in containers(second))
+
+
 def test_quotient_in_the_last_of_disjoint_copies_of_c1():
     """The sparse tables at high generator indices: in the last of 50
     disjoint copies of c1, the quotient of the copy of (0, 5) is the c1

@@ -68,7 +68,7 @@ def test_mutants_of_one_module():
     found = list(mutants.mutants("bassserre"))
     assert len(found) > 50
     kinds = {m.change.split(" -> ")[0] for m in found}
-    assert {"Lt", "Eq", "NotIn", "And", "Or", "Add", "Sub", "1"} <= kinds
+    assert {"Lt", "Eq", "NotIn", "And", "Or", "Add", "Sub", "1", "call", "not"} <= kinds
     for m in found:
         assert m.module == "bassserre"
         assert m.source != unparsed
@@ -77,6 +77,14 @@ def test_mutants_of_one_module():
         assert m.line != before, m
     assert {"simplify", "simplify.find"} <= {m.function for m in found}
     assert len({m.key() for m in found}) == len(found)
+    # a dropped call statement and a dropped ``not``, at the collector pause:
+    # each dropped call names itself, so the two keep distinct keys
+    source = (ROOT / "src" / "a2cent" / "quotient.py").read_text().splitlines()
+    paused = {(source[m.lineno - 1].strip(), m.change, m.line)
+              for m in mutants.mutants("quotient") if m.function == "_collector_paused.paused"}
+    assert {("gc.disable()", "call -> None", "None  # gc.disable()"),
+            ("gc.enable()", "call -> None", "None  # gc.enable()"),
+            ("if not gc.isenabled():", "not -> not not", "if not not gc.isenabled():")} <= paused
     # with no arguments the probe covers every module of the package
     modules = mutants.package_modules()
     assert "__init__" not in modules
