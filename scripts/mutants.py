@@ -50,16 +50,8 @@ SWAPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
 EQUIVALENT = {
     ("strips", "swapped_rows", "in zip(rows, rows[1:] + rows[:2])])"):
         "zip stops at the shorter list, so rows[:2] gives the same pairs",
-    ("strips", "enumerate_periodic_strips", "if not bent.isdisjoint(zip(b, b[1:] + b[:2])):"):
-        "zip stops at the shorter list, so b[:2] gives the same pairs",
-    ("strips", "enumerate_periodic_strips",
-     "k = [pair in bent for pair in zip(b, b[1:] + b[:2])].index(True)"):
-        "zip stops at the shorter list, so b[:2] gives the same pairs",
     ("walls", "check_wall_sequence", "pairs = tuple(zip(seq, seq[1:] + seq[:2]))"):
         "zip stops at the shorter list, so seq[:2] gives the same pairs",
-    ("presentation", "_link_stats", "girth, diameter = None, 1"):
-        "a connected link has 2m >= 2 nodes, so each BFS reaches distance >= 1 and the start "
-        "value 0 or 1 is never the maximum",
     ("presentation", "load",
      'issues.append(f"torsion triple {t}: x{t[1]}^3 = 1 contradicts torsion-freeness")'):
         "a torsion triple has t[0] == t[1]",

@@ -36,12 +36,12 @@ class UnsupportedInput(Exception):
     """A command-line word or option the commands cannot work with (exit 3)."""
 
 
-def _load(name: str, strict: bool = True) -> TrianglePresentation:
+def _load(name: str) -> TrianglePresentation:
     """load_named, with an unreadable or malformed file as a PresentationError:
     one that cannot be opened, is not UTF-8, is not JSON or nests too deep
     for the decoder."""
     try:
-        return load_named(name, strict=strict)
+        return load_named(name)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise PresentationError([f"cannot read presentation {name!r}: {exc}"]) from exc
 
@@ -95,13 +95,12 @@ def _discard_stdout():
 
 
 def cmd_validate(args) -> int:
-    pres = _load(args.presentation, strict=not args.lenient)
-    for warning in pres.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
-    nodes, degrees, girth, diameter = pres.link_stats()
-    _emit(f"ok: m={pres.generator_count} q={pres.thickness_q} "
-          f"relator classes={len(pres.rotation_classes)} "
-          f"link: {nodes} nodes, degrees {sorted(degrees)}, girth {girth}, diameter {diameter}\n")
+    """Print what load proved: the link is a projective plane of order q,
+    with 2m nodes of degree q+1, girth 6 and diameter 3."""
+    pres = _load(args.presentation)
+    m, q = pres.generator_count, pres.thickness_q
+    _emit(f"ok: m={m} q={q} relator classes={len(pres.rotation_classes)} "
+          f"link: {2 * m} nodes, degrees [{q + 1}], girth 6, diameter 3\n")
     return EXIT_OK
 
 
@@ -232,14 +231,6 @@ def cmd_strips(args) -> int:
     return EXIT_OK
 
 
-def cmd_link(args) -> int:
-    pres = _load(args.presentation)
-    nodes, degrees, girth, diameter = pres.link_stats()
-    regular = f"{min(degrees)}-regular" if len(degrees) == 1 else f"degrees {sorted(degrees)}"
-    _emit(f"link graph: {nodes} nodes, {regular}, girth {girth}, diameter {diameter}\n")
-    return EXIT_OK
-
-
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors exit 3, not argparse's 2, and
     for which ``--opt=--`` gives no value to ``--opt``, as ``--opt --`` does.
@@ -272,8 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate", help="validate a presentation document")
     p_val.add_argument("presentation", help="path or builtin:<id> (builtin:c1)")
-    p_val.add_argument("--lenient", action="store_true",
-                       help="downgrade the link check (a projective plane of order q) to a warning")
     p_val.set_defaults(func=cmd_validate)
 
     p_cen = sub.add_parser("centralizer", help="compute the centralizer graph of groups")
@@ -291,10 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_str.add_argument("--format", choices=("text", "structured"), default="text")
     p_str.add_argument("--out", default=None)
     p_str.set_defaults(func=cmd_strips)
-
-    p_lnk = sub.add_parser("link", help="vertex link graph statistics")
-    p_lnk.add_argument("presentation")
-    p_lnk.set_defaults(func=cmd_link)
 
     return parser
 

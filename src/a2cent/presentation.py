@@ -10,16 +10,18 @@ per k, and the strip walk reads no other table.
 
 The vertex link is the incidence graph with a point t and a line s for each
 generator, t on s iff some rotation (s, t, .) exists.  The presentation
-defines an A~2 building iff the link is a projective plane of order q: no two
-lines share two points, and m = q^2 + q + 1.  load() checks those two facts by
-counting point pairs, in O(m q^2); they force the link's girth 6 and diameter
-3, so link_stats() runs its BFS only on a lenient load that found no plane.
+defines an A~2 building iff the link is a projective plane of order q
+(Cartwright-Mantero-Steger-Zappa, Geom. Dedicata 47, 1993): no two lines
+share two points, and m = q^2 + q + 1.  load() checks those two facts by
+counting point pairs, in O(m q^2), and accepts buildings only: a document
+whose link is no plane raises PresentationError, as the quotient the package
+computes is a quotient of that building.  So every TrianglePresentation has
+a link of 2m nodes, (q+1)-regular, of girth 6 and diameter 3.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from itertools import combinations
 
 from .errors import PresentationError
@@ -52,7 +54,8 @@ BUILTIN_PRESENTATIONS = {
 
 
 class TrianglePresentation(Frozen):
-    """Validated triangle presentation; immutable after construction.
+    """Validated triangle presentation of an A~2 building; immutable after
+    construction.
 
     The lookup tables are built once by load() and never change, and each
     holds one entry per rotation, never one per pair of generators:
@@ -63,12 +66,13 @@ class TrianglePresentation(Frozen):
     choices; the next lower triangle (a', s', u) is the rotation (u, a', s'),
     and (u, a') heads at most one, so ``starting[a']`` holds at most one
     (s', u) for each u.  The strip walk chains its rows from ``starting``
-    alone: they are valid and their seams close by construction, so it
-    checks only the opposite wall against ``bent_pairs``.  Strips and walls
-    read the tables directly; ``straight`` adds the generator range check.
+    alone: they are valid and their seams close by construction, and the
+    link's girth 6 keeps the opposite wall straight, so the walk checks
+    nothing against ``bent_pairs``.  Strips and walls read the tables
+    directly; ``straight`` adds the generator range check.
     ``rotation_classes`` holds the canonical (least) rotation of each class.
-    Equality and hashing read only ``generator_count``, ``rotation_classes``,
-    ``thickness_q`` and ``warnings``: the tables follow from the first two.
+    Equality and hashing read only ``generator_count``, ``rotation_classes``
+    and ``thickness_q``: the tables follow from the first two.
     ``_windows``, the strip walk's memo (``strips.enumerate_periodic_strips``),
     starts empty, grows to one entry per straight window met and is not compared.
     It holds only windows of walls that passed ``walls.check_wall_sequence``,
@@ -76,20 +80,19 @@ class TrianglePresentation(Frozen):
     """
 
     __slots__ = ("generator_count", "rotation_classes", "thickness_q", "starting",
-                 "bent_pairs", "warnings", "_windows")
+                 "bent_pairs", "_windows")
 
     def __init__(self, generator_count: int, rotation_classes: frozenset, thickness_q: int,
-                 starting: tuple, bent_pairs: frozenset, warnings: tuple = ()):
+                 starting: tuple, bent_pairs: frozenset):
         object.__setattr__(self, "generator_count", generator_count)
         object.__setattr__(self, "rotation_classes", rotation_classes)
         object.__setattr__(self, "thickness_q", thickness_q)
         object.__setattr__(self, "starting", starting)
         object.__setattr__(self, "bent_pairs", bent_pairs)
-        object.__setattr__(self, "warnings", warnings)
         object.__setattr__(self, "_windows", {})
 
     def _key(self):
-        return (self.generator_count, self.rotation_classes, self.thickness_q, self.warnings)
+        return (self.generator_count, self.rotation_classes, self.thickness_q)
 
     # -- queries -----------------------------------------------------------
 
@@ -104,18 +107,6 @@ class TrianglePresentation(Frozen):
         if not 0 <= i < self.generator_count:
             raise IndexError(f"generator index {i} out of range 0..{self.generator_count - 1}")
 
-    # -- link graph --------------------------------------------------------
-
-    def link_stats(self):
-        """(node count, degree set, girth, diameter) of the vertex link, the
-        incidence graph with a point t and a line s per generator, t on s iff
-        some rotation (s, t, .) exists.  With no warning, load() has proved it
-        a projective plane of order q; otherwise a BFS from every node finds
-        them, in time quadratic in m."""
-        if self.warnings:
-            return _link_stats(self.starting)
-        return 2 * self.generator_count, {self.thickness_q + 1}, 6, 3
-
     # -- serialization -----------------------------------------------------
 
     def to_document(self):
@@ -128,51 +119,18 @@ class TrianglePresentation(Frozen):
         return json.dumps(self.to_document(), indent=2) + "\n"
 
 
-def _link_stats(starting):
-    """(node count, degree set, girth, diameter) of the incidence graph of
-    ``starting``; girth is None if it is acyclic, diameter None if it is
-    disconnected."""
-    m = len(starting)
-    adj = [[] for _ in range(2 * m)]  # node t is the point t, m + s the line s
-    for s, row in enumerate(starting):
-        for (t, _k) in row:
-            adj[m + s].append(t)
-            adj[t].append(m + s)
-    girth, diameter = None, 0
-    for root in range(2 * m):
-        dist = {root: 0}
-        parent = {root: None}
-        queue = deque([root])
-        while queue:
-            node = queue.popleft()
-            for nb in adj[node]:
-                if nb not in dist:
-                    dist[nb] = dist[node] + 1
-                    parent[nb] = node
-                    queue.append(nb)
-                elif parent[node] != nb:
-                    cycle = dist[node] + dist[nb] + 1
-                    girth = cycle if girth is None else min(girth, cycle)
-        if len(dist) < 2 * m:
-            diameter = None  # disconnected
-        elif diameter is not None:
-            diameter = max(diameter, max(dist.values()))
-    return 2 * m, {len(nbs) for nbs in adj}, girth, diameter
-
-
 def _is_int(x) -> bool:
     """True for an int that is not a bool (JSON true/false load as bools)."""
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def load(document, strict: bool = True) -> TrianglePresentation:
+def load(document) -> TrianglePresentation:
     """Validate a presentation document and build the lookup tables.
 
     ``document`` is a dict with fields ``generators`` (int) and ``relators``
-    (list of integer triples, one representative per rotation class).  With
-    ``strict=False`` the link check (a projective plane of order q) is
-    downgraded to a warning, for experimenting with non-building
-    presentations.
+    (list of integer triples, one representative per rotation class).  It
+    must present an A~2 building: every check, the link condition included,
+    raises PresentationError when it fails.
     """
     issues = []
 
@@ -258,7 +216,7 @@ def load(document, strict: bool = True) -> TrianglePresentation:
     elif m != q * q + q + 1:
         link_issue = (f"link graph is not a projective plane: m = {m}, "
                       f"expected q^2+q+1 = {q * q + q + 1}")
-    if link_issue and strict:
+    if link_issue:
         raise PresentationError([f"link condition failure ({2 * m} nodes): {link_issue}"])
 
     return TrianglePresentation(
@@ -267,18 +225,17 @@ def load(document, strict: bool = True) -> TrianglePresentation:
         thickness_q=q,
         starting=starting,
         bent_pairs=frozenset(last),
-        warnings=(link_issue,) if link_issue else (),
     )
 
 
-def loads(text: str, strict: bool = True) -> TrianglePresentation:
-    return load(json.loads(text), strict=strict)
+def loads(text: str) -> TrianglePresentation:
+    return load(json.loads(text))
 
 
-def load_named(name: str, strict: bool = True) -> TrianglePresentation:
+def load_named(name: str) -> TrianglePresentation:
     """Load ``builtin:<id>``, a bare builtin id, or a JSON document path."""
     key = name[len("builtin:"):] if name.startswith("builtin:") else name
     if key in BUILTIN_PRESENTATIONS:
-        return load(BUILTIN_PRESENTATIONS[key], strict=strict)
+        return load(BUILTIN_PRESENTATIONS[key])
     with open(name, "r", encoding="utf-8") as fh:
-        return load(json.load(fh), strict=strict)
+        return load(json.load(fh))

@@ -31,17 +31,18 @@ one rotation, (s, t, a), so b == t forces u == a), and its next lower
 triangle (a', s', u) is the rotation (u, a', s'), which the pair (u, a')
 heads at most once, so ``starting[a']`` gives at most one s' for u.  So
 every row of a closed walk is two relator rotations that do not fold, every
-seam closes, and the base wall is checked or straight by the memo: the walk
-checks only the opposite wall b.  At w_{k+1} the upper triangles k, k+1 and
-the lower triangle k+1 make a path of length 3 in the vertex link that the
-fold rule and the straight base wall keep from backtracking, and a bent pair
-(b_k, b_{k+1}) would close it into a 4-cycle: b bends only on a lenient
-load, as a strict one rejects a link of girth 4.
+seam closes, and the base wall is checked or straight by the memo.  The
+opposite wall b is straight too, so the walk checks nothing more: at
+w_{k+1} the upper triangles k, k+1 and the lower triangle k+1 make a path
+of length 3 in the vertex link that the fold rule and the straight base
+wall keep from backtracking, and a bent pair (b_k, b_{k+1}) would close it
+into a 4-cycle, which the link of a building, of girth 6, does not have
+(``presentation.load`` rejects every other link).
 """
 
 from __future__ import annotations
 
-from .errors import AmbiguousStrip, InvariantError
+from .errors import AmbiguousStrip
 from .presentation import TrianglePresentation
 from .walls import check_wall_sequence
 
@@ -86,17 +87,14 @@ def enumerate_periodic_strips(presentation: TrianglePresentation, wall,
     is missing, before the walk, with the same errors.  After n letters a
     strip closes when its next lower triangle is its initial one.  Each
     initial triangle closes at most one strip (asserted; AmbiguousStrip
-    otherwise), and a strip whose opposite wall bends raises InvariantError
-    at the first bent pair, the one check a closed walk can fail.  Strips
-    come in the order of their initial triangles in
+    otherwise).  Strips come in the order of their initial triangles in
     ``presentation.starting[a_0]``.
 
     Every start is walked and every closed walk is checked for ambiguity;
-    then a walk whose start pair is in ``skip`` is dropped unchecked.  The
-    quotient BFS skips the start pairs that it has registered at a wall.
-    By the ambiguity check each names one closed walk, a shift of a kept
-    strip or of its swap (the strip read from the other wall), whose
-    opposite wall is a shift of that strip's b or a: straight.
+    then a walk whose start pair is in ``skip`` is dropped.  The quotient
+    BFS skips the start pairs that it has registered at a wall.  By the
+    ambiguity check each names one closed walk, a shift of a kept strip or
+    of its swap (the strip read from the other wall).
     """
     a = tuple(wall)
     ring = a + a[:1]
@@ -117,18 +115,10 @@ def enumerate_periodic_strips(presentation: TrianglePresentation, wall,
     # a closed walk ends in its start pair, so its st is its start
     closed = [(rows, st) for rows, st in walks if rows[0][1:3] == st]
     starts = [st for _rows, st in closed]
-    bent = presentation.bent_pairs
-    found = []
-    for rows, start in closed:
+    for start in starts:
         if starts.count(start) > 1:
             raise AmbiguousStrip((a[0], *start))
-        if start not in skip:
-            b = [row[3] for row in rows]
-            if not bent.isdisjoint(zip(b, b[1:] + b[:1])):
-                k = [pair in bent for pair in zip(b, b[1:] + b[:1])].index(True)
-                raise InvariantError(f"opposite wall bends at k={k}")
-            found.append(rows)
-    return found
+    return [rows for rows, start in closed if start not in skip]
 
 
 def _window_steps(presentation, window):

@@ -1,10 +1,13 @@
 """Presentations the tests run beside the builtin c1, the relator rotations
-of any presentation, and seeded wall words drawn on any presentation."""
+of any presentation, seeded wall words drawn on any presentation, the
+tables of a document that ``load`` rejects, and the vertex link's
+statistics by BFS."""
 
 import functools
 import random
+from collections import deque
 
-from a2cent.presentation import BUILTIN_PRESENTATIONS, load
+from a2cent.presentation import BUILTIN_PRESENTATIONS, TrianglePresentation, load
 from a2cent.walls import canonical_rotation, minimal_period
 
 
@@ -12,6 +15,57 @@ from a2cent.walls import canonical_rotation, minimal_period
 def rotation_set(presentation) -> frozenset:
     """All 3*|classes| relator rotations (i, j, k) of the presentation."""
     return frozenset(c[r:] + c[:r] for c in presentation.rotation_classes for r in range(3))
+
+
+def unchecked(document) -> TrianglePresentation:
+    """The presentation of a document built with the constructor, with no
+    check at all: the tables that ``load`` builds, for a document whose link
+    is no projective plane, which ``load`` rejects.  The walk and the
+    quotient on such a presentation are compared with their references,
+    but describe no building."""
+    m = document["generators"]
+    classes = frozenset(min(t, t[1:] + t[:1], t[2:] + t[:2])
+                        for t in map(tuple, document["relators"]))
+    rotations = sorted(c[r:] + c[:r] for c in classes for r in range(3))
+    starting = [[] for _ in range(m)]
+    for (i, j, k) in rotations:
+        starting[i].append((j, k))
+    return TrianglePresentation(m, classes, len(starting[0]) - 1, tuple(map(tuple, starting)),
+                                frozenset((i, j) for (i, j, _k) in rotations))
+
+
+def link_stats(starting):
+    """(node count, degree set, girth, diameter) of the vertex link of
+    ``starting``, the incidence graph with a point t and a line s per
+    generator, t on s iff (t, k) is in ``starting[s]``, by a BFS from every
+    node; girth is None if it is acyclic, diameter None if it is
+    disconnected.  The reference for the counting link check of ``load``."""
+    m = len(starting)
+    adj = [[] for _ in range(2 * m)]  # node t is the point t, m + s the line s
+    for s, row in enumerate(starting):
+        for (t, _k) in row:
+            adj[m + s].append(t)
+            adj[t].append(m + s)
+    girth, diameter = None, 0
+    for root in range(2 * m):
+        dist = {root: 0}
+        parent = {root: None}
+        queue = deque([root])
+        while queue:
+            node = queue.popleft()
+            for nb in adj[node]:
+                if nb not in dist:
+                    dist[nb] = dist[node] + 1
+                    parent[nb] = node
+                    queue.append(nb)
+                elif parent[node] != nb:
+                    cycle = dist[node] + dist[nb] + 1
+                    girth = cycle if girth is None else min(girth, cycle)
+        if len(dist) < 2 * m:
+            diameter = None  # disconnected
+        elif diameter is not None:
+            diameter = max(diameter, max(dist.values()))
+    return 2 * m, {len(nbs) for nbs in adj}, girth, diameter
 
 
 def relabelled_c1(seed):
@@ -27,16 +81,15 @@ def relabelled_c1(seed):
 OTHER_Q2 = load({"generators": 7, "relators": [[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 4, 5],
                                                [2, 6, 4], [3, 5, 6], [4, 6, 5]]})
 
-# pair-unique with uniform q=2, but the link has girth 4: partial strips
-# branch, and some initial triangles close two strips
-NON_BUILDING = load({"generators": 4, "relators": [[3, 0, 1], [3, 1, 2], [0, 2, 1], [3, 2, 0]]},
-                    strict=False)
+# pair-unique with uniform q=2, but the link has girth 4, so load rejects
+# it: partial strips branch, and some initial triangles close two strips
+NON_BUILDING = unchecked({"generators": 4,
+                          "relators": [[3, 0, 1], [3, 1, 2], [0, 2, 1], [3, 2, 0]]})
 
-# pair-unique with uniform q=2 and a link of girth 4 that closes some walks
-# whose opposite wall bends: the one check the strip walk leaves open fires
-OPPOSITE_BENDS = load({"generators": 5,
-                       "relators": [[1, 0, 2], [4, 0, 4], [4, 3, 2], [2, 3, 1], [1, 3, 0]]},
-                      strict=False)
+# pair-unique with uniform q=2 and a link of girth 4, which load rejects,
+# that closes some walks whose opposite wall bends
+OPPOSITE_BENDS = unchecked({"generators": 5,
+                            "relators": [[1, 0, 2], [4, 0, 4], [4, 3, 2], [2, 3, 1], [1, 3, 0]]})
 
 
 # a q=4 building presentation (m = 21), the Singer-cyclic one of CMSZ

@@ -8,8 +8,8 @@ phases of five computations that the package runs over one period or cuts
 short.
 
 The package checks no strip this way: its walk builds rows that are valid
-and seams that close, so it checks only the opposite wall
-(``strips.enumerate_periodic_strips``)."""
+and seams that close, and on the link of a building, of girth 6, the
+opposite wall is straight (``strips.enumerate_periodic_strips``)."""
 
 import itertools
 

@@ -10,6 +10,7 @@ from a2cent import (IsoType, abelianization, build_quotient,
                     enumerate_periodic_strips, flip_shifts, fundamental_group,
                     load_named, simplify, vertex_witnesses)
 from a2cent.walls import minimal_period, wall_necklaces
+from presentations import link_stats
 from strip_oracle import oracle_enumerate
 
 C1 = load_named("c1")
@@ -133,7 +134,7 @@ def test_criterion_6_invariant_suite():
 
 
 def test_criterion_7_validation_and_fano_link():
-    nodes, degrees, girth, diameter = C1.link_stats()
+    nodes, degrees, girth, diameter = link_stats(C1.starting)
     ok = (
         C1.generator_count == 7
         and C1.thickness_q == 2

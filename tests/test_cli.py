@@ -32,10 +32,19 @@ def run(capsys, *argv):
 
 
 def test_validate_builtin(capsys):
-    code, out, err = run(capsys, "validate", "builtin:c1")
-    assert code == EXIT_OK
-    assert "m=7 q=2" in out
-    assert "14 nodes" in out and "girth 6" in out
+    assert run(capsys, "validate", "builtin:c1") == (
+        EXIT_OK,
+        "ok: m=7 q=2 relator classes=7 link: 14 nodes, degrees [3], girth 6, diameter 3\n", "")
+
+
+def test_validate_prints_the_plane_that_load_proved(capsys, tmp_path):
+    """SINGER_Q4, read from a file: a projective plane of order 4 has 42
+    nodes of degree 5."""
+    path = tmp_path / "singer_q4.json"
+    path.write_text(SINGER_Q4.dumps())
+    assert run(capsys, "validate", str(path)) == (
+        EXIT_OK,
+        "ok: m=21 q=4 relator classes=35 link: 42 nodes, degrees [5], girth 6, diameter 3\n", "")
 
 
 def test_validate_rejects_bad_document(tmp_path, capsys):
@@ -189,7 +198,6 @@ def test_exit_codes_are_the_documented_values():
 @pytest.mark.parametrize("argv", [
     ["centralizer", "{path}", "--word", "0,5"],
     ["strips", "{path}", "--wall", "0,5"],
-    ["link", "{path}"],
     ["validate", "{path}"],
 ], ids=lambda argv: argv[0])
 def test_missing_presentation_file(capsys, tmp_path, argv):
@@ -203,8 +211,9 @@ def test_missing_presentation_file(capsys, tmp_path, argv):
 def test_malformed_presentation_file(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
-    code, _out, err = run(capsys, "link", str(path))
+    code, out, err = run(capsys, "validate", str(path))
     assert code == EXIT_VALIDATION
+    assert out == ""
     assert err.startswith("error: cannot read presentation")
 
 
@@ -265,8 +274,7 @@ class FullStdout(io.StringIO):
     ["centralizer", "builtin:c1", "--word", "0,5"],
     ["strips", "builtin:c1", "--wall", "0,5"],
     ["validate", "builtin:c1"],
-    ["link", "builtin:c1"],
-], ids=["centralizer-structured", "centralizer-text", "strips", "validate", "link"])
+], ids=["centralizer-structured", "centralizer-text", "strips", "validate"])
 def test_stdout_that_cannot_be_written(capsys, monkeypatch, argv):
     monkeypatch.setattr(sys, "stdout", FullStdout())
     code = main(argv)
@@ -290,12 +298,12 @@ def test_discarding_stdout_closes_the_descriptor_it_opens(tmp_path, monkeypatch)
         assert lowest_free() == before
 
 
-@pytest.mark.parametrize("error", [AmbiguousStrip((0, 1, 2)), InvariantError("opposite wall bends")],
+@pytest.mark.parametrize("error", [AmbiguousStrip((0, 1, 2)),
+                                   InvariantError("relation mentions undeclared generator h_(9)")],
                          ids=["ambiguous_strip", "invariant_error"])
 def test_internal_error_exits_4_with_one_line(capsys, monkeypatch, error):
-    """An internal assertion in a command, which no strictly loaded
-    presentation is known to raise, exits 4 with one ``internal error:``
-    line and no output."""
+    """An internal assertion in a command, which no presentation is known
+    to raise, exits 4 with one ``internal error:`` line and no output."""
     def build_quotient(pres, word):
         raise error
     monkeypatch.setattr(cli, "build_quotient", build_quotient)
@@ -303,19 +311,48 @@ def test_internal_error_exits_4_with_one_line(capsys, monkeypatch, error):
     assert (code, out, err) == (EXIT_INTERNAL, "", f"internal error: {error}\n")
 
 
-def test_validate_lenient_warns_where_strict_fails(capsys, tmp_path):
-    """A pair-unique document whose link has girth 4: ``validate`` exits 2,
-    and ``validate --lenient`` prints the link failure as a warning, then
-    the statistics of that link."""
-    path = tmp_path / "girth4.json"
-    path.write_text(json.dumps({"generators": 3, "relators": [[0, 0, 1], [0, 2, 2], [1, 1, 2]]}))
-    assert run(capsys, "validate", str(path)) == (
-        EXIT_VALIDATION, "",
-        "error: link condition failure (6 nodes): link graph girth is 4, expected 6\n")
-    assert run(capsys, "validate", "--lenient", str(path)) == (
-        EXIT_OK,
-        "ok: m=3 q=2 relator classes=3 link: 6 nodes, degrees [3], girth 4, diameter 2\n",
-        "warning: link graph girth is 4, expected 6\n")
+def shifted_triples(m):
+    """The relators [i, i+1, i+3] mod m: pair-unique with q = 2, and a plane
+    only at m = 7."""
+    return {"generators": m, "relators": [[i, (i + 1) % m, (i + 3) % m] for i in range(m)]}
+
+
+@pytest.mark.parametrize("document, message", [
+    ({"generators": 3, "relators": [[0, 0, 1], [0, 2, 2], [1, 1, 2]]},
+     "error: link condition failure (6 nodes): link graph girth is 4, expected 6\n"),
+    (shifted_triples(8),
+     "error: link condition failure (16 nodes): link graph girth is 4, expected 6\n"),
+    (shifted_triples(11),
+     "error: link condition failure (22 nodes): link graph is not a projective plane: "
+     "m = 11, expected q^2+q+1 = 7\n"),
+], ids=["girth-4", "shifted-8", "shifted-11"])
+@pytest.mark.parametrize("command", [
+    ["validate"], ["centralizer", "--word", "0,1"], ["strips", "--wall", "0,1"],
+], ids=lambda command: command[0])
+def test_non_building_document_exits_2_in_every_command(capsys, monkeypatch, tmp_path, document,
+                                                        message, command):
+    """A pair-unique document of uniform thickness q = 2 whose link is no
+    projective plane presents no A~2 building: every command exits 2 with
+    the one link failure and no output, and neither builds a quotient nor
+    walks a strip."""
+    def refuse(*_args):
+        raise AssertionError("a non-building reached the pipeline")
+
+    monkeypatch.setattr(cli, "build_quotient", refuse)
+    monkeypatch.setattr(cli, "enumerate_periodic_strips", refuse)
+    path = tmp_path / "non_building.json"
+    path.write_text(json.dumps(document))
+    assert run(capsys, command[0], str(path), *command[1:]) == (EXIT_VALIDATION, "", message)
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--lenient", "builtin:c1"],
+    ["link", "builtin:c1"],
+], ids=["validate-lenient", "link"])
+def test_removed_lenient_flag_and_link_command_are_usage_errors(argv):
+    code, out, err = run_argv(argv)
+    assert (code, out) == (EXIT_UNSUPPORTED, "")
+    assert err.startswith("error: a2cent") and err.count("\n") == 1
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
@@ -323,8 +360,7 @@ def test_validate_lenient_warns_where_strict_fails(capsys, tmp_path):
     ["centralizer", "builtin:c1", "--word", "0,5", "--format", "structured"],
     ["strips", "builtin:c1", "--wall", "0,5"],
     ["validate", "builtin:c1"],
-    ["link", "builtin:c1"],
-], ids=["centralizer-structured", "strips", "validate", "link"])
+], ids=["centralizer-structured", "strips", "validate"])
 def test_entry_point_writing_to_a_full_device(argv):
     # A buffered stdout, as in a shell redirect: the interpreter's own flush
     # at exit must not fail again on the bytes that could not be written.
@@ -344,7 +380,7 @@ def test_entry_point_writing_to_a_full_device(argv):
 def test_presentation_document_of_the_wrong_shape(capsys, tmp_path, document, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(document))
-    code, out, err = run(capsys, "link", str(path))
+    code, out, err = run(capsys, "strips", str(path), "--wall", "0,5")
     assert code == EXIT_VALIDATION
     assert out == ""
     assert err.startswith("error: ") and message in err and "Traceback" not in err
@@ -391,14 +427,12 @@ def run_argv(argv):
 
 @pytest.mark.parametrize("argv, expected", [
     (["validate", "builtin:c1"], EXIT_OK),
-    (["link", "builtin:c1"], EXIT_OK),
     (["strips", "builtin:c1", "--wall", "0,1,4"], EXIT_OK),
     (["centralizer", "builtin:c1", "--word", "0,1,4", "--format", "dot"], EXIT_OK),
     (["validate", "{missing}"], EXIT_VALIDATION),
     (["centralizer", "builtin:c1", "--word", "0,2"], EXIT_UNSUPPORTED),
     (["centralizer", "builtin:c1", "--word", "-1,0"], EXIT_UNSUPPORTED),
-], ids=["validate", "link", "strips-text", "centralizer-dot", "exit-2", "exit-3",
-        "exit-3-usage"])
+], ids=["validate", "strips-text", "centralizer-dot", "exit-2", "exit-3", "exit-3-usage"])
 def test_commands_leave_no_cyclic_garbage(tmp_path, argv, expected):
     """After a first call, which builds the process's one parser, a command
     frees all it allocates by reference counting: with the collector off,
@@ -511,12 +545,6 @@ def test_strips_bad_length(capsys):
 def test_strips_not_a_wall(capsys):
     code, _out, _err = run(capsys, "strips", "builtin:c1", "--wall", "0,2")
     assert code == EXIT_UNSUPPORTED
-
-
-def test_link(capsys):
-    code, out, _err = run(capsys, "link", "builtin:c1")
-    assert code == EXIT_OK
-    assert out.strip() == "link graph: 14 nodes, 3-regular, girth 6, diameter 3"
 
 
 def structured_digest(pres, words):

@@ -4,12 +4,12 @@ import re
 
 import pytest
 
-from a2cent import presentation, strips
+from a2cent import strips
 from a2cent.errors import PresentationError
 from a2cent.presentation import (BUILTIN_PRESENTATIONS, _canonical_class, _rotations, load,
                                  load_named, loads)
-from presentations import (NON_BUILDING, OPPOSITE_BENDS, OTHER_Q2, SINGER_Q4, relabelled_c1,
-                           rotation_set)
+from presentations import (OPPOSITE_BENDS, OTHER_Q2, SINGER_Q4, link_stats, relabelled_c1,
+                           rotation_set, unchecked)
 
 
 def test_c1_shape(c1):
@@ -69,7 +69,7 @@ def test_completion_consistent_with_rotations(c1):
 
 
 def test_link_is_fano_incidence(c1):
-    nodes, degrees, girth, diameter = c1.link_stats()
+    nodes, degrees, girth, diameter = link_stats(c1.starting)
     assert nodes == 14
     assert degrees == {3}
     assert girth == 6
@@ -140,15 +140,13 @@ def test_strip_tables_of_c1(c1):
 def test_singer_q4_is_a_building_of_thickness_4():
     assert (SINGER_Q4.generator_count, SINGER_Q4.thickness_q) == (21, 4)
     assert len(SINGER_Q4.rotation_classes) == 35
-    assert SINGER_Q4.warnings == ()
-    assert presentation._link_stats(SINGER_Q4.starting) == (42, {5}, 6, 3)
-    assert SINGER_Q4.link_stats() == (42, {5}, 6, 3)
+    assert link_stats(SINGER_Q4.starting) == (42, {5}, 6, 3)
 
 
 def test_strip_tables_of_a_non_building():
     """Partial strips branch here, so a window's chains outnumber its three
     starts: every straight window of 2 to 4 letters, 168 chains."""
-    pres = load(_doc([[3, 0, 1], [3, 1, 2], [0, 2, 1], [3, 2, 0]], m=4), strict=False)
+    pres = unchecked(_doc([[3, 0, 1], [3, 1, 2], [0, 2, 1], [3, 2, 0]], m=4))
     assert check_window_steps(pres, sampled_windows(pres)) == (12, 168)
 
 
@@ -175,10 +173,13 @@ def copies_of_c1(k):
 
 def test_disjoint_copies_load_with_tables_linear_in_the_generators(c1):
     # 2800 generators; the link graph is 400 disjoint Fano incidence graphs,
-    # so only the lenient load accepts it
-    pres = load(copies_of_c1(400), strict=False)
-    assert pres.warnings == ("link graph is not a projective plane: m = 2800, "
-                             "expected q^2+q+1 = 7",)
+    # so load rejects it, after building the tables that unchecked builds
+    doc = copies_of_c1(400)
+    with pytest.raises(PresentationError) as exc:
+        load(doc)
+    assert exc.value.issues == ["link condition failure (5600 nodes): link graph is not a "
+                                "projective plane: m = 2800, expected q^2+q+1 = 7"]
+    pres = unchecked(doc)
     assert len(pres.starting) == 2800
     assert all(len(row) == 3 for row in pres.starting)  # q+1 entries per generator
     assert 7 not in [k for (_j, k) in pres.starting[0]]
@@ -206,6 +207,14 @@ def _doc(relators, m=7):
 def test_reject_torsion_triple():
     with pytest.raises(PresentationError, match="torsion triple"):
         load(_doc([[1, 1, 1], [0, 2, 3]]))
+
+
+def test_load_reads_any_rotation_of_a_relator(c1):
+    """A relator may be given by any of its rotations, such as (0, 6, 0)
+    for (0, 0, 6): a letter repeated first and last is no torsion triple."""
+    relators = BUILTIN_PRESENTATIONS["c1"]["relators"]
+    for r in range(3):
+        assert load(_doc([t[r:] + t[:r] for t in relators])) == c1
 
 
 def test_reject_duplicate_class():
@@ -263,7 +272,7 @@ def test_pair_uniqueness_checks_first_pairs_only():
         shared_first_last = any(r != s and r[::2] == s[::2] for r in rotations for s in rotations)
         assert shared_first == shared_first_last, classes
         try:
-            load(_doc([list(c) for c in classes], m=m), strict=False)
+            load(_doc([list(c) for c in classes], m=m))
             issues = []
         except PresentationError as exc:
             issues = exc.issues
@@ -340,20 +349,6 @@ def test_reject_thin_presentation():
         load(_doc([[0, 1, 2]], m=3))
 
 
-def test_lenient_downgrades_link_failure():
-    # combinatorially sound (pair-unique, uniform q=2) but the link graph has
-    # girth 4, so it is not a building link: strict rejects, lenient warns
-    doc = _doc([[0, 0, 1], [0, 2, 2], [1, 1, 2]], m=3)
-    with pytest.raises(PresentationError, match="link condition"):
-        load(doc, strict=True)
-    pres = load(doc, strict=False)
-    assert any("girth is 4" in w for w in pres.warnings)
-
-
-def test_strict_c1_has_no_warnings(c1):
-    assert c1.warnings == ()
-
-
 def test_issue_report_lists_all_problems():
     with pytest.raises(PresentationError) as exc:
         load(_doc([[1, 1, 1], [0, 2, 9], [0, 0]]))
@@ -365,32 +360,28 @@ def test_dumps_is_json(c1):
     assert doc["generators"] == 7
 
 
-# -- the counting link check against the exact BFS of link_stats ------------------
+# -- the counting link check against the exact BFS of the link ------------------
 
 def check_counting_equals_bfs(doc):
     """load's link check against the girth and diameter that the link BFS
-    finds: strict load accepts iff the link has girth 6 and diameter 3, the
-    lenient warning is the girth-4 message iff two lines share two points,
-    and the link is always (q+1)-regular.  Returns whether the link is a
-    plane."""
-    pres = load(doc, strict=False)
-    _nodes, degrees, girth, diameter = presentation._link_stats(pres.starting)
+    (``presentations.link_stats``) finds on the document's tables: load
+    accepts iff the link has girth 6 and diameter 3, and otherwise raises
+    the girth-4 failure iff two lines share two points, else the
+    not-a-plane failure; the link is always (q+1)-regular.  Returns
+    whether the link is a plane."""
+    pres = unchecked(doc)
+    _nodes, degrees, girth, diameter = link_stats(pres.starting)
     q, m = pres.thickness_q, pres.generator_count
     assert degrees == {q + 1}
     building = girth == 6 and diameter == 3
-    if building:
-        expected = ()
-    elif girth == 4:
-        expected = ("link graph girth is 4, expected 6",)
+    if girth == 4:
+        issue = "link graph girth is 4, expected 6"
     else:
-        expected = (f"link graph is not a projective plane: m = {m}, "
-                    f"expected q^2+q+1 = {q * q + q + 1}",)
-    assert pres.warnings == expected, doc
+        issue = f"link graph is not a projective plane: m = {m}, expected q^2+q+1 = {q * q + q + 1}"
     try:
         load(doc)
     except PresentationError as exc:
-        assert not building and exc.issues == [f"link condition failure ({2 * m} nodes): "
-                                               f"{expected[0]}"]
+        assert not building and exc.issues == [f"link condition failure ({2 * m} nodes): {issue}"]
     else:
         assert building, doc
     return building
@@ -454,6 +445,7 @@ def test_counting_equals_bfs_on_c1_and_relabellings():
 
 
 def test_counting_equals_bfs_on_the_lenient_documents():
+    # pair-unique documents with uniform q = 2 whose links have girth 4
     assert not check_counting_equals_bfs(_doc([[0, 0, 1], [0, 2, 2], [1, 1, 2]], m=3))
     assert not check_counting_equals_bfs(_doc([[3, 0, 1], [3, 1, 2], [0, 2, 1], [3, 2, 0]],
                                               m=4))
@@ -476,30 +468,21 @@ def test_counting_equals_bfs_on_backtracked_q2_documents():
 
 
 @pytest.mark.parametrize("pres", [
-    load_named("c1"), relabelled_c1(20111), OTHER_Q2, NON_BUILDING,
-], ids=["c1", "relabelled_c1", "other_q2", "non_building"])
-def test_link_stats_runs_the_bfs_only_without_a_proved_plane(monkeypatch, pres):
-    """link_stats equals the link BFS; on a presentation that load proved a
-    projective plane (no warning) it runs no BFS."""
-    expected = presentation._link_stats(pres.starting)
-    if not pres.warnings:
-        def no_bfs(_starting):
-            raise AssertionError("a proved plane needs no link BFS")
-
-        monkeypatch.setattr(presentation, "_link_stats", no_bfs)
-    assert pres.link_stats() == expected
+    load_named("c1"), relabelled_c1(20111), OTHER_Q2, SINGER_Q4,
+], ids=["c1", "relabelled_c1", "other_q2", "singer_q4"])
+def test_unchecked_builds_the_tables_of_load(pres):
+    """The test helper that builds the presentations load rejects gives
+    load's tables on the presentations load accepts."""
+    again = unchecked(pres.to_document())
+    assert again == pres
+    assert (again.starting, again.bent_pairs) == (pres.starting, pres.bent_pairs)
 
 
-def test_load_runs_no_bfs_on_a_large_connected_non_building(monkeypatch):
+def test_load_runs_no_bfs_on_a_large_connected_non_building():
     # 2800 generators and a connected link of girth 6 and diameter > 3;
-    # a BFS from every link node here took minutes
-    def no_bfs(_starting):
-        raise AssertionError("load must not run the link BFS")
-
-    monkeypatch.setattr(presentation, "_link_stats", no_bfs)
-    doc = shifted_triples(2800)
-    with pytest.raises(PresentationError, match="not a projective plane: m = 2800"):
-        load(doc)
-    pres = load(doc, strict=False)
-    assert pres.warnings == ("link graph is not a projective plane: m = 2800, "
-                             "expected q^2+q+1 = 7",)
+    # a BFS from every link node here took minutes, and the counting check
+    # rejects it at once
+    with pytest.raises(PresentationError) as exc:
+        load(shifted_triples(2800))
+    assert exc.value.issues == ["link condition failure (5600 nodes): link graph is not a "
+                                "projective plane: m = 2800, expected q^2+q+1 = 7"]

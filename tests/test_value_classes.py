@@ -39,7 +39,7 @@ EQUAL_AND_DIFFERENT = [
      Unsimplified(GroupPresentation(("a",), ()))),
     (C1, load_named("builtin:c1"), relabelled_c1()),
     (C1, TrianglePresentation(*c1_fields().values()),
-     TrianglePresentation(**c1_fields(warnings=("link graph girth is 4, expected 6",)))),
+     TrianglePresentation(**c1_fields(generator_count=8))),
 ]
 
 
@@ -56,7 +56,6 @@ def test_equal_values_compare_and_hash_equal(value, same, other):
 # (value, field name, a value to assign)
 READ_ONLY = [
     (FormalWord(), "letters", ((0, 1),)),
-    (C1, "warnings", ()),
     (C1, "starting", ()),
     (GP, "central", "a"),
     (IsoType(0, (2,)), "free_rank", 1),
@@ -76,7 +75,6 @@ def test_fields_are_read_only(value, name, new):
 def test_defaults():
     assert FormalWord().letters == ()
     assert GroupPresentation(("a",), ((("a", 2),),)).central is None
-    assert TrianglePresentation(**c1_fields()).warnings == ()
     median = QuotientVertex(0, "median", 2, FormalWord(), "[0]")
     assert (median.sequence, median.period) == ((), 0)
     wall = QuotientVertex(index=0, kind="wall", group_order=1, generator_witness=FormalWord(),
