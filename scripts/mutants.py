@@ -52,6 +52,12 @@ EQUIVALENT = {
         "zip stops at the shorter list, so rows[:2] gives the same pairs",
     ("walls", "check_wall_sequence", "pairs = tuple(zip(seq, seq[1:] + seq[:2]))"):
         "zip stops at the shorter list, so seq[:2] gives the same pairs",
+    ("walls", "least_rotation", "canon = doubled[r:r - n]"):
+        "r < n, so the stop r - n counts back from the end of the doubled sequence, of length 2n, "
+        "to n + r",
+    ("walls", "least_rotation", "rotation = doubled[s:s - n]"):
+        "s < n, so the stop s - n counts back from the end of the doubled sequence, of length 2n, "
+        "to n + s",
     ("presentation", "load",
      'issues.append(f"torsion triple {t}: x{t[1]}^3 = 1 contradicts torsion-freeness")'):
         "a torsion triple has t[0] == t[1]",

@@ -8,8 +8,7 @@ isomorphism type.
 """
 
 from .bassserre import (GroupPresentation, IsoType, Unsimplified,
-                        abelianization, full_centralizer_presentation,
-                        fundamental_group, simplify)
+                        abelianization, fundamental_group, simplify)
 from .errors import (A2CentError, AmbiguousStrip, InvariantError,
                      NotAWallWord, PresentationError)
 from .presentation import (BUILTIN_PRESENTATIONS, TrianglePresentation, load,
@@ -28,7 +27,7 @@ __all__ = [
     "QuotientVertex", "TrianglePresentation",
     "Unsimplified", "abelianization", "build_quotient", "canonical_rotation",
     "enumerate_periodic_strips", "flip_shifts",
-    "full_centralizer_presentation", "fundamental_group", "load", "load_named",
+    "fundamental_group", "load", "load_named",
     "loads", "minimal_period", "simplify", "stabilizer_generator_word",
     "vertex_witnesses", "wall_word",
 ]

@@ -22,11 +22,9 @@ Word = tuple  # of (symbol, exponent) pairs
 
 
 class GroupPresentation(Frozen):
-    __slots__ = ("generators", "relations", "central")
+    __slots__ = ("generators", "relations")
 
-    def __init__(self, generators: tuple[str, ...], relations: tuple[Word, ...],
-                 central: str | None = None):
-        """``central`` names the central letter, if any."""
+    def __init__(self, generators: tuple[str, ...], relations: tuple[Word, ...]):
         declared = set(generators)
         for rel in relations:
             for sym, _e in rel:
@@ -34,10 +32,9 @@ class GroupPresentation(Frozen):
                     raise InvariantError(f"relation mentions undeclared generator {sym}")
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "relations", relations)
-        object.__setattr__(self, "central", central)
 
     def _key(self):
-        return (self.generators, self.relations, self.central)
+        return (self.generators, self.relations)
 
     def render(self) -> str:
         gens = ", ".join(self.generators)
@@ -48,7 +45,7 @@ class GroupPresentation(Frozen):
         return {
             "generators": list(self.generators),
             "relations": [render_word(r) for r in self.relations],
-            "central": self.central,
+            "central": None,  # the document's key, kept so that its bytes hold
         }
 
 
@@ -152,26 +149,6 @@ def fundamental_group(graph: QuotientGraphOfGroups) -> GroupPresentation:
             c = _edge_symbol(e.index)
             rels.append(((c, 1), h2, (c, -1), h1))
     return GroupPresentation(tuple(gens), tuple(rels))
-
-
-def full_centralizer_presentation(graph: QuotientGraphOfGroups) -> GroupPresentation:
-    """Presentation of the full centralizer as a central extension by <g>.
-
-    The quotient relations h_v^order = 1 lift to h_v^order = g (this holds on
-    the nose for wall translations and glides); conjugation relations hold
-    unchanged; g is central.  Setting g = 1 recovers fundamental_group.
-    """
-    inner = fundamental_group(graph)
-    gens = inner.generators + ("g",)
-    rels = []
-    for rel in inner.relations:
-        if len(rel) == 1:  # torsion relation h^o = 1 lifts to h^o = g
-            rels.append((rel[0], ("g", -1)))
-        else:
-            rels.append(rel)
-    for sym in inner.generators:
-        rels.append(((sym, 1), ("g", 1), (sym, -1), ("g", -1)))
-    return GroupPresentation(tuple(gens), tuple(rels), central="g")
 
 
 # -- simplification ---------------------------------------------------------

@@ -30,7 +30,9 @@ letter tables of ``words``, so that the witnesses of a graph hold at most
 suffixes along its tree path; the suffixes are read, and the witness
 spelled and validated as a FormalWord, only when an output word needs it
 (a stabilizer generator, a median glide or a non-tree conjugator, which also
-reads the suffix of its own strip), and then once.
+reads the suffix of its own strip), and then once: an output word is
+spelled from letter tuples and inverse letters, which are not validated
+again.
 
 The group data holds by construction: a wall of minimal period p (p | n)
 gets order n/p; an edge whose strip has period p_e (p | p_e | n) gets order
@@ -55,7 +57,7 @@ from .presentation import TrianglePresentation
 from .strips import anchored_readings, enumerate_periodic_strips, flip_shifts, strip_json
 from .walls import (canonical_rotation, least_rotation, minimal_period, stabilizer_generator_word,
                     wall_word)
-from .words import NEGATIVE, POSITIVE, FormalWord, share_letters
+from .words import NEGATIVE, POSITIVE, FormalWord, inverse_letters, share_letters
 
 
 def _collector_paused(build):
@@ -315,7 +317,7 @@ def build_quotient(presentation: TrianglePresentation, element) -> QuotientGraph
                 else:
                     other = wall_ids[canon_b]
                     conj = FormalWord.spell((base_witness(vid).letters, _suffix(rows, dd),
-                                             base_witness(other).inverse().letters))
+                                             inverse_letters(base_witness(other).letters)))
                 mu_other = pe // p_b
                 own, opposite = anchored_readings(rows, pe, v.period, (dd, p_b))
                 seen.update(own)

@@ -23,9 +23,12 @@ rotation of the rows.  A wall closes at most one strip per start pair
 shifts of a strip and of its swap (the strip read from the opposite wall)
 that read off a canonical wall.
 
-The strips along a wall are found by one walk that extends rows WINDOW
-wall letters at a time; each presentation memoizes the row chains over a
-window of letters, built from ``presentation.starting`` alone.  A row's
+The strips along a wall are found by one walk that starts from the row
+chains over the wall's first window and extends them WINDOW wall letters
+at a time; each presentation memoizes the row chains over a window of
+letters, built from ``presentation.starting`` alone, and a wall that
+passes the wall check has all its missing windows built before its walk
+starts, so the walk itself only looks them up.  A row's
 upper choices (b, u) are ``starting[s]`` but the fold b == t ((s, t) heads
 one rotation, (s, t, a), so b == t forces u == a), and its next lower
 triangle (a', s', u) is the rotation (u, a', s'), which the pair (u, a')
@@ -84,11 +87,13 @@ def enumerate_periodic_strips(presentation: TrianglePresentation, wall,
     walls that passed ``check_wall_sequence``, and a wall's windows cover
     all its cyclic pairs, so a nonempty wall whose windows are all in the
     memo is straight and in range: the wall is checked only when a window
-    is missing, before the walk, with the same errors.  After n letters a
-    strip closes when its next lower triangle is its initial one.  Each
-    initial triangle closes at most one strip (asserted; AmbiguousStrip
-    otherwise).  Strips come in the order of their initial triangles in
-    ``presentation.starting[a_0]``.
+    is missing, with the same errors, and then every missing window is
+    built, all before the walk.  The walks start as the row chains of the
+    first window from each initial pair, in the order of
+    ``presentation.starting[a_0]``.  After n letters a strip closes when
+    its next lower triangle is its initial one.  Each initial triangle
+    closes at most one strip (asserted; AmbiguousStrip otherwise).  Strips
+    come in the order of their initial triangles.
 
     Every start is walked and every closed walk is checked for ambiguity;
     then a walk whose start pair is in ``skip`` is dropped.  The quotient
@@ -102,16 +107,14 @@ def enumerate_periodic_strips(presentation: TrianglePresentation, wall,
     chain = [windows.get(ring[k:k + WINDOW + 1]) for k in range(0, len(a), WINDOW)]
     if not a or None in chain:
         check_wall_sequence(presentation, a)
-    walks = [((), st) for st in presentation.starting[a[0]]]  # (rows, (s_k, t_k))
-    for k, steps in zip(range(0, len(a), WINDOW), chain):
-        if steps is None:
-            window = ring[k:k + WINDOW + 1]
-            steps = windows.get(window)  # met earlier in this wall
-            if steps is None:
-                steps = windows[window] = _window_steps(presentation, window)
-        walks = [(rows + more, st) for rows, start in walks for more, st in steps[start]]
+        chain = [_window_steps(presentation, ring[k:k + WINDOW + 1])
+                 for k in range(0, len(a), WINDOW)]
+    # (rows, (s_k, t_k)): every walk starts as a row chain of the first window
+    walks = [walk for start in presentation.starting[a[0]] for walk in chain[0][start]]
+    for steps in chain[1:]:
         if not walks:
             return []
+        walks = [(rows + more, st) for rows, start in walks for more, st in steps[start]]
     # a closed walk ends in its start pair, so its st is its start
     closed = [(rows, st) for rows, st in walks if rows[0][1:3] == st]
     starts = [st for _rows, st in closed]
@@ -122,10 +125,14 @@ def enumerate_periodic_strips(presentation: TrianglePresentation, wall,
 
 
 def _window_steps(presentation, window):
-    """For each (s, t) with (window[0], s, t) a rotation, the (rows, (s', u))
-    of each row chain over the window's letters, its upper choices in the
+    """The memo entry of the window, built and kept on its first use: for
+    each (s, t) with (window[0], s, t) a rotation, the (rows, (s', u)) of
+    each row chain over the window's letters, its upper choices in the
     order of ``starting``; ``afters[k][u]`` is the s' of the next lower
     triangle (window[k + 1], s', u)."""
+    steps = presentation._windows.get(window)
+    if steps is not None:
+        return steps
     starting = presentation.starting
     afters = [{u: s_next for s_next, u in starting[a_next]} for a_next in window[1:]]
     steps = {}
@@ -135,6 +142,7 @@ def _window_steps(presentation, window):
             walks = [(rows + ((ak, sk, tk, b, u),), (after[u], u)) for rows, (sk, tk) in walks
                      for b, u in starting[sk] if b != tk and u in after]
         steps[start] = tuple(walks)
+    presentation._windows[window] = steps
     return steps
 
 

@@ -27,18 +27,29 @@ def canonical_rotation(labels):
 def least_rotation(labels):
     """The canonical rotation of the sequence, the least r with the sequence
     rotated by r equal to it, and the sequence's minimal period, from one
-    pass over the rotations.
+    scan of the positions of the least letter.
 
-    The rotations equal to the canonical one are those by r plus multiples
-    of the period, so the period is the gap between the first two, or the
-    length if there is only one.
+    Only the rotations by those positions can be least; each is read as a
+    slice of the doubled sequence, in the order of r.  The rotations equal
+    to the canonical one are those by r plus multiples of the period, so
+    the first one after r gives the period, and the scan stops there: every
+    later rotation repeats one already compared.  With none, the period is
+    the length.
     """
     seq = tuple(labels)
+    n = len(seq)
     first = min(seq)
-    rotations = [(seq[r:] + seq[:r], r) for r, x in enumerate(seq) if x == first]
-    canon, r = min(rotations)
-    period = next((s - r for rot, s in rotations if s > r and rot == canon), len(seq))
-    return canon, r, period
+    doubled = seq + seq
+    r = s = seq.index(first)
+    canon = doubled[r:r + n]
+    for _ in range(seq.count(first) - 1):
+        s = seq.index(first, s + 1)
+        rotation = doubled[s:s + n]
+        if rotation < canon:
+            canon, r = rotation, s
+        elif rotation == canon:
+            return canon, r, s - r
+    return canon, r, n
 
 
 def minimal_period(labels, unit=1):

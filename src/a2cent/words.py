@@ -23,6 +23,15 @@ def share_letters(gens) -> None:
             POSITIVE[g], NEGATIVE[g] = (g, 1), (g, -1)
 
 
+def inverse_letters(letters: tuple) -> tuple:
+    """The letters of the inverse word, from the shared tables."""
+    try:
+        return tuple([NEGATIVE[g] if e == 1 else POSITIVE[g] for g, e in reversed(letters)])
+    except KeyError:  # a word made with generator indices not yet entered
+        share_letters([g for g, _e in letters])
+        return inverse_letters(letters)
+
+
 class FormalWord(Frozen):
     """A freely reduced word; letters are (generator index, exponent in {+1,-1})."""
 
@@ -83,12 +92,11 @@ class FormalWord(Frozen):
         return FormalWord.product((self, other))
 
     def inverse(self) -> "FormalWord":
-        try:
-            return FormalWord(tuple([NEGATIVE[g] if e == 1 else POSITIVE[g]
-                                     for g, e in reversed(self.letters)]))
-        except KeyError:  # a word made with generator indices not yet entered
-            share_letters([g for g, _e in self.letters])
-            return self.inverse()
+        """The inverse word, not validated again: the inverse of a reduced
+        word is reduced."""
+        word = object.__new__(FormalWord)
+        object.__setattr__(word, "letters", inverse_letters(self.letters))
+        return word
 
     def conjugate_by(self, c: "FormalWord") -> "FormalWord":
         """c * self * c^-1."""

@@ -8,8 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 from a2cent.bassserre import (GroupPresentation, IsoType, Unsimplified,
-                              abelianization, full_centralizer_presentation,
-                              fundamental_group, render_word, simplify,
+                              abelianization, fundamental_group, render_word, simplify,
                               smith_diagonal)
 from a2cent.errors import InvariantError
 from a2cent.presentation import load, load_named
@@ -460,21 +459,6 @@ def test_smith_diagonal_examples():
     assert smith_diagonal([[0, 0], [0, 0]]) == [0, 0]
     assert smith_diagonal([[4], [6]]) == [2]
     assert smith_diagonal([[2, 0], [0, 3]]) == [1, 6]
-
-
-def test_full_centralizer_presentation():
-    g = build_quotient(C1, (0, 5))
-    p = full_centralizer_presentation(g)
-    assert p.central == "g"
-    assert "g" in p.generators
-    rels = set(p.relations)
-    assert (("h_[0]", 4), ("g", -1)) in rels        # glide^4 = g
-    assert (("h_(2)", 2), ("g", -1)) in rels        # translation^2 = g
-    for sym in p.generators[:-1]:
-        assert ((sym, 1), ("g", 1), (sym, -1), ("g", -1)) in rels
-    # killing g recovers the quotient: same abelianization plus one Z consumed
-    free_rank, torsion = abelianization(p)
-    assert (free_rank, torsion) == (2, (2, 2))
 
 
 def test_render():

@@ -14,6 +14,7 @@ from a2cent.presentation import BUILTIN_PRESENTATIONS, load_named
 from a2cent.quotient import build_quotient, vertex_witnesses
 from a2cent.strips import enumerate_periodic_strips
 from a2cent.walls import minimal_period, wall_necklaces
+from a2cent.words import FormalWord
 from presentations import (NON_BUILDING, OTHER_Q2, SINGER_Q4, deep_walls, relabelled_c1,
                            unchecked)
 from strip_oracle import (full_scan_flip_shifts, full_scan_median_display_label,
@@ -282,6 +283,35 @@ def test_witnesses_of_a_flat_quotient_share_one_object_per_letter(eighteen):
     edge, whose conjugator has 93 606 letters."""
     assert distinct_witness_letters(eighteen)[0] == 93606
     assert distinct_witness_letters(eighteen)[1] <= 2 * C1.generator_count
+
+
+WITNESS_WALLS = [
+    (C1, lambda: [w for n in range(1, 7) for w in wall_necklaces(C1, n)]),
+    (OTHER_Q2, lambda: [w for n in range(1, 7) for w in wall_necklaces(OTHER_Q2, n)]),
+    (SINGER_Q4, lambda: [w for n in range(1, 4) for w in wall_necklaces(SINGER_Q4, n)]),
+    (C1, lambda: deep_walls(C1)),
+]
+
+
+@pytest.mark.parametrize("pres, words", WITNESS_WALLS,
+                         ids=["c1-through-6", "other_q2-through-6", "singer_q4-through-3",
+                              "c1-deep-walls"])
+def test_witnesses_pass_the_public_constructor(pres, words):
+    """The BFS spells its output words from letter tuples and inverts words
+    without validating them again, so every vertex generator witness and
+    edge conjugator, and its inverse, must pass back through
+    ``FormalWord(letters)`` unchanged; inverting twice gives the word."""
+    nontrivial = 0
+    for word in words():
+        g = build_quotient(pres, word)
+        for w in ([v.generator_witness for v in g.vertices]
+                  + [e.conjugator_witness for e in g.edges]):
+            inverse = w.inverse()
+            assert FormalWord(w.letters) == w
+            assert FormalWord(inverse.letters) == inverse
+            assert inverse.inverse() == w and len(inverse) == len(w)
+            nontrivial += bool(w)
+    assert nontrivial > 0
 
 
 def test_structured_document_of_a_flat_quotient(eighteen):

@@ -477,12 +477,71 @@ def test_window_memo_is_not_compared():
     assert warmed == fresh and hash(warmed) == hash(fresh)
 
 
+def window_keys(wall):
+    """The memo keys of the wall's windows: the WINDOW + 1 letters from each
+    multiple of WINDOW, read cyclically, fewer at the end."""
+    ring = wall + wall[:1]
+    return [ring[k:k + WINDOW + 1] for k in range(0, len(wall), WINDOW)]
+
+
+def every_rotation_of_some(pres, n, count=12):
+    """Every rotation of about ``count`` wall necklaces of length n, spread
+    over the sorted list."""
+    necklaces = wall_necklaces(pres, n)
+    return [wall[r:] + wall[:r] for wall in necklaces[::max(1, len(necklaces) // count)]
+            for r in range(n)]
+
+
+@pytest.mark.parametrize("n", range(1, 9), ids=lambda n: f"n{n}-mod{n % WINDOW}")
+def test_window_memo_at_every_length_mod_window(n):
+    """Walls shorter than WINDOW and walls whose length leaves 0, 1 and 2
+    over a multiple of it, so that the last window has WINDOW + 1 letters
+    or wraps after one or two: at each, the reference's strips on a fresh
+    presentation, whose first call builds every window of the wall and no
+    other, and the same strips from the warm memo."""
+    for wall in every_rotation_of_some(C1, n):
+        expected = outcome(reference_enumerate, C1, wall)
+        pres = load_named("c1")
+        assert outcome(enumerate_periodic_strips, pres, wall) == expected, wall
+        assert set(pres._windows) == set(window_keys(wall)), wall
+        assert outcome(enumerate_periodic_strips, pres, wall) == expected, wall
+
+
+@pytest.mark.parametrize("missing", [0, -1], ids=["first", "last"])
+def test_window_memo_with_one_window_missing(missing, monkeypatch):
+    """A memo that holds every window of the wall but its first, or but its
+    last: the wall is checked once, the missing window is built again and
+    no other, and the strips are the reference's.  Walls of 4 to 8 letters,
+    whose first and last windows differ."""
+    checked = []
+
+    def counting_check(presentation, labels):
+        checked.append(tuple(labels))
+        check_wall_sequence(presentation, labels)
+
+    monkeypatch.setattr("a2cent.strips.check_wall_sequence", counting_check)
+    for n in range(WINDOW + 1, 9):
+        for wall in every_rotation_of_some(C1, n, count=4):
+            pres = load_named("c1")
+            enumerate_periodic_strips(pres, wall)
+            kept = dict(pres._windows)
+            gone = window_keys(wall)[missing]
+            del pres._windows[gone]
+            checked.clear()
+            assert enumerate_periodic_strips(pres, wall) == reference_enumerate(C1, wall), wall
+            assert checked == [wall]
+            assert pres._windows.keys() == kept.keys()
+            assert all(pres._windows[key] is steps for key, steps in kept.items() if key != gone)
+
+
 def test_warm_memo_skips_the_wall_check_with_the_same_outcome():
     """A wall whose windows are all in the memo is not checked again: on a
     presentation warmed by every c1 necklace through length 6 and on a
     fresh load, the same strips or the same error for the empty wall, the
     labels -1 and m, a bent pair at each position of a few walls, and a
-    long wall whose windows are all in the warm memo but one bent one."""
+    long wall whose windows are all in the warm memo but one bent one.  A
+    rejected wall adds no window to either memo, even where all its
+    windows but one are straight."""
     warmed = load_named("c1")
     for wall in walls_through(warmed, 6):
         enumerate_periodic_strips(warmed, wall)
@@ -507,12 +566,15 @@ def test_warm_memo_skips_the_wall_check_with_the_same_outcome():
             walls.append(bent_at(wall, k))
     errors = set()
     for wall in walls:
+        fresh = load_named("c1")
         got = outcome(enumerate_periodic_strips, warmed, wall)
-        assert got == outcome(enumerate_periodic_strips, load_named("c1"), wall), wall
+        assert got == outcome(enumerate_periodic_strips, fresh, wall), wall
         if isinstance(got, tuple):
             errors.add(got[0])
+            assert not fresh._windows, wall  # checked before any window is built
     assert errors == {ValueError, IndexError, NotAWallWord}
     assert warmed._windows.keys() == memo.keys()  # no window of a bent wall was kept
+    assert all(warmed._windows[key] is steps for key, steps in memo.items())
 
 
 def test_warm_memo_builds_the_quotient_without_the_wall_check(monkeypatch):

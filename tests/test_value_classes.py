@@ -32,8 +32,8 @@ EQUAL_AND_DIFFERENT = [
     (FormalWord(((0, 1), (5, -1))), FormalWord(letters=((0, 1), (5, -1))),
      FormalWord(((0, 1), (5, 1)))),
     (FormalWord(), FormalWord.identity(), FormalWord.generator(0)),
-    (GP, GroupPresentation(generators=("a", "b"), relations=GP.relations, central=None),
-     GroupPresentation(GP.generators, GP.relations, "a")),
+    (GP, GroupPresentation(generators=("a", "b"), relations=GP.relations),
+     GroupPresentation(GP.generators, GP.relations[:1])),
     (IsoType(1, (2, 2)), IsoType(free_rank=1, cyclic_orders=(2, 2)), IsoType(2, (2, 2))),
     (Unsimplified(GP), Unsimplified(presentation=GroupPresentation(GP.generators, GP.relations)),
      Unsimplified(GroupPresentation(("a",), ()))),
@@ -57,7 +57,7 @@ def test_equal_values_compare_and_hash_equal(value, same, other):
 READ_ONLY = [
     (FormalWord(), "letters", ((0, 1),)),
     (C1, "starting", ()),
-    (GP, "central", "a"),
+    (GP, "relations", ()),
     (IsoType(0, (2,)), "free_rank", 1),
     (Unsimplified(GP), "presentation", GP),
 ]
@@ -74,7 +74,7 @@ def test_fields_are_read_only(value, name, new):
 
 def test_defaults():
     assert FormalWord().letters == ()
-    assert GroupPresentation(("a",), ((("a", 2),),)).central is None
+    assert GroupPresentation(("a",), ((("a", 2),),)).to_json()["central"] is None
     median = QuotientVertex(0, "median", 2, FormalWord(), "[0]")
     assert (median.sequence, median.period) == ((), 0)
     wall = QuotientVertex(index=0, kind="wall", group_order=1, generator_witness=FormalWord(),

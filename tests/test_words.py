@@ -30,6 +30,18 @@ def test_constructor_rejects_unreduced():
         FormalWord(((2, 3),))
 
 
+def test_spell_rejects_an_unreduced_part():
+    """spell reduces only the seams between its parts, and validates the
+    product: a part that is not reduced, or has a bad exponent, raises."""
+    with pytest.raises(ValueError, match="not freely reduced"):
+        FormalWord.spell([((2, 1),), ((3, 1), (3, -1))])
+    with pytest.raises(ValueError, match="not freely reduced"):
+        FormalWord.spell([((4, -1), (4, 1))])
+    with pytest.raises(ValueError, match="exponent must be"):
+        FormalWord.spell([((2, 1),), ((3, 2),)])
+    assert FormalWord.spell([((2, 1), (3, 1)), ((3, -1), (5, 1))]).letters == ((2, 1), (5, 1))
+
+
 def test_str():
     w = FormalWord.generator(6, -1) * FormalWord.generator(2) * FormalWord.generator(6)
     assert str(w) == "x6^-1 x2 x6"
@@ -45,6 +57,14 @@ def test_letters_are_shared():
     assert FormalWord.generator(3).letters[0] is FormalWord.generator(3, -1).inverse().letters[0]
     with pytest.raises(ValueError, match="exponent must be"):
         FormalWord.generator(3, 2)
+
+
+def test_from_indices_enters_new_letters():
+    """from_indices at generator indices no shared letter has been made for
+    enters them in the tables first."""
+    w = FormalWord.from_indices([2000, 2001])
+    assert w.letters == ((2000, 1), (2001, 1))
+    assert w.letters[1] is FormalWord.generator(2001).letters[0]
 
 
 def test_inverse_of_letters_made_elsewhere():
