@@ -180,15 +180,17 @@ def cmd_strips(args) -> int:
         raise UnsupportedInput(f"--length {n} is not positive")
     if n % len(word) != 0:
         raise UnsupportedInput(f"--length {n} is not a multiple of the wall word length")
-    seq = word * (n // len(word))
+    try:
+        seq = word * (n // len(word))
+    except (OverflowError, MemoryError):
+        raise UnsupportedInput(f"--length {n} is too long: its wall cannot be built") from None
     labels, period = wall_word(pres, seq)
     strips = enumerate_periodic_strips(pres, labels)
     # wall-stabilizer classes, in enumeration order, by the start pairs of
     # the readings that build_quotient registers for an edge at its own wall:
     # [first strip's rows, its period, phases]
     classes, class_of = [], {}  # start pair (s_0, t_0) -> index in classes
-    for rows in strips:
-        start = rows[0][1:3]
+    for rows, start in strips:
         if start not in class_of:
             pe = minimal_period(rows)
             own = anchored_readings(rows, pe, period)[0]

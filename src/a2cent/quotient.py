@@ -15,10 +15,11 @@ tested for one.
 
 The readings are kept as one set of start pairs per wall vertex, taken out
 when the wall is dequeued.  It then holds exactly the back-edges registered
-by the strips kept at earlier walls, and the strip walk takes it as ``skip``:
-about half of all closed walks are such back-edges, and they are checked
-for ambiguity but never returned or checked, as each is a shift of the
-swap of a strip already kept (see ``enumerate_periodic_strips``).
+by the strips kept at earlier walls, and it grows as the wall's own strips
+are kept.  The strip walk returns each strip with its start pair, so one
+lookup in the set drops a strip whose orbit is known: about half of all
+closed walks are such back-edges, each a shift of the swap of a strip
+already kept, and they are read no further.
 
 All witness words are relative to the base vertex of the canonical rotation
 of the input element.  The BFS records a witness tree: each new wall vertex
@@ -277,15 +278,15 @@ def build_quotient(presentation: TrianglePresentation, element) -> QuotientGraph
         vid = queue.popleft()
         v = vertices[vid]
         # the set can go: no strip kept later ends at a dequeued wall, whose
-        # walk kept the strip's orbit or skipped it as a known back-edge
+        # walk kept the strip's orbit or dropped it as a known back-edge
         seen = readings.pop(vid)
         # strips come sorted by rows, so the first strip of an orbit seen is
         # the least of its wall-stabilizer class; registering the orbit's
         # anchored readings drops the later members of the class here, the
-        # second end of a loop here and the back-edge at the other wall, which
-        # the walk skips when that wall is dequeued
-        for rows in enumerate_periodic_strips(presentation, v.sequence, seen):
-            if rows[0][1:3] in seen:
+        # second end of a loop here and the back-edge at the other wall when
+        # that wall is dequeued
+        for rows, start in enumerate_periodic_strips(presentation, v.sequence):
+            if start in seen:
                 continue
             # p | pe | n, so pe is the least period among the multiples of
             # p: a primitive wall (p == n) has none below n, and pe == n

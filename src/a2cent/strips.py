@@ -68,10 +68,10 @@ def strip_json(rows: tuple) -> dict:
 WINDOW = 3  # wall letters per step of the strip walk
 
 
-def enumerate_periodic_strips(presentation: TrianglePresentation, wall,
-                              skip=frozenset()) -> list[tuple]:
-    """The rows of all n-periodic strips adjacent to the wall with the
-    given labels, but those whose start pair (s_0, t_0) is in ``skip``.
+def enumerate_periodic_strips(presentation: TrianglePresentation, wall) -> list[tuple]:
+    """All n-periodic strips adjacent to the wall with the given labels, as
+    (rows, start) pairs, where start is the strip's start pair (s_0, t_0),
+    ``rows[0][1:3]``.
 
     ``wall`` is the phase-aligned label sequence (length n = |g| in edges).
     One walk along the wall carries every partial strip, starting from each
@@ -92,14 +92,9 @@ def enumerate_periodic_strips(presentation: TrianglePresentation, wall,
     first window from each initial pair, in the order of
     ``presentation.starting[a_0]``.  After n letters a strip closes when
     its next lower triangle is its initial one.  Each initial triangle
-    closes at most one strip (asserted; AmbiguousStrip otherwise).  Strips
-    come in the order of their initial triangles.
-
-    Every start is walked and every closed walk is checked for ambiguity;
-    then a walk whose start pair is in ``skip`` is dropped.  The quotient
-    BFS skips the start pairs that it has registered at a wall.  By the
-    ambiguity check each names one closed walk, a shift of a kept strip or
-    of its swap (the strip read from the other wall).
+    closes at most one strip (asserted at every start; AmbiguousStrip
+    otherwise), so the start pairs are distinct and each names one strip
+    at the wall.  Strips come in the order of their initial triangles.
     """
     a = tuple(wall)
     ring = a + a[:1]
@@ -121,7 +116,7 @@ def enumerate_periodic_strips(presentation: TrianglePresentation, wall,
     for start in starts:
         if starts.count(start) > 1:
             raise AmbiguousStrip((a[0], *start))
-    return [rows for rows, start in closed if start not in skip]
+    return closed
 
 
 def _window_steps(presentation, window):

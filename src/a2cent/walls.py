@@ -15,13 +15,9 @@ from .words import FormalWord
 
 
 def canonical_rotation(labels):
-    """Lexicographically least rotation of the sequence (as a tuple).
-
-    Only the rotations that start at the least element can be least.
-    """
-    seq = tuple(labels)
-    first = min(seq)
-    return min(seq[r:] + seq[:r] for r, x in enumerate(seq) if x == first)
+    """Lexicographically least rotation of the sequence (as a tuple), from
+    ``least_rotation``."""
+    return least_rotation(labels)[0]
 
 
 def least_rotation(labels):
@@ -120,12 +116,13 @@ def wall_word(presentation: TrianglePresentation, word) -> tuple[tuple[int, ...]
 
     The oriented bi-infinite path with these periodic labels is a wall, and
     an axial wall for the element the word spells, with |g| = n = len(word).
-    The canonical rotation is that of one period, repeated.
+    Both come from one ``least_rotation`` scan, which stops at the first
+    rotation that repeats the least one, after about one period.
     """
     seq = tuple(word)
     check_wall_sequence(presentation, seq)
-    p = minimal_period(seq)
-    return canonical_rotation(seq[:p]) * (len(seq) // p), p
+    canon, _r, p = least_rotation(seq)
+    return canon, p
 
 
 def stabilizer_generator_word(base: FormalWord, labels, period: int) -> FormalWord:

@@ -142,10 +142,11 @@ def full_scan_minimal_period(labels):
 
 
 def full_scan_wall_word(presentation: TrianglePresentation, word):
-    """``walls.wall_word``, with the canonical rotation taken over all n."""
+    """``walls.wall_word``, with the canonical rotation the least of all n
+    rotations."""
     seq = tuple(word)
     check_wall_sequence(presentation, seq)
-    return canonical_rotation(seq), full_scan_minimal_period(seq)
+    return min(seq[r:] + seq[:r] for r in range(len(seq))), full_scan_minimal_period(seq)
 
 
 def full_scan_least_rotation(labels):

@@ -414,6 +414,18 @@ def test_strips_length_not_positive(capsys, length):
     assert err == f"error: --length {length} is not positive\n"
 
 
+@pytest.mark.parametrize("length", ["200000000000000000000", "4000000000000000000"],
+                         ids=["overflow", "tuple-size"])
+def test_strips_length_too_long_for_a_wall(capsys, length):
+    """A length whose wall cannot be built exits 3 with one error line: the
+    first overflows an index, the second fails the tuple size check before
+    anything is allocated."""
+    code, out, err = run(capsys, "strips", "builtin:c1", "--wall", "0,5", "--length", length)
+    assert code == EXIT_UNSUPPORTED
+    assert out == ""
+    assert err == f"error: --length {length} is too long: its wall cannot be built\n"
+
+
 def run_argv(argv):
     """(exit code, stdout, stderr) of main(argv), a parser exit included."""
     out, err = io.StringIO(), io.StringIO()
@@ -739,7 +751,8 @@ def test_strips_classes_equal_wall_shift_reference(capsys, tmp_path):
                                  "--length", str(length), "--format", "structured")
             assert code == EXIT_OK, err
             labels, period = wall_word(pres, wall * (length // len(wall)))
-            expected = group_by_wall_shifts(enumerate_periodic_strips(pres, labels), period)
+            strips = [rows for rows, _start in enumerate_periodic_strips(pres, labels)]
+            expected = group_by_wall_shifts(strips, period)
             assert [(c["representative"], c["phases"]) for c in json.loads(out)["strip_classes"]] \
                 == [(strip_json(cls[0]), len(cls)) for cls in expected], (wall, length)
             classes_seen += len(expected)

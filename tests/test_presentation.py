@@ -336,6 +336,8 @@ def test_reject_booleans_as_generator_indices():
         load(doc)
     assert exc.value.issues == ["relator [False, False, 6] is not an integer triple",
                                 "relator [False, 2, 3] is not an integer triple"]
+    # the message, as a traceback shows it, joins the issues
+    assert str(exc.value) == "; ".join(exc.value.issues)
 
 
 def test_reject_boolean_generator_count():

@@ -8,7 +8,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-from a2cent import build_quotient
 from a2cent.walls import wall_necklaces
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -20,14 +19,6 @@ def run_script(name, *args):
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
                           capture_output=True, text=True, env=env, timeout=120)
-
-
-def test_export_figures(tmp_path, c1):
-    proc = run_script("export_figures.py", "--out-dir", str(tmp_path))
-    assert proc.returncode == 0, proc.stderr
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["quotient_014.dot", "quotient_05.dot"]
-    for name, word in (("quotient_05", (0, 5)), ("quotient_014", (0, 1, 4))):
-        assert (tmp_path / f"{name}.dot").read_text() == build_quotient(c1, word).to_dot()
 
 
 def test_scan_wall_words(c1):

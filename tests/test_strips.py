@@ -25,9 +25,14 @@ def walls_through(pres, length):
     return [w for n in range(1, length + 1) for w in wall_necklaces(pres, n)]
 
 
+def strip_rows(presentation, wall):
+    """The rows of the strips that the walk returns at the wall, in order."""
+    return [rows for rows, _start in enumerate_periodic_strips(presentation, wall)]
+
+
 WALL_WORDS_3 = [w for n in (1, 2, 3) for w in wall_necklaces(C1, n)]
 
-ALL_STRIPS = [s for w in WALL_WORDS_3 for s in enumerate_periodic_strips(C1, w)]
+ALL_STRIPS = [rows for w in WALL_WORDS_3 for rows in strip_rows(C1, w)]
 
 # Figure fixture: the three strips along the (0,5) wall, all 30 labels,
 # given by their columns a, s, t, b, u.
@@ -45,11 +50,11 @@ def test_fig3_fixture_strips_are_valid():
 
 
 def test_enumerate_at_05_matches_figure():
-    assert enumerate_periodic_strips(C1, (0, 5)) == FIG3_STRIPS
+    assert strip_rows(C1, (0, 5)) == FIG3_STRIPS
 
 
 def test_enumerate_at_constant_wall():
-    strips = enumerate_periodic_strips(C1, (6, 6))
+    strips = strip_rows(C1, (6, 6))
     assert strips[0] == CONST
     assert len(strips) == 3
     classes = group_by_wall_shifts(strips, wall_period=1)
@@ -117,7 +122,7 @@ def test_median_divisibility(s):
     + [pytest.param(w, marks=pytest.mark.slow) for w in wall_necklaces(C1, 5)],
     ids=str)
 def test_dfs_equals_oracle(wall):
-    assert sorted(enumerate_periodic_strips(C1, wall)) == sorted(oracle_enumerate(C1, wall))
+    assert sorted(strip_rows(C1, wall)) == sorted(oracle_enumerate(C1, wall))
 
 
 def test_dfs_equals_oracle_on_singer_q4():
@@ -125,7 +130,7 @@ def test_dfs_equals_oracle_on_singer_q4():
     walls = walls_through(SINGER_Q4, 2)
     assert len(walls) == 168
     for wall in walls:
-        assert sorted(enumerate_periodic_strips(SINGER_Q4, wall)) \
+        assert sorted(strip_rows(SINGER_Q4, wall)) \
             == sorted(oracle_enumerate(SINGER_Q4, wall)), wall
 
 
@@ -137,9 +142,9 @@ def test_valency_bound(wall):
 def test_enumeration_rotation_equivariant():
     for wall in [(0, 5), (0, 1, 4)]:
         n = len(wall)
-        base = enumerate_periodic_strips(C1, wall)
+        base = strip_rows(C1, wall)
         for r in range(1, n):
-            rotated = enumerate_periodic_strips(C1, wall[r:] + wall[:r])
+            rotated = strip_rows(C1, wall[r:] + wall[:r])
             assert sorted(rotated) == sorted(shift(s, r) for s in base)
 
 
@@ -269,9 +274,8 @@ def test_flip_shifts_equal_brute_force_on_enumerated_strips():
     """The one comparison at d = period // 2 against all n shifts, on every
     strip of OTHER_Q2 through length 4 and of the fixtures' powers h^k,
     k <= 12."""
-    strips = [s for w in walls_through(OTHER_Q2, 4) for s in enumerate_periodic_strips(OTHER_Q2, w)]
-    strips += [s for h in ((0, 5), (0, 1, 4)) for k in range(1, 13)
-               for s in enumerate_periodic_strips(C1, h * k)]
+    strips = [s for w in walls_through(OTHER_Q2, 4) for s in strip_rows(OTHER_Q2, w)]
+    strips += [s for h in ((0, 5), (0, 1, 4)) for k in range(1, 13) for s in strip_rows(C1, h * k)]
     flips = 0
     for s in strips:
         brute = [d for d in range(len(s)) if shift(swapped_rows(s), d) == s]
@@ -284,8 +288,9 @@ def test_flip_shifts_equal_brute_force_on_enumerated_strips():
 # chained its rows window by window.
 
 def reference_enumerate(presentation, wall, validate=True):
-    """The strips at the wall by a recursive search, each checked by
-    ``validate_strip`` unless ``validate`` is false."""
+    """The strips at the wall by a recursive search, as (rows, (s_0, t_0))
+    pairs, each checked by ``validate_strip`` unless ``validate`` is
+    false."""
     a = tuple(wall)
     check_wall_sequence(presentation, a)
     # completion[i][k] is the unique j with rotation (i, j, k)
@@ -301,7 +306,7 @@ def reference_enumerate(presentation, wall, validate=True):
         if completions:
             if validate:
                 validate_strip(presentation, completions[0])
-            found.append(completions[0])
+            found.append((completions[0], (s0, t0)))
     return found
 
 
@@ -335,8 +340,8 @@ def outcome(fn, *args):
 
 
 def check_enumerate_equals_reference(presentation, walls, validate=True):
-    """Same strips in the same order (or the same exception) at every
-    rotation of every wall."""
+    """Same strips with the same start pairs in the same order (or the same
+    exception) at every rotation of every wall."""
     outcomes = []
     for wall in walls:
         for r in range(len(wall)):
@@ -390,54 +395,47 @@ def test_enumerate_equals_the_unchecked_search_where_the_opposite_wall_bends():
     pres = unchecked(OPPOSITE_BENDS.to_document())
     outcomes = check_enumerate_equals_reference(pres, walls_through(pres, 6), validate=False)
     ambiguous = [got for got in outcomes if isinstance(got, tuple)]
-    strips = [rows for got in outcomes if isinstance(got, list) for rows in got]
+    strips = [rows for got in outcomes if isinstance(got, list) for rows, _start in got]
     bends = [rows for rows in strips
              if any((row[3], after[3]) in pres.bent_pairs for row, after in zip(rows, shift(rows, 1)))]
     assert (len(outcomes), len(ambiguous), len(strips), len(bends)) == (192, 153, 100, 11)
 
 
-def walk_outcome(presentation, wall, skip=frozenset()):
-    """The strips enumerated at the wall, or the arguments and the initial
-    triangle of the AmbiguousStrip raised."""
-    try:
-        return enumerate_periodic_strips(presentation, wall, skip)
-    except AmbiguousStrip as exc:
-        return exc.args, exc.initial_triangle
-
-
-def check_skip_equals_filtered_walk(presentation, walls):
-    """At every wall, with ``skip`` each start pair of the wall's first
-    letter in turn and then all of them, the walk returns the unskipped
-    strips whose start pair is not skipped, in order, or raises the same
-    AmbiguousStrip as the unskipped walk, skipped start or not.  Returns
-    the numbers of strips dropped and of raises whose ambiguous start
-    pair was skipped."""
-    dropped = ambiguous_skipped = 0
+def check_walk_contract(presentation, walls):
+    """At every wall, the walk returns each strip with its start pair
+    rows[0][1:3], the start pairs are distinct and come in the order of the
+    initial triangles; or it raises AmbiguousStrip.  Returns the number of
+    strips and, by the initial triangle named, the walls that raised."""
+    strips, raised = 0, {}
     for wall in walls:
-        full = walk_outcome(presentation, wall)
-        pairs = presentation.starting[wall[0]]
-        for skip in [frozenset([pair]) for pair in pairs] + [frozenset(pairs)]:
-            got = walk_outcome(presentation, wall, skip)
-            if isinstance(full, list):
-                kept = [rows for rows in full if rows[0][1:3] not in skip]
-                assert got == kept, (wall, skip)
-                dropped += len(full) - len(kept)
-            else:
-                assert got == full, (wall, skip)
-                ambiguous_skipped += full[1][1:] in skip
-    return dropped, ambiguous_skipped
+        try:
+            found = enumerate_periodic_strips(presentation, wall)
+        except AmbiguousStrip as exc:
+            assert exc.args == (f"two periodic strips share the initial triangle "
+                                f"{exc.initial_triangle}",)
+            raised.setdefault(exc.initial_triangle, []).append(wall)
+            continue
+        starts = [start for _rows, start in found]
+        assert starts == [rows[0][1:3] for rows, _start in found], wall
+        assert starts == [pair for pair in presentation.starting[wall[0]] if pair in starts], wall
+        assert len(set(starts)) == len(starts), wall
+        strips += len(found)
+    return strips, raised
 
 
-@pytest.mark.parametrize("pres", [C1, relabelled_c1(20111), OTHER_Q2, None],
-                         ids=["c1", "relabelled_c1", "other_q2", "non_building"])
-def test_skip_equals_filtered_walk(pres):
-    # a fresh copy of the non-building presentation, whose memo starts empty
-    branching = pres is None
-    if branching:
+@pytest.mark.parametrize("pres, expected", [
+    (C1, (1120, {})),
+    (relabelled_c1(20111), (1120, {})),
+    (OTHER_Q2, (1127, {})),
+    # a fresh copy, whose memo starts empty: the walls x^k, 3 <= k <= 6,
+    # close two strips from one initial triangle
+    (None, (24, {triangle: [(triangle[0],) * k for k in range(3, 7)]
+                 for triangle in [(0, 1, 3), (1, 0, 2), (2, 0, 3), (3, 0, 1)]})),
+], ids=["c1", "relabelled_c1", "other_q2", "non_building"])
+def test_walk_returns_each_strip_with_its_start_pair(pres, expected):
+    if pres is None:
         pres = unchecked(NON_BUILDING.to_document())
-    dropped, ambiguous_skipped = check_skip_equals_filtered_walk(pres, walls_through(pres, 6))
-    assert dropped > 0
-    assert (ambiguous_skipped > 0) == branching
+    assert check_walk_contract(pres, walls_through(pres, 6)) == expected
 
 
 # The walk advances WINDOW wall letters per step through the row chains,
@@ -623,7 +621,7 @@ def check_one_period_scans(presentation, walls):
         for r in range(len(wall)):
             rotated = wall[r:] + wall[:r]
             assert wall_word(presentation, rotated) == full_scan_wall_word(presentation, rotated)
-        for s in enumerate_periodic_strips(presentation, wall):
+        for s in strip_rows(presentation, wall):
             pe, b = minimal_period(s), columns(s)[3]
             assert flip_shifts(s, pe) == full_scan_flip_shifts(s), wall
             canon, r, p = least_rotation(b[:pe])
@@ -656,7 +654,7 @@ def check_strip_facts(presentation, walls):
         for r in range(len(wall)):
             rotated = wall[r:] + wall[:r]
             try:
-                strips = enumerate_periodic_strips(presentation, rotated)
+                strips = strip_rows(presentation, rotated)
             except AmbiguousStrip:
                 continue
             walls_seen += 1
@@ -707,7 +705,7 @@ def check_anchored_readings(presentation, walls):
 
     def strips_at(wall):
         if wall not in enumerated:
-            enumerated[wall] = enumerate_periodic_strips(presentation, wall)
+            enumerated[wall] = strip_rows(presentation, wall)
         return enumerated[wall]
 
     checked = one_necklace = 0
