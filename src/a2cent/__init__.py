@@ -16,8 +16,7 @@ from .presentation import (BUILTIN_PRESENTATIONS, TrianglePresentation, load,
 from .quotient import (QuotientEdge, QuotientGraphOfGroups, QuotientVertex,
                        build_quotient, vertex_witnesses)
 from .strips import enumerate_periodic_strips, flip_shifts
-from .walls import (canonical_rotation, minimal_period, stabilizer_generator_word,
-                    wall_word)
+from .walls import canonical_rotation, minimal_period, wall_word
 from .words import FormalWord
 
 __all__ = [
@@ -28,8 +27,7 @@ __all__ = [
     "Unsimplified", "abelianization", "build_quotient", "canonical_rotation",
     "enumerate_periodic_strips", "flip_shifts",
     "fundamental_group", "load", "load_named",
-    "loads", "minimal_period", "simplify", "stabilizer_generator_word",
-    "vertex_witnesses", "wall_word",
+    "loads", "minimal_period", "simplify", "vertex_witnesses", "wall_word",
 ]
 
 __version__ = "0.1.0"

@@ -16,6 +16,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 import time
 
@@ -30,6 +31,8 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_UNSUPPORTED = 3
 EXIT_INTERNAL = 4
+
+_DECIMAL = re.compile("-?[0-9]+")
 
 
 class UnsupportedInput(Exception):
@@ -46,10 +49,23 @@ def _load(name: str) -> TrianglePresentation:
         raise PresentationError([f"cannot read presentation {name!r}: {exc}"]) from exc
 
 
+def _decimal(text: str) -> int:
+    """The integer ``text`` spells in ASCII digits, after at most one minus
+    sign.  ``int`` alone would also take underscores, a plus sign, spaces
+    and other scripts' digits, and so read an element the user did not
+    write."""
+    try:
+        if _DECIMAL.fullmatch(text):
+            return int(text)
+    except ValueError:  # more digits than int converts
+        pass
+    raise argparse.ArgumentTypeError(f"not a decimal integer: {text!r}")
+
+
 def _parse_word(text: str, pres: TrianglePresentation):
     try:
-        word = tuple(int(x) for x in text.split(","))
-    except ValueError:
+        word = tuple([_decimal(x) for x in text.split(",")])
+    except argparse.ArgumentTypeError:
         raise UnsupportedInput(
             f"cannot parse element {text!r}: expected comma-separated indices") from None
     m = pres.generator_count
@@ -277,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_str = sub.add_parser("strips", help="enumerate periodic strips at a wall")
     p_str.add_argument("presentation")
     p_str.add_argument("--wall", required=True, help="comma-separated indices")
-    p_str.add_argument("--length", type=int, default=None,
+    p_str.add_argument("--length", type=_decimal, default=None,
                        help="analyze the wall at this g-period (multiple of the word length)")
     p_str.add_argument("--format", choices=("text", "structured"), default="text")
     p_str.add_argument("--out", default=None)

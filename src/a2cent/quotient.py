@@ -29,11 +29,13 @@ parent's base vertex to its own.  Suffix letters come from the shared
 letter tables of ``words``, so that the witnesses of a graph hold at most
 2m distinct letter objects.  A vertex's base witness is the product of the
 suffixes along its tree path; the suffixes are read, and the witness
-spelled and validated as a FormalWord, only when an output word needs it
-(a stabilizer generator, a median glide or a non-tree conjugator, which also
-reads the suffix of its own strip), and then once: an output word is
-spelled from letter tuples and inverse letters, which are not validated
-again.
+spelled, only when an output word needs it (a stabilizer generator, a
+median glide or a non-tree conjugator, which also reads the suffix of its
+own strip), and then once.  Every word is spelled one way, by
+``FormalWord.spell`` from letter tuples: a base witness from its suffixes,
+a stabilizer generator or glide as the base witness c conjugating a core
+(``_conjugate``), and a non-tree conjugator as c_v, the strip's suffix and
+c_w^-1.  So each output word is validated once.
 
 The group data holds by construction: a wall of minimal period p (p | n)
 gets order n/p; an edge whose strip has period p_e (p | p_e | n) gets order
@@ -56,8 +58,7 @@ from collections import deque
 
 from .presentation import TrianglePresentation
 from .strips import anchored_readings, enumerate_periodic_strips, flip_shifts, strip_json
-from .walls import (canonical_rotation, least_rotation, minimal_period, stabilizer_generator_word,
-                    wall_word)
+from .walls import canonical_rotation, least_rotation, minimal_period, wall_word
 from .words import NEGATIVE, POSITIVE, FormalWord, inverse_letters, share_letters
 
 
@@ -222,6 +223,12 @@ def _suffix(rows: tuple, dd: int) -> tuple:
     return (NEGATIVE[rows[0][2]],) + tuple([POSITIVE[row[3]] for row in rows[:dd]])
 
 
+def _conjugate(base: FormalWord, *core: tuple) -> FormalWord:
+    """base x core x base^-1, spelled from the letter tuples of ``core``
+    in one reduction."""
+    return FormalWord.spell((base.letters, *core, inverse_letters(base.letters)))
+
+
 @_collector_paused
 def build_quotient(presentation: TrianglePresentation, element) -> QuotientGraphOfGroups:
     """Quotient graph of groups of the axial-wall tree for a wall word."""
@@ -262,7 +269,9 @@ def build_quotient(presentation: TrianglePresentation, element) -> QuotientGraph
         else:
             tree_links[vid] = link
         order = n // p
-        gen = (stabilizer_generator_word(base_witness(vid), sequence, p)
+        # the wall through the base vertex c, with labels a_0 a_1 ... from
+        # it, is translated one period by c x_{a_0} ... x_{a_{p-1}} c^-1
+        gen = (_conjugate(base_witness(vid), tuple([POSITIVE[x] for x in sequence[:p]]))
                if order > 1 else FormalWord.identity())
         vertices.append(QuotientVertex(
             vid, "wall", order, gen, "(" + ",".join([digits[x] for x in sequence[:p]]) + ")",
@@ -288,9 +297,9 @@ def build_quotient(presentation: TrianglePresentation, element) -> QuotientGraph
         for rows, start in enumerate_periodic_strips(presentation, v.sequence):
             if start in seen:
                 continue
-            # p | pe | n, so pe is the least period among the multiples of
-            # p: a primitive wall (p == n) has none below n, and pe == n
-            pe = n if v.period == n else minimal_period(rows, v.period)
+            # p | pe | n, so a strip at a primitive wall (p == n) has
+            # pe == n with no scan
+            pe = n if v.period == n else minimal_period(rows)
             # b repeats with period dividing pe: the least rotation of one
             # period, repeated, and its minimal period, that of b and so of
             # the wall vertex canon_b
@@ -299,10 +308,10 @@ def build_quotient(presentation: TrianglePresentation, element) -> QuotientGraph
             ds = flip_shifts(rows, pe) if canon_b == v.sequence else None
             if ds:
                 d = ds[0]  # 2d+1 == pe
-                witness = base_witness(vid)
-                glide = FormalWord.product((
-                    witness, FormalWord.from_indices([row[0] for row in rows[:d]]),
-                    FormalWord.generator(rows[d][2], -1), witness.inverse()))
+                # the core a_0..a_{d-1} x_{t_d}^-1 in two parts, so that
+                # spell reduces the seam between them too
+                positive = tuple([POSITIVE[row[0]] for row in rows[:d]])
+                glide = _conjugate(base_witness(vid), positive, (NEGATIVE[rows[d][2]],))
                 other = len(vertices)
                 vertices.append(QuotientVertex(
                     other, "median", 2 * n // pe, glide,

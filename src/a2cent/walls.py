@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from .errors import NotAWallWord
 from .presentation import TrianglePresentation
-from .words import FormalWord
 
 
 def canonical_rotation(labels):
@@ -48,20 +47,13 @@ def least_rotation(labels):
     return canon, r, n
 
 
-def minimal_period(labels, unit=1):
+def minimal_period(labels):
     """The least p dividing n with the sequence invariant under rotation by
-    p; a rotation is built only where its first element already matches.
-    Only multiples of ``unit``, a divisor of the minimal period, are tried.
-    Raises ValueError on an empty sequence."""
+    p, from ``least_rotation``.  Raises ValueError on an empty sequence."""
     seq = tuple(labels)
-    n = len(seq)
-    if not n:
+    if not seq:
         raise ValueError("empty sequence has no period")
-    first = seq[0]
-    for p in range(unit, n, unit):
-        if n % p == 0 and seq[p] == first and seq == seq[p:] + seq[:p]:
-            return p
-    return n
+    return least_rotation(seq)[2]
 
 
 def check_wall_sequence(presentation: TrianglePresentation, labels) -> None:
@@ -123,13 +115,3 @@ def wall_word(presentation: TrianglePresentation, word) -> tuple[tuple[int, ...]
     check_wall_sequence(presentation, seq)
     canon, _r, p = least_rotation(seq)
     return canon, p
-
-
-def stabilizer_generator_word(base: FormalWord, labels, period: int) -> FormalWord:
-    """Witness for the minimal translation along the wall through ``base``.
-
-    The wall through vertex c with phase-aligned labels a_0, a_1, ... is
-    translated one period by c x_{a_0} ... x_{a_{p-1}} c^-1.
-    """
-    core = FormalWord.from_indices(tuple(labels)[:period])
-    return core.conjugate_by(base)

@@ -1,7 +1,9 @@
 """Freely reduced words in the generators and their inverses.
 
 Words are witnesses only: no relator rewriting is ever applied, so two words
-representing the same group element need not compare equal.
+representing the same group element need not compare equal.  A word is
+spelled one way, ``FormalWord.spell``, from letter tuples that cancel only
+at their seams; ``inverse_letters`` gives the letters of an inverse.
 """
 
 from __future__ import annotations
@@ -9,9 +11,9 @@ from __future__ import annotations
 from .frozen import Frozen
 
 # The process's one tuple per letter: generator index -> (index, +1) and
-# -> (index, -1).  Indices are entered on first use, not per call, so the
-# words spelled from these tables share at most 2m letter objects however
-# long they grow.
+# -> (index, -1).  ``build_quotient`` enters all m generators before it
+# spells a word, so the words spelled from these tables share at most 2m
+# letter objects however long they grow.
 POSITIVE: dict[int, tuple[int, int]] = {}
 NEGATIVE: dict[int, tuple[int, int]] = {}
 
@@ -24,12 +26,9 @@ def share_letters(gens) -> None:
 
 
 def inverse_letters(letters: tuple) -> tuple:
-    """The letters of the inverse word, from the shared tables."""
-    try:
-        return tuple([NEGATIVE[g] if e == 1 else POSITIVE[g] for g, e in reversed(letters)])
-    except KeyError:  # a word made with generator indices not yet entered
-        share_letters([g for g, _e in letters])
-        return inverse_letters(letters)
+    """The letters of the inverse word, from the shared tables, which must
+    hold every generator of ``letters``."""
+    return tuple([NEGATIVE[g] if e == 1 else POSITIVE[g] for g, e in reversed(letters)])
 
 
 class FormalWord(Frozen):
@@ -54,25 +53,6 @@ class FormalWord(Frozen):
         return _IDENTITY
 
     @staticmethod
-    def from_indices(indices) -> "FormalWord":
-        """Positive word x_{i0} x_{i1} ... (no reduction needed)."""
-        indices = tuple(indices)
-        share_letters(indices)
-        return FormalWord(tuple([POSITIVE[i] for i in indices]))
-
-    @staticmethod
-    def generator(i: int, exp: int = 1) -> "FormalWord":
-        share_letters((i,))
-        # a bad exponent keeps a letter of its own, for the constructor to reject
-        letter = POSITIVE[i] if exp == 1 else NEGATIVE[i] if exp == -1 else (i, exp)
-        return FormalWord((letter,))
-
-    @staticmethod
-    def product(factors) -> "FormalWord":
-        """The reduced product of reduced words, validated once."""
-        return FormalWord.spell([factor.letters for factor in factors])
-
-    @staticmethod
     def spell(parts) -> "FormalWord":
         """The reduced product of reduced letter tuples, validated once.
 
@@ -87,26 +67,6 @@ class FormalWord(Frozen):
                 c += 1
             out.extend(right[c:])
         return FormalWord(tuple(out))
-
-    def __mul__(self, other: "FormalWord") -> "FormalWord":
-        return FormalWord.product((self, other))
-
-    def inverse(self) -> "FormalWord":
-        """The inverse word, not validated again: the inverse of a reduced
-        word is reduced."""
-        word = object.__new__(FormalWord)
-        object.__setattr__(word, "letters", inverse_letters(self.letters))
-        return word
-
-    def conjugate_by(self, c: "FormalWord") -> "FormalWord":
-        """c * self * c^-1."""
-        return FormalWord.product((c, self, c.inverse()))
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __bool__(self) -> bool:
-        return bool(self.letters)
 
     def __str__(self) -> str:
         if not self.letters:

@@ -181,6 +181,41 @@ def test_centralizer_unparsable_word(capsys):
     assert err.startswith("error: cannot parse element") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, option, text", [
+    ("centralizer", "--word", "0_5"),
+    ("centralizer", "--word", "+5"),
+    ("centralizer", "--word", " 0, 5"),
+    ("centralizer", "--word", "0,5 "),
+    ("centralizer", "--word", "0,--5"),
+    ("strips", "--wall", "\u0660,\u0665"),
+    ("strips", "--wall", "0,\u00b2"),
+], ids=["underscore", "plus", "spaces", "trailing-space", "two-signs", "arabic-indic", "superscript"])
+def test_element_fields_are_ascii_decimal_integers(capsys, command, option, text):
+    """``int`` alone reads each of these as an integer: 0_5 as 5, which is
+    the centralizer of another element.  A field must be ASCII digits after
+    at most one minus sign."""
+    code, out, err = run(capsys, command, "builtin:c1", f"{option}={text}")
+    assert (code, out) == (EXIT_UNSUPPORTED, "")
+    assert err == f"error: cannot parse element {text!r}: expected comma-separated indices\n"
+
+
+def test_a_negative_index_is_out_of_range(capsys):
+    code, out, err = run(capsys, "centralizer", "builtin:c1", "--word=-1,0")
+    assert (code, out) == (EXIT_UNSUPPORTED, "")
+    assert err == "error: generator index -1 out of range 0..6\n"
+
+
+@pytest.mark.parametrize("length", ["1_0", "+4", " 4", "\u0664", "4" * 5000],
+                         ids=["underscore", "plus", "space", "arabic-indic", "5000-digits"])
+def test_strips_length_is_an_ascii_decimal_integer(length):
+    """--length takes the rule of --wall through its argparse type: any
+    other text is a usage error, exit 3 on one line."""
+    code, out, err = run_argv(["strips", "builtin:c1", "--wall", "0,5", f"--length={length}"])
+    assert (code, out) == (EXIT_UNSUPPORTED, "")
+    assert err == (f"error: a2cent strips: argument --length: "
+                   f"not a decimal integer: {length!r}\n")
+
+
 def test_centralizer_index_out_of_range(capsys):
     # c1 has m = 7 generators: index 7 is the least out of range
     for index in (7, 9):

@@ -14,7 +14,7 @@ from a2cent.presentation import BUILTIN_PRESENTATIONS, load_named
 from a2cent.quotient import build_quotient, vertex_witnesses
 from a2cent.strips import enumerate_periodic_strips
 from a2cent.walls import minimal_period, wall_necklaces
-from a2cent.words import FormalWord
+from a2cent.words import FormalWord, inverse_letters
 from presentations import (NON_BUILDING, OTHER_Q2, SINGER_Q4, deep_walls, relabelled_c1,
                            unchecked)
 from strip_oracle import (full_scan_flip_shifts, full_scan_median_display_label,
@@ -297,21 +297,70 @@ WITNESS_WALLS = [
                          ids=["c1-through-6", "other_q2-through-6", "singer_q4-through-3",
                               "c1-deep-walls"])
 def test_witnesses_pass_the_public_constructor(pres, words):
-    """The BFS spells its output words from letter tuples and inverts words
-    without validating them again, so every vertex generator witness and
-    edge conjugator, and its inverse, must pass back through
-    ``FormalWord(letters)`` unchanged; inverting twice gives the word."""
+    """The BFS spells its output words from letter tuples, whose inverses
+    ``inverse_letters`` gives without validating them, so every vertex
+    generator witness and edge conjugator, and its inverse, must pass back
+    through ``FormalWord(letters)`` unchanged; inverting twice gives the
+    word."""
     nontrivial = 0
     for word in words():
         g = build_quotient(pres, word)
         for w in ([v.generator_witness for v in g.vertices]
                   + [e.conjugator_witness for e in g.edges]):
-            inverse = w.inverse()
+            inverse = inverse_letters(w.letters)
             assert FormalWord(w.letters) == w
-            assert FormalWord(inverse.letters) == inverse
-            assert inverse.inverse() == w and len(inverse) == len(w)
-            nontrivial += bool(w)
+            assert FormalWord(inverse).letters == inverse
+            assert inverse_letters(inverse) == w.letters and len(inverse) == len(w.letters)
+            nontrivial += bool(w.letters)
     assert nontrivial > 0
+
+
+def cyclically_reduced(letters):
+    """The letters freely reduced with a stack, then with every inverse
+    pair at the two ends cancelled: the cyclic reduction of the word, which
+    conjugation changes only by a rotation."""
+    stack = []
+    for g, e in letters:
+        if stack and stack[-1] == (g, -e):
+            stack.pop()
+        else:
+            stack.append((g, e))
+    lo, hi = 0, len(stack)
+    while hi - lo > 1 and stack[lo] == (stack[hi - 1][0], -stack[hi - 1][1]):
+        lo, hi = lo + 1, hi - 1
+    return tuple(stack[lo:hi])
+
+
+def is_rotation(word, core):
+    return len(word) == len(core) and any(word == core[r:] + core[:r] for r in range(len(core)))
+
+
+@pytest.mark.parametrize("pres, words", WITNESS_WALLS[:3],
+                         ids=["c1-through-6", "other_q2-through-6", "singer_q4-through-3"])
+def test_generator_witnesses_conjugate_their_cores(pres, words):
+    """Every generator witness of a vertex group of order > 1, cyclically
+    reduced, is a rotation of the vertex's core: for a wall, the positive
+    word of one period of its sequence; for a median, the cyclically
+    reduced glide core a_0..a_{d-1} x_{t_d}^-1 of its strip, d its least
+    flip shift."""
+    checked = {"wall": 0, "median": 0}
+    for word in words():
+        g = build_quotient(pres, word)
+        median_strip = {e.endpoints[1]: e.strip for e in g.edges
+                        if g.vertices[e.endpoints[1]].kind == "median"}
+        for v in g.vertices:
+            if v.group_order == 1:
+                continue
+            if v.kind == "wall":
+                core = tuple((x, 1) for x in v.sequence[:v.period])
+            else:
+                rows = median_strip[v.index]
+                d = full_scan_flip_shifts(rows)[0]
+                core = cyclically_reduced([(row[0], 1) for row in rows[:d]] + [(rows[d][2], -1)])
+            assert is_rotation(cyclically_reduced(v.generator_witness.letters), core), \
+                (word, v.display_label)
+            checked[v.kind] += 1
+    assert checked["wall"] > 0 and checked["median"] > 0
 
 
 def test_structured_document_of_a_flat_quotient(eighteen):

@@ -31,7 +31,7 @@ GP = GroupPresentation(("a", "b"), ((("a", 2),), (("a", 1), ("b", -1))))
 EQUAL_AND_DIFFERENT = [
     (FormalWord(((0, 1), (5, -1))), FormalWord(letters=((0, 1), (5, -1))),
      FormalWord(((0, 1), (5, 1)))),
-    (FormalWord(), FormalWord.identity(), FormalWord.generator(0)),
+    (FormalWord(), FormalWord.identity(), FormalWord(((0, 1),))),
     (GP, GroupPresentation(generators=("a", "b"), relations=GP.relations),
      GroupPresentation(GP.generators, GP.relations[:1])),
     (IsoType(1, (2, 2)), IsoType(free_rank=1, cyclic_orders=(2, 2)), IsoType(2, (2, 2))),

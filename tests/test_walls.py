@@ -6,10 +6,8 @@ from hypothesis import strategies as st
 
 from a2cent import walls
 from a2cent.errors import NotAWallWord
-from a2cent.walls import (canonical_rotation, check_wall_sequence,
-                          minimal_period, stabilizer_generator_word,
+from a2cent.walls import (canonical_rotation, check_wall_sequence, minimal_period,
                           wall_necklaces, wall_word)
-from a2cent.words import FormalWord
 from strip_oracle import full_scan_minimal_period
 
 label_seqs = st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=9)
@@ -85,15 +83,6 @@ def test_minimal_period_examples():
     assert minimal_period((0, 5, 0, 5)) == 2
     # seq[2] == seq[0] and 2 divides 4, yet 2 is not a period
     assert minimal_period((0, 5, 0, 6)) == 4
-
-
-@given(label_seqs, st.integers(min_value=1, max_value=4))
-def test_minimal_period_among_the_multiples_of_a_unit(seq, k):
-    """Searched among the multiples of a divisor of the minimal period, the
-    period of a power is that of its root."""
-    p = minimal_period(seq)
-    for unit in (d for d in range(1, p + 1) if p % d == 0):
-        assert minimal_period(seq * k, unit) == p
 
 
 @st.composite
@@ -184,10 +173,3 @@ def test_all_rotations_of_a_wall_word_are_wall_words(c1):
         for r in range(n):
             assert wall_word(c1, word[r:] + word[:r])[0] == canonical_rotation(word)
 
-
-def test_stabilizer_generator_word():
-    base = FormalWord.generator(6, -1)
-    w = stabilizer_generator_word(base, (2, 2), 1)
-    assert str(w) == "x6^-1 x2 x6"
-    w = stabilizer_generator_word(FormalWord(), (0, 5, 0, 5), 2)
-    assert str(w) == "x0 x5"

@@ -2,7 +2,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from a2cent.words import FormalWord
+from a2cent.words import NEGATIVE, POSITIVE, FormalWord, inverse_letters, share_letters
+
+# the letters of the generators the tests use, entered as build_quotient
+# enters a presentation's generators
+share_letters(range(7))
 
 letters = st.lists(
     st.tuples(st.integers(min_value=0, max_value=6), st.sampled_from([1, -1])),
@@ -10,16 +14,14 @@ letters = st.lists(
 
 
 def word_of(pairs):
-    w = FormalWord()
-    for g, e in pairs:
-        w = w * FormalWord.generator(g, e)
-    return w
+    """The reduced word of a list of letters, one letter per part."""
+    return FormalWord.spell([(letter,) for letter in pairs])
 
 
 def test_free_reduction_on_multiply():
-    w = FormalWord.generator(3, -1) * FormalWord.generator(3, 1)
+    w = FormalWord.spell([((3, -1),), ((3, 1),)])
     assert w == FormalWord.identity()
-    w = FormalWord.from_indices([0, 5]) * FormalWord.generator(5, -1)
+    w = FormalWord.spell([((0, 1), (5, 1)), ((5, -1),)])
     assert w.letters == ((0, 1),)
 
 
@@ -43,54 +45,36 @@ def test_spell_rejects_an_unreduced_part():
 
 
 def test_str():
-    w = FormalWord.generator(6, -1) * FormalWord.generator(2) * FormalWord.generator(6)
+    w = FormalWord(((6, -1), (2, 1), (6, 1)))
     assert str(w) == "x6^-1 x2 x6"
     assert str(FormalWord()) == "1"
 
 
 def test_letters_are_shared():
-    """generator, from_indices and inverse take their letters from one
-    table per process, so equal letters are one object."""
-    inverse = FormalWord.from_indices([3]).inverse()
-    assert FormalWord.generator(3, -1).letters[0] is inverse.letters[0]
-    assert FormalWord.generator(3).letters[0] is FormalWord.from_indices([3]).letters[0]
-    assert FormalWord.generator(3).letters[0] is FormalWord.generator(3, -1).inverse().letters[0]
-    with pytest.raises(ValueError, match="exponent must be"):
-        FormalWord.generator(3, 2)
-
-
-def test_from_indices_enters_new_letters():
-    """from_indices at generator indices no shared letter has been made for
-    enters them in the tables first."""
-    w = FormalWord.from_indices([2000, 2001])
-    assert w.letters == ((2000, 1), (2001, 1))
-    assert w.letters[1] is FormalWord.generator(2001).letters[0]
-
-
-def test_inverse_of_letters_made_elsewhere():
-    """A word built from its own letter tuples, at generator indices no
-    shared letter has been made for, still inverts."""
-    w = FormalWord(((1000, 1), (1001, -1)))
-    assert w.inverse().letters == ((1001, 1), (1000, -1))
-    assert w.inverse().letters[1] is FormalWord.generator(1000, -1).letters[0]
-
-
-def test_conjugate():
-    h = FormalWord.generator(2).conjugate_by(FormalWord.generator(6, -1))
-    assert h.letters == ((6, -1), (2, 1), (6, 1))
+    """inverse_letters takes its letters from one table per exponent, so
+    equal letters are one object, whatever tuples the word was made of."""
+    assert inverse_letters(((3, 1),)) == ((3, -1),)
+    assert inverse_letters(((3, 1),))[0] is NEGATIVE[3]
+    assert inverse_letters(((3, -1),))[0] is POSITIVE[3]
+    assert inverse_letters(((1, 1), (3, -1))) == ((3, 1), (1, -1))
+    assert inverse_letters(()) == ()
 
 
 @given(letters, letters, letters)
 def test_associativity(p1, p2, p3):
     a, b, c = word_of(p1), word_of(p2), word_of(p3)
-    assert (a * b) * c == a * (b * c)
+    ab = FormalWord.spell((a.letters, b.letters))
+    bc = FormalWord.spell((b.letters, c.letters))
+    assert FormalWord.spell((ab.letters, c.letters)) == FormalWord.spell((a.letters, bc.letters))
 
 
 @given(letters)
 def test_inverse_cancels(pairs):
     w = word_of(pairs)
-    assert w * w.inverse() == FormalWord.identity()
-    assert w.inverse().inverse() == w
+    inverse = inverse_letters(w.letters)
+    assert FormalWord.spell((w.letters, inverse)) == FormalWord.identity()
+    assert FormalWord.spell((inverse, w.letters)) == FormalWord.identity()
+    assert FormalWord(inverse_letters(inverse)) == w
 
 
 def reference_product(left, right):
@@ -113,41 +97,41 @@ few_letters = st.lists(
 def test_product_equals_stack_reduction(p1, p2, k):
     """right starts with the inverse of the last k letters of left, so the
     seam cancels fully, partially or not at all."""
-    left = FormalWord(reference_product((), p1))
-    cancelled = FormalWord(left.letters[len(left) - min(k, len(left)):]).inverse()
-    right = FormalWord(reference_product(cancelled.letters, p2))
-    for a, b in ((left, right), (right, left), (left, left.inverse()), (left, cancelled)):
-        assert (a * b).letters == reference_product(a.letters, b.letters)
+    left = reference_product((), p1)
+    cancelled = inverse_letters(left[len(left) - min(k, len(left)):])
+    right = reference_product(cancelled, p2)
+    for a, b in ((left, right), (right, left), (left, inverse_letters(left)), (left, cancelled)):
+        assert FormalWord.spell((a, b)).letters == reference_product(a, b)
 
 
-def fold(factors):
-    """The left fold of ``*`` over the factors."""
+def fold(parts):
+    """The left fold of two-part spells over the parts."""
     w = FormalWord()
-    for factor in factors:
-        w = w * factor
+    for part in parts:
+        w = FormalWord.spell((w.letters, part))
     return w
 
 
 @given(st.lists(few_letters, max_size=5), st.integers(min_value=0, max_value=5),
        st.integers(min_value=0, max_value=14))
 def test_n_ary_product_equals_fold(parts, at, k):
-    """FormalWord.product equals the left fold of * and the stack reduction,
-    also with a middle factor that cancels completely: at position ``at`` the
-    inverse of the last k letters of the product so far is inserted, and the
-    original factors stay around it."""
-    factors = [FormalWord(reference_product((), p)) for p in parts]
+    """spell of many parts equals the left fold of two-part spells and the
+    stack reduction, also with a middle part that cancels completely: at
+    position ``at`` the inverse of the last k letters of the product so far
+    is inserted, and the original parts stay around it."""
+    factors = [reference_product((), p) for p in parts]
     at = min(at, len(factors))
-    so_far = fold(factors[:at])
-    cancelling = FormalWord(so_far.letters[len(so_far) - min(k, len(so_far)):]).inverse()
+    so_far = fold(factors[:at]).letters
+    cancelling = inverse_letters(so_far[len(so_far) - min(k, len(so_far)):])
     for case in (factors, factors[:at] + [cancelling] + factors[at:],
-                 factors[:at] + [cancelling, cancelling.inverse()] + factors[at:]):
+                 factors[:at] + [cancelling, inverse_letters(cancelling)] + factors[at:]):
         expected = ()
         for factor in case:
-            expected = reference_product(expected, factor.letters)
-        assert FormalWord.product(case).letters == expected
-        assert FormalWord.product(case) == fold(case)
+            expected = reference_product(expected, factor)
+        assert FormalWord.spell(case).letters == expected
+        assert FormalWord.spell(case) == fold(case)
 
 
 def test_n_ary_product_of_nothing_is_the_identity():
-    assert FormalWord.product(()) == FormalWord.identity()
-    assert FormalWord.product(iter([FormalWord.generator(1)])).letters == ((1, 1),)
+    assert FormalWord.spell(()) == FormalWord.identity()
+    assert FormalWord.spell(iter([((1, 1),)])).letters == ((1, 1),)
