@@ -31,16 +31,20 @@ class NotAWallWord(A2CentError):
 
 
 class AmbiguousStrip(A2CentError):
-    """Two distinct periodic strips share an initial triangle.
+    """A lower triangle whose rows continue two ways over one window of the
+    strip walk.
 
-    This would violate the determined-by-one-triangle property and is never
-    silently resolved.
+    In a building each lower triangle on a straight wall continues in
+    exactly one way (``strips`` module docstring), so no presentation that
+    ``load`` accepts raises it.  ``initial_triangle`` is the lower triangle
+    at the start of the window; it is never silently resolved.
     """
 
     def __init__(self, initial_triangle):
         self.initial_triangle = initial_triangle
         super().__init__(
-            f"two periodic strips share the initial triangle {initial_triangle}"
+            f"the lower triangle {initial_triangle} continues two ways along the wall, "
+            f"which the link of a building rules out"
         )
 
 

@@ -74,7 +74,8 @@ class TrianglePresentation(Frozen):
     Equality and hashing read only ``generator_count``, ``rotation_classes``
     and ``thickness_q``: the tables follow from the first two.
     ``_windows``, the strip walk's memo (``strips.enumerate_periodic_strips``),
-    starts empty, grows to one entry per straight window met and is not compared.
+    starts empty, maps each straight window met to the one row chain of each
+    start pair over it, with the pair it ends in, and is not compared.
     It holds only windows of walls that passed ``walls.check_wall_sequence``,
     so a wall whose windows are all in it is straight and in range.
     """

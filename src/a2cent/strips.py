@@ -23,24 +23,37 @@ rotation of the rows.  A wall closes at most one strip per start pair
 shifts of a strip and of its swap (the strip read from the opposite wall)
 that read off a canonical wall.
 
-The strips along a wall are found by one walk that starts from the row
-chains over the wall's first window and extends them WINDOW wall letters
-at a time; each presentation memoizes the row chains over a window of
-letters, built from ``presentation.starting`` alone, and a wall that
+In a building a lower triangle on a straight wall continues in exactly one
+way.  The vertex link is a projective plane (``presentation.load`` checks
+it), in which line i holds point j iff (i, j) heads a rotation.  Along a
+straight wall (a_k, a_{k+1}) heads none, so line a_k and point a_{k+1}
+are at distance 3.  Point s_k lies on line a_k, so s_k is not a_{k+1},
+and the two points lie on exactly one common line, u_k.  The pair
+(u_k, s_k) heads one rotation, (u_k, s_k, b_k), which fixes the upper
+triangle (s_k, b_k, u_k), and (u_k, a_{k+1}) heads one, (u_k, a_{k+1},
+s_{k+1}), which fixes the next lower triangle (a_{k+1}, s_{k+1}, u_k).
+u_k = a_k would be the fold, but line a_k misses point a_{k+1}.  So the
+walk from a start pair (s_0, t_0) is one path, and the strips at a wall of
+length n are the start pairs that their paths bring back after n letters.
+
+The walk follows each path WINDOW wall letters at a time; each
+presentation memoizes the one row chain of each start pair over a window
+of letters, built from ``presentation.starting`` alone, and a wall that
 passes the wall check has all its missing windows built before its walk
-starts, so the walk itself only looks them up.  A row's
-upper choices (b, u) are ``starting[s]`` but the fold b == t ((s, t) heads
-one rotation, (s, t, a), so b == t forces u == a), and its next lower
-triangle (a', s', u) is the rotation (u, a', s'), which the pair (u, a')
-heads at most once, so ``starting[a']`` gives at most one s' for u.  So
-every row of a closed walk is two relator rotations that do not fold, every
-seam closes, and the base wall is checked or straight by the memo.  The
+starts, so the walk itself only looks them up.  A row's upper choices
+(b, u) are ``starting[s]`` but the fold b == t ((s, t) heads one rotation,
+(s, t, a), so b == t forces u == a), and its next lower triangle
+(a', s', u) is the rotation (u, a', s'), which the pair (u, a') heads at
+most once, so ``starting[a']`` gives at most one s' for u.  So every row of
+a closed walk is two relator rotations that do not fold, every seam
+closes, and the base wall is checked or straight by the memo.  The
 opposite wall b is straight too, so the walk checks nothing more: at
 w_{k+1} the upper triangles k, k+1 and the lower triangle k+1 make a path
 of length 3 in the vertex link that the fold rule and the straight base
 wall keep from backtracking, and a bent pair (b_k, b_{k+1}) would close it
-into a 4-cycle, which the link of a building, of girth 6, does not have
-(``presentation.load`` rejects every other link).
+into a 4-cycle, which the link of a building, of girth 6, does not have.
+Off a building a window's rows can continue two ways from one start, and
+the walk raises AmbiguousStrip there (``load`` rejects every such link).
 """
 
 from __future__ import annotations
@@ -74,27 +87,24 @@ def enumerate_periodic_strips(presentation: TrianglePresentation, wall) -> list[
     ``rows[0][1:3]``.
 
     ``wall`` is the phase-aligned label sequence (length n = |g| in edges).
-    One walk along the wall carries every partial strip, starting from each
-    of the q+1 initial lower triangles (a_0, s_0, t_0).  At position k a
-    partial strip ending in lower triangle (a_k, s_k, t_k) extends by each
-    non-folding upper choice (b_k, u_k); the next lower triangle
-    (a_{k+1}, s_{k+1}, u_k) is forced across the seam, and the extension
-    dies when it does not exist.  A step advances WINDOW letters: the wall
-    letters a_k .. a_{k+WINDOW} (fewer at the end) key the extensions of
-    each (s_k, t_k) over them, chained from ``presentation.starting`` the
-    first time the window is met and kept in the presentation's memo, so a
-    step is one lookup per partial strip.  The memo holds only windows of
-    walls that passed ``check_wall_sequence``, and a wall's windows cover
-    all its cyclic pairs, so a nonempty wall whose windows are all in the
-    memo is straight and in range: the wall is checked only when a window
-    is missing, with the same errors, and then every missing window is
-    built, all before the walk.  The walks start as the row chains of the
-    first window from each initial pair, in the order of
-    ``presentation.starting[a_0]``.  After n letters a strip closes when
-    its next lower triangle is its initial one.  Each initial triangle
-    closes at most one strip (asserted at every start; AmbiguousStrip
-    otherwise), so the start pairs are distinct and each names one strip
-    at the wall.  Strips come in the order of their initial triangles.
+    A lower triangle on a straight wall continues in one way (module
+    docstring), so the walk from each initial lower triangle
+    (a_0, s_0, t_0) is one path.  A step advances WINDOW letters: the wall
+    letters a_k .. a_{k+WINDOW} (fewer at the end) key the one row chain of
+    each (s_k, t_k) over them and the pair it ends in, chained from
+    ``presentation.starting`` the first time the window is met and kept in
+    the presentation's memo, so a step is one lookup.  The memo holds only
+    windows of walls that passed ``check_wall_sequence``, and a wall's
+    windows cover all its cyclic pairs, so a nonempty wall whose windows
+    are all in the memo is straight and in range: the wall is checked only
+    when a window is missing, with the same errors, and then every missing
+    window is built, all before the walk; off a building, a window whose
+    rows continue two ways from one start raises AmbiguousStrip there.
+    The paths start from the pairs of ``presentation.starting[a_0]``, in
+    that order; a path that leaves the memo closes nothing, and a path that
+    ends in its start pair after n letters closes a strip, whose rows are
+    then read off the windows once.  So the start pairs are distinct and
+    each names one strip at the wall.
     """
     a = tuple(wall)
     ring = a + a[:1]
@@ -104,27 +114,31 @@ def enumerate_periodic_strips(presentation: TrianglePresentation, wall) -> list[
         check_wall_sequence(presentation, a)
         chain = [_window_steps(presentation, ring[k:k + WINDOW + 1])
                  for k in range(0, len(a), WINDOW)]
-    # (rows, (s_k, t_k)): every walk starts as a row chain of the first window
-    walks = [walk for start in presentation.starting[a[0]] for walk in chain[0][start]]
-    for steps in chain[1:]:
-        if not walks:
-            return []
-        walks = [(rows + more, st) for rows, start in walks for more, st in steps[start]]
-    # a closed walk ends in its start pair, so its st is its start
-    closed = [(rows, st) for rows, st in walks if rows[0][1:3] == st]
-    starts = [st for _rows, st in closed]
-    for start in starts:
-        if starts.count(start) > 1:
-            raise AmbiguousStrip((a[0], *start))
+    closed = []
+    for start in presentation.starting[a[0]]:
+        end = start
+        try:
+            for steps in chain:
+                end = steps[end][1]
+        except KeyError:  # the path dies in a window
+            continue
+        if end == start:
+            rows = []
+            for steps in chain:
+                more, end = steps[end]
+                rows += more
+            closed.append((tuple(rows), start))
     return closed
 
 
 def _window_steps(presentation, window):
     """The memo entry of the window, built and kept on its first use: for
     each (s, t) with (window[0], s, t) a rotation, the (rows, (s', u)) of
-    each row chain over the window's letters, its upper choices in the
-    order of ``starting``; ``afters[k][u]`` is the s' of the next lower
-    triangle (window[k + 1], s', u)."""
+    its one row chain over the window's letters, left out where the chain
+    dies; ``afters[k][u]`` is the s' of the next lower triangle
+    (window[k + 1], s', u).  A start with two or more chains raises
+    AmbiguousStrip, naming its lower triangle, and keeps the window out of
+    the memo; the link of a building rules it out (module docstring)."""
     steps = presentation._windows.get(window)
     if steps is not None:
         return steps
@@ -136,7 +150,10 @@ def _window_steps(presentation, window):
         for ak, after in zip(window, afters):
             walks = [(rows + ((ak, sk, tk, b, u),), (after[u], u)) for rows, (sk, tk) in walks
                      for b, u in starting[sk] if b != tk and u in after]
-        steps[start] = tuple(walks)
+        if len(walks) > 1:
+            raise AmbiguousStrip((window[0], *start))
+        if walks:
+            steps[start] = walks[0]
     presentation._windows[window] = steps
     return steps
 

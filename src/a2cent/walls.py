@@ -15,7 +15,7 @@ from .presentation import TrianglePresentation
 
 def canonical_rotation(labels):
     """Lexicographically least rotation of the sequence (as a tuple), from
-    ``least_rotation``."""
+    ``least_rotation``, which raises ValueError on an empty sequence."""
     return least_rotation(labels)[0]
 
 
@@ -29,9 +29,11 @@ def least_rotation(labels):
     to the canonical one are those by r plus multiples of the period, so
     the first one after r gives the period, and the scan stops there: every
     later rotation repeats one already compared.  With none, the period is
-    the length.
+    the length.  Raises ValueError on an empty sequence.
     """
     seq = tuple(labels)
+    if not seq:
+        raise ValueError("empty sequence has no least rotation")
     n = len(seq)
     first = min(seq)
     doubled = seq + seq
@@ -49,11 +51,9 @@ def least_rotation(labels):
 
 def minimal_period(labels):
     """The least p dividing n with the sequence invariant under rotation by
-    p, from ``least_rotation``.  Raises ValueError on an empty sequence."""
-    seq = tuple(labels)
-    if not seq:
-        raise ValueError("empty sequence has no period")
-    return least_rotation(seq)[2]
+    p, from ``least_rotation``, which raises ValueError on an empty
+    sequence."""
+    return least_rotation(labels)[2]
 
 
 def check_wall_sequence(presentation: TrianglePresentation, labels) -> None:

@@ -1,21 +1,23 @@
 """References the strip layer is checked against, on strips given as
 their row tuples, as the package returns them: a strip's five label
 sequences and its shift, a strip check that runs every invariant one by
-one, a brute-force strip enumeration, the edge key that names a strip
-orbit, a strip's anchored readings as whole rows, a grouping of the strips
-at one wall into wall-stabilizer classes, and the full scans over all n
-phases of five computations that the package runs over one period or cuts
-short.
+one, a brute-force strip enumeration, the recursive strip search, the
+row chains over a window by brute force and the walk's outcome from those
+two, the edge key that names a strip orbit, a strip's anchored readings
+as whole rows, a grouping of the strips at one wall into wall-stabilizer
+classes, and the full scans over all n phases of five computations that
+the package runs over one period or cuts short.
 
 The package checks no strip this way: its walk builds rows that are valid
 and seams that close, and on the link of a building, of girth 6, the
 opposite wall is straight (``strips.enumerate_periodic_strips``)."""
 
+import functools
 import itertools
 
-from a2cent.errors import InvariantError, NotAWallWord
+from a2cent.errors import AmbiguousStrip, InvariantError, NotAWallWord
 from a2cent.presentation import TrianglePresentation
-from a2cent.strips import swapped_rows
+from a2cent.strips import WINDOW, swapped_rows
 from a2cent.walls import canonical_rotation, check_wall_sequence, minimal_period
 from presentations import rotation_set
 
@@ -86,6 +88,97 @@ def oracle_enumerate(presentation: TrianglePresentation, wall) -> list[tuple]:
                 continue
             out.append(rows)
     return out
+
+
+# Reference: the recursive strip search, as it was before the strip walk
+# chained its rows window by window, and the walk's outcome from it.
+
+def reference_enumerate(presentation, wall, validate=True):
+    """The strips at the wall by a recursive search, as (rows, (s_0, t_0))
+    pairs, each checked by ``validate_strip`` unless ``validate`` is
+    false."""
+    a = tuple(wall)
+    check_wall_sequence(presentation, a)
+    # completion[i][k] is the unique j with rotation (i, j, k)
+    completion = [{} for _ in range(presentation.generator_count)]
+    for (i, j, k) in rotation_set(presentation):
+        completion[i][k] = j
+    found = []
+    for (s0, t0) in presentation.starting[a[0]]:
+        completions = []
+        _reference_extend(presentation.starting, completion, a, 0, s0, t0, [], completions)
+        if len(completions) > 1:
+            raise AmbiguousStrip((a[0], s0, t0))
+        if completions:
+            if validate:
+                validate_strip(presentation, completions[0])
+            found.append((completions[0], (s0, t0)))
+    return found
+
+
+def _reference_extend(starting, completion, a, k, sk, tk, rows, completions):
+    ak = a[k]
+    last = k == len(a) - 1
+    complete_next = completion[a[0] if last else a[k + 1]]
+    for (bk, uk) in starting[sk]:
+        if bk == tk and uk == ak:
+            continue
+        s_next = complete_next.get(uk)
+        if s_next is None:
+            continue
+        row = (ak, sk, tk, bk, uk)
+        if last:
+            _a0, s0, t0, _b0, _u0 = rows[0] if rows else row
+            if s_next == s0 and uk == t0:
+                completions.append((*rows, row))
+        else:
+            rows.append(row)
+            _reference_extend(starting, completion, a, k + 1, s_next, uk, rows, completions)
+            rows.pop()
+
+
+@functools.lru_cache(maxsize=4096)
+def brute_window_steps(pres, window):
+    """The strip walk's row chains over a window, from the rotation set:
+    for each lower triangle (window[0], s, t), every chain of rows
+    (a_k, s_k, t_k, b_k, u_k) with a_k = window[k], (s_k, b_k, u_k) a
+    rotation other than the fold (s_k, t_k, a_k), and (a_{k+1}, s_{k+1}, u_k)
+    a rotation, with t_{k+1} = u_k, each with the pair (s, t) it ends in,
+    in lexicographic order of the upper triangles."""
+    by_first = {}
+    for rot in sorted(rotation_set(pres)):
+        by_first.setdefault(rot[0], []).append(rot)
+
+    def chains(k, s, t):
+        if k == len(window) - 1:
+            return [((), (s, t))]
+        return [(((window[k], s, t, b, u),) + rows, end)
+                for (_s, b, u) in by_first[s] if (b, u) != (t, window[k])
+                for (_a, s_next, u_next) in by_first.get(window[k + 1], ()) if u_next == u
+                for rows, end in chains(k + 1, s_next, u)]
+
+    return {(s, t): tuple(chains(0, s, t)) for (_a, s, t) in by_first.get(window[0], ())}
+
+
+def window_keys(wall):
+    """The strip walk's windows of the wall: the WINDOW + 1 letters from
+    each multiple of WINDOW, read cyclically, fewer at the end."""
+    ring = wall + wall[:1]
+    return [ring[k:k + WINDOW + 1] for k in range(0, len(wall), WINDOW)]
+
+
+def reference_walk(presentation, wall, validate=True):
+    """The outcome the strip walk must have, from the two references: at
+    the first of the wall's windows over which ``brute_window_steps`` finds
+    two chains from one start, AmbiguousStrip naming the first such lower
+    triangle; with no such window, ``reference_enumerate``."""
+    a = tuple(wall)
+    check_wall_sequence(presentation, a)
+    for window in window_keys(a):
+        for start, chains in brute_window_steps(presentation, window).items():
+            if len(chains) > 1:
+                raise AmbiguousStrip((window[0], *start))
+    return reference_enumerate(presentation, a, validate)
 
 
 def canonical_edge_key(rows):

@@ -5,11 +5,12 @@ import re
 import pytest
 
 from a2cent import strips
-from a2cent.errors import PresentationError
+from a2cent.errors import AmbiguousStrip, PresentationError
 from a2cent.presentation import (BUILTIN_PRESENTATIONS, _canonical_class, _rotations, load,
                                  load_named, loads)
-from presentations import (OPPOSITE_BENDS, OTHER_Q2, SINGER_Q4, link_stats, relabelled_c1,
-                           rotation_set, unchecked)
+from presentations import (NON_BUILDING, OPPOSITE_BENDS, OTHER_Q2, SINGER_Q4, SOME_WALLS_BRANCH,
+                           link_stats, relabelled_c1, rotation_set, unchecked)
+from strip_oracle import brute_window_steps
 
 
 def test_c1_shape(c1):
@@ -86,37 +87,42 @@ def straight_windows(pres, length):
     return windows
 
 
-def brute_window_steps(pres, window):
-    """The strip walk's row chains over a window, from the rotation set:
-    for each lower triangle (window[0], s, t), every chain of rows
-    (a_k, s_k, t_k, b_k, u_k) with a_k = window[k], (s_k, b_k, u_k) a
-    rotation other than the fold (s_k, t_k, a_k), and (a_{k+1}, s_{k+1}, u_k)
-    a rotation, with t_{k+1} = u_k, each with the pair (s, t) it ends in,
-    in lexicographic order of the upper triangles."""
-    by_first = {}
-    for rot in sorted(rotation_set(pres)):
-        by_first.setdefault(rot[0], []).append(rot)
-
-    def chains(k, s, t):
-        if k == len(window) - 1:
-            return [((), (s, t))]
-        return [(((window[k], s, t, b, u),) + rows, end)
-                for (_s, b, u) in by_first[s] if (b, u) != (t, window[k])
-                for (_a, s_next, u_next) in by_first.get(window[k + 1], ()) if u_next == u
-                for rows, end in chains(k + 1, s_next, u)]
-
-    return {(s, t): tuple(chains(0, s, t)) for (_a, s, t) in by_first.get(window[0], ())}
-
-
 def check_window_steps(pres, windows):
-    """``strips._window_steps`` equals its brute force on every window;
-    returns the number of windows and of the chains over them."""
+    """On every window ``brute_window_steps`` finds exactly one row chain
+    from each start, and ``strips._window_steps`` holds that chain and the
+    pair it ends in; returns the number of windows and of the chains over
+    them."""
     chains = 0
     for window in windows:
+        brute = brute_window_steps(pres, window)
+        assert all(len(entry) == 1 for entry in brute.values()), window
         steps = strips._window_steps(pres, window)
-        assert steps == brute_window_steps(pres, window), window
-        chains += sum(len(entry) for entry in steps.values())
+        assert steps == {start: entry[0] for start, entry in brute.items()}, window
+        chains += len(steps)
     return len(windows), chains
+
+
+def check_branching_window_steps(pres, windows):
+    """Where ``brute_window_steps`` finds two row chains from a start over a
+    window, ``strips._window_steps`` raises AmbiguousStrip naming the first
+    such lower triangle and keeps the window out of the memo; elsewhere it
+    holds the one chain of each start that has one.  Returns the numbers of
+    windows, of those that branch and of the chains held."""
+    branching = chains = 0
+    for window in windows:
+        brute = brute_window_steps(pres, window)
+        two = [start for start, entry in brute.items() if len(entry) > 1]
+        if two:
+            with pytest.raises(AmbiguousStrip) as exc:
+                strips._window_steps(pres, window)
+            assert exc.value.initial_triangle == (window[0], *two[0]), window
+            assert window not in pres._windows
+            branching += 1
+            continue
+        steps = strips._window_steps(pres, window)
+        assert steps == {start: entry[0] for start, entry in brute.items() if entry}, window
+        chains += len(steps)
+    return len(windows), branching, chains
 
 
 def sampled_windows(pres, seed=25, count=60):
@@ -137,6 +143,17 @@ def test_strip_tables_of_c1(c1):
     assert check_window_steps(c1, windows) == (588, 3 * 588)  # one chain per start
 
 
+@pytest.mark.slow
+def test_strip_tables_of_singer_q4_at_every_window_of_4_letters():
+    """Every straight window of WINDOW + 1 letters of SINGER_Q4 has one row
+    chain from each of its five starts, which the memo holds: a fresh load
+    per first letter, so that no memo holds them all."""
+    windows = straight_windows(SINGER_Q4, strips.WINDOW + 1)
+    counts = [check_window_steps(load(SINGER_Q4.to_document()), [w for w in windows if w[0] == x])
+              for x in range(SINGER_Q4.generator_count)]
+    assert [sum(column) for column in zip(*counts)] == [86016, 5 * 86016]
+
+
 def test_singer_q4_is_a_building_of_thickness_4():
     assert (SINGER_Q4.generator_count, SINGER_Q4.thickness_q) == (21, 4)
     assert len(SINGER_Q4.rotation_classes) == 35
@@ -144,24 +161,31 @@ def test_singer_q4_is_a_building_of_thickness_4():
 
 
 def test_strip_tables_of_a_non_building():
-    """Partial strips branch here, so a window's chains outnumber its three
-    starts: every straight window of 2 to 4 letters, 168 chains."""
-    pres = unchecked(_doc([[3, 0, 1], [3, 1, 2], [0, 2, 1], [3, 2, 0]], m=4))
-    assert check_window_steps(pres, sampled_windows(pres)) == (12, 168)
+    """Off a building the rows over a window can continue two ways from one
+    start: on every straight 2-letter window and a sample of longer ones of
+    fresh copies of the three non-building presentations, the memo entry
+    against its brute force; the numbers of windows, of those that branch
+    and of the chains held."""
+    counts = {}
+    for name, pres in [("non_building", NON_BUILDING), ("opposite_bends", OPPOSITE_BENDS),
+                       ("some_walls_branch", SOME_WALLS_BRANCH)]:
+        pres = unchecked(pres.to_document())
+        counts[name] = check_branching_window_steps(pres, sampled_windows(pres))
+    assert counts == {"non_building": (12, 12, 0), "opposite_bends": (70, 70, 0),
+                      "some_walls_branch": (132, 42, 167)}
 
 
 @pytest.mark.parametrize("pres, expected", [
     (relabelled_c1(20111), (148, 444)),
     (OTHER_Q2, (148, 444)),
-    (OPPOSITE_BENDS, (70, 440)),
     (SINGER_Q4, (456, 2280)),
-], ids=["relabelled_c1", "other_q2", "opposite_bends", "singer_q4"])
+], ids=["relabelled_c1", "other_q2", "singer_q4"])
 def test_strip_tables_of_the_test_presentations(pres, expected):
     """The fold test b == t of the strip walk drops exactly the rows with
     (b, u) == (t, a), as (s, t) heads one rotation, and ``starting[a']``
-    finds the one next lower triangle: the chains over every straight
-    2-letter window and a sample of longer ones equal their brute force;
-    the numbers of windows and chains."""
+    finds the one next lower triangle: over every straight 2-letter window
+    and a sample of longer ones, each start has one chain, which the memo
+    holds; the numbers of windows and chains."""
     assert check_window_steps(pres, sampled_windows(pres)) == expected
 
 

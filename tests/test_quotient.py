@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import tracemalloc
+from collections import Counter
 from math import gcd
 
 import pytest
@@ -15,10 +16,10 @@ from a2cent.quotient import build_quotient, vertex_witnesses
 from a2cent.strips import enumerate_periodic_strips
 from a2cent.walls import minimal_period, wall_necklaces
 from a2cent.words import FormalWord, inverse_letters
-from presentations import (NON_BUILDING, OTHER_Q2, SINGER_Q4, deep_walls, relabelled_c1,
-                           unchecked)
+from presentations import (NON_BUILDING, OTHER_Q2, SINGER_Q4, SOME_WALLS_BRANCH, deep_walls,
+                           relabelled_c1, unchecked)
 from strip_oracle import (full_scan_flip_shifts, full_scan_median_display_label,
-                          full_scan_minimal_period)
+                          full_scan_minimal_period, reference_walk)
 
 C1 = load_named("c1")
 
@@ -154,29 +155,33 @@ def test_graph_invariants_through_length_6(pres):
             check_graph_invariants(pres, word)
 
 
-def test_quotient_outcomes_where_strips_branch():
-    """On a fresh copy of a non-building presentation, whose partial strips
-    branch, build_quotient at every wall necklace of length 1-6 either
-    raises, with these arguments, or returns a graph; the number of graphs
-    and the sha256 of their structured reports are pinned, as produced
-    before the BFS stopped validating the strips it drops."""
-    pres = unchecked(NON_BUILDING.to_document())
-    failures, digest, built = {}, hashlib.sha256(), 0
-    for n in range(1, 7):
-        for word in wall_necklaces(pres, n):
-            try:
-                g = build_quotient(pres, word)
-            except AmbiguousStrip as exc:
-                failures[word] = exc.args
-                continue
-            digest.update((json.dumps(g.to_json(), indent=2, sort_keys=True) + "\n").encode())
-            built += 1
-    assert failures == {
-        (x,) * n: (f"two periodic strips share the initial triangle {triangle}",)
-        for n in range(3, 7)
-        for x, triangle in enumerate([(0, 1, 3), (1, 0, 2), (2, 0, 3), (3, 0, 1)])}
-    assert (built, digest.hexdigest()) == \
-        (8, "1fcce9fa64c70d28df900362aad3f68fdaf84f263467275885c95dd4a1eff035")
+def test_quotient_outcomes_where_strips_branch(monkeypatch):
+    """On fresh copies of two non-building presentations, build_quotient at
+    every wall necklace of length 1-6 has the outcome it has with the
+    recursive reference in place of the walk (``reference_walk``,
+    unchecked): the same structured graph, or the same error, where a wall
+    it reaches has a window whose rows branch (AmbiguousStrip) or where an
+    opposite wall bends (NotAWallWord).  The numbers of each outcome."""
+    def outcome(pres, word):
+        try:
+            return json.dumps(build_quotient(pres, word).to_json(), sort_keys=True)
+        except (AmbiguousStrip, NotAWallWord) as exc:
+            return type(exc).__name__, exc.args
+
+    def outcomes(pres):
+        pres = unchecked(pres.to_document())
+        return [outcome(pres, word) for n in range(1, 7) for word in wall_necklaces(pres, n)]
+
+    counts = {}
+    for name, pres in [("non_building", NON_BUILDING), ("some_walls_branch", SOME_WALLS_BRANCH)]:
+        got = outcomes(pres)
+        with monkeypatch.context() as patch:
+            patch.setattr(quotient, "enumerate_periodic_strips",
+                          lambda presentation, wall: reference_walk(presentation, wall, False))
+            assert got == outcomes(pres), name
+        counts[name] = Counter(out[0] if isinstance(out, tuple) else "graph" for out in got)
+    assert counts == {"non_building": {"AmbiguousStrip": 24},
+                      "some_walls_branch": {"AmbiguousStrip": 157, "NotAWallWord": 19, "graph": 52}}
 
 
 def test_translation_keeps_the_signature_on_singer_q4():

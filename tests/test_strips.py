@@ -11,11 +11,12 @@ from a2cent.strips import (WINDOW, anchored_readings, enumerate_periodic_strips,
                            strip_json, swapped_rows)
 from a2cent.walls import (check_wall_sequence, least_rotation, minimal_period, wall_necklaces,
                           wall_word)
-from presentations import (NON_BUILDING, OPPOSITE_BENDS, OTHER_Q2, SINGER_Q4, relabelled_c1,
-                           rotation_set, unchecked)
+from presentations import (NON_BUILDING, OPPOSITE_BENDS, OTHER_Q2, SINGER_Q4, SOME_WALLS_BRANCH,
+                           relabelled_c1, unchecked)
 from strip_oracle import (canonical_edge_key, columns, full_scan_flip_shifts,
                           full_scan_least_rotation, full_scan_wall_word, group_by_wall_shifts,
-                          oracle_enumerate, row_anchored_readings, shift, validate_strip)
+                          oracle_enumerate, reference_enumerate, reference_walk,
+                          row_anchored_readings, shift, validate_strip, window_keys)
 
 C1 = load_named("c1")
 
@@ -284,53 +285,6 @@ def test_flip_shifts_equal_brute_force_on_enumerated_strips():
     assert (len(strips), flips) == (162 + 72, 4 + 12)
 
 
-# Reference: the recursive strip search, as it was before the strip walk
-# chained its rows window by window.
-
-def reference_enumerate(presentation, wall, validate=True):
-    """The strips at the wall by a recursive search, as (rows, (s_0, t_0))
-    pairs, each checked by ``validate_strip`` unless ``validate`` is
-    false."""
-    a = tuple(wall)
-    check_wall_sequence(presentation, a)
-    # completion[i][k] is the unique j with rotation (i, j, k)
-    completion = [{} for _ in range(presentation.generator_count)]
-    for (i, j, k) in rotation_set(presentation):
-        completion[i][k] = j
-    found = []
-    for (s0, t0) in presentation.starting[a[0]]:
-        completions = []
-        _reference_extend(presentation.starting, completion, a, 0, s0, t0, [], completions)
-        if len(completions) > 1:
-            raise AmbiguousStrip((a[0], s0, t0))
-        if completions:
-            if validate:
-                validate_strip(presentation, completions[0])
-            found.append((completions[0], (s0, t0)))
-    return found
-
-
-def _reference_extend(starting, completion, a, k, sk, tk, rows, completions):
-    ak = a[k]
-    last = k == len(a) - 1
-    complete_next = completion[a[0] if last else a[k + 1]]
-    for (bk, uk) in starting[sk]:
-        if bk == tk and uk == ak:
-            continue
-        s_next = complete_next.get(uk)
-        if s_next is None:
-            continue
-        row = (ak, sk, tk, bk, uk)
-        if last:
-            _a0, s0, t0, _b0, _u0 = rows[0] if rows else row
-            if s_next == s0 and uk == t0:
-                completions.append((*rows, row))
-        else:
-            rows.append(row)
-            _reference_extend(starting, completion, a, k + 1, s_next, uk, rows, completions)
-            rows.pop()
-
-
 def outcome(fn, *args):
     """fn(*args), or the type, arguments and message of what it raised."""
     try:
@@ -341,13 +295,13 @@ def outcome(fn, *args):
 
 def check_enumerate_equals_reference(presentation, walls, validate=True):
     """Same strips with the same start pairs in the same order (or the same
-    exception) at every rotation of every wall."""
+    exception) as ``reference_walk`` at every rotation of every wall."""
     outcomes = []
     for wall in walls:
         for r in range(len(wall)):
             rotated = wall[r:] + wall[:r]
             got = outcome(enumerate_periodic_strips, presentation, rotated)
-            assert got == outcome(reference_enumerate, presentation, rotated, validate), rotated
+            assert got == outcome(reference_walk, presentation, rotated, validate), rotated
             outcomes.append(got)
     return outcomes
 
@@ -375,44 +329,60 @@ def test_enumerate_equals_reference_on_other_q2():
 
 
 def test_enumerate_equals_reference_where_strips_branch():
-    # a fresh copy, so strips branch and close twice while windows are built
-    pres = unchecked(NON_BUILDING.to_document())
-    assert not pres._windows
-    walls = walls_through(pres, 6)
-    outcomes = check_enumerate_equals_reference(pres, walls)
-    assert any(isinstance(got, tuple) and got[0] is AmbiguousStrip for got in outcomes)
-    assert any(isinstance(got, list) and got for got in outcomes)
+    """On fresh copies of two non-building presentations, whose memos start
+    empty, at every rotation of every wall necklace of length 1-6: where a
+    window's rows continue two ways from one start, the walk raises
+    AmbiguousStrip naming that lower triangle, and elsewhere it returns the
+    strips of the recursive search; the numbers of walls that raised and of
+    those that returned strips."""
+    counts = {}
+    for name, pres in [("non_building", NON_BUILDING), ("some_walls_branch", SOME_WALLS_BRANCH)]:
+        pres = unchecked(pres.to_document())
+        assert not pres._windows
+        outcomes = check_enumerate_equals_reference(pres, walls_through(pres, 6), validate=False)
+        counts[name] = (sum(isinstance(got, tuple) and got[0] is AmbiguousStrip
+                            for got in outcomes),
+                        sum(isinstance(got, list) and bool(got) for got in outcomes))
+    assert counts == {"non_building": (84, 0), "some_walls_branch": (665, 205)}
 
 
 def test_enumerate_equals_the_unchecked_search_where_the_opposite_wall_bends():
     """On a girth-4 presentation, which load rejects, a closed walk can
-    bend on its opposite wall, which the link of a building rules out, and
-    walls of several letters close two walks from one start.  At every
-    rotation of every wall necklace of length 1-6 the walk returns the
-    closed walks of the recursive search, unchecked, or raises the same
-    AmbiguousStrip, naming the same initial triangle; the numbers of each
-    outcome, and of returned strips whose opposite wall bends."""
-    pres = unchecked(OPPOSITE_BENDS.to_document())
-    outcomes = check_enumerate_equals_reference(pres, walls_through(pres, 6), validate=False)
-    ambiguous = [got for got in outcomes if isinstance(got, tuple)]
-    strips = [rows for got in outcomes if isinstance(got, list) for rows, _start in got]
-    bends = [rows for rows in strips
-             if any((row[3], after[3]) in pres.bent_pairs for row, after in zip(rows, shift(rows, 1)))]
-    assert (len(outcomes), len(ambiguous), len(strips), len(bends)) == (192, 153, 100, 11)
+    bend on its opposite wall, which the link of a building rules out.  At
+    every rotation of every wall necklace of length 1-6 the walk returns
+    the closed walks of the recursive search, unchecked, or raises the
+    AmbiguousStrip of ``reference_walk``; the numbers of each outcome, and
+    of returned strips whose opposite wall bends.  Every wall of
+    OPPOSITE_BENDS raises."""
+    counts = {}
+    for name, pres in [("opposite_bends", OPPOSITE_BENDS),
+                       ("some_walls_branch", SOME_WALLS_BRANCH)]:
+        pres = unchecked(pres.to_document())
+        outcomes = check_enumerate_equals_reference(pres, walls_through(pres, 6), validate=False)
+        ambiguous = [got for got in outcomes if isinstance(got, tuple)]
+        strips = [rows for got in outcomes if isinstance(got, list) for rows, _start in got]
+        bends = [rows for rows in strips if any((row[3], after[3]) in pres.bent_pairs
+                                                for row, after in zip(rows, shift(rows, 1)))]
+        counts[name] = (len(outcomes), len(ambiguous), len(strips), len(bends))
+    assert counts == {"opposite_bends": (192, 192, 0, 0),
+                      "some_walls_branch": (1191, 665, 250, 108)}
 
 
 def check_walk_contract(presentation, walls):
     """At every wall, the walk returns each strip with its start pair
     rows[0][1:3], the start pairs are distinct and come in the order of the
-    initial triangles; or it raises AmbiguousStrip.  Returns the number of
-    strips and, by the initial triangle named, the walls that raised."""
+    initial triangles; or it raises the AmbiguousStrip of ``reference_walk``.
+    Returns the number of strips and, by the lower triangle named, the
+    walls that raised."""
     strips, raised = 0, {}
     for wall in walls:
         try:
             found = enumerate_periodic_strips(presentation, wall)
         except AmbiguousStrip as exc:
-            assert exc.args == (f"two periodic strips share the initial triangle "
-                                f"{exc.initial_triangle}",)
+            assert exc.args == (f"the lower triangle {exc.initial_triangle} continues two ways "
+                                f"along the wall, which the link of a building rules out",)
+            assert outcome(reference_walk, presentation, wall, False) == \
+                (AmbiguousStrip, exc.args, str(exc)), wall
             raised.setdefault(exc.initial_triangle, []).append(wall)
             continue
         starts = [start for _rows, start in found]
@@ -427,10 +397,11 @@ def check_walk_contract(presentation, walls):
     (C1, (1120, {})),
     (relabelled_c1(20111), (1120, {})),
     (OTHER_Q2, (1127, {})),
-    # a fresh copy, whose memo starts empty: the walls x^k, 3 <= k <= 6,
-    # close two strips from one initial triangle
-    (None, (24, {triangle: [(triangle[0],) * k for k in range(3, 7)]
-                 for triangle in [(0, 1, 3), (1, 0, 2), (2, 0, 3), (3, 0, 1)]})),
+    # a fresh copy, whose memo starts empty: the walls are x^k, 1 <= k <= 6,
+    # and the rows over every window branch from every start, so each names
+    # the first start of x
+    (None, (0, {triangle: [(triangle[0],) * k for k in range(1, 7)]
+                for triangle in [(0, 1, 3), (1, 0, 2), (2, 0, 3), (3, 0, 1)]})),
 ], ids=["c1", "relabelled_c1", "other_q2", "non_building"])
 def test_walk_returns_each_strip_with_its_start_pair(pres, expected):
     if pres is None:
@@ -473,13 +444,6 @@ def test_window_memo_is_not_compared():
     fresh = load_named("c1")
     assert warmed._windows and not fresh._windows
     assert warmed == fresh and hash(warmed) == hash(fresh)
-
-
-def window_keys(wall):
-    """The memo keys of the wall's windows: the WINDOW + 1 letters from each
-    multiple of WINDOW, read cyclically, fewer at the end."""
-    ring = wall + wall[:1]
-    return [ring[k:k + WINDOW + 1] for k in range(0, len(wall), WINDOW)]
 
 
 def every_rotation_of_some(pres, n, count=12):
@@ -685,9 +649,10 @@ def test_strip_facts_on_relabelled_c1():
 
 
 def test_strip_facts_where_strips_branch():
-    # no strip of this presentation through length 6 is flip-symmetric
-    walls = walls_through(NON_BUILDING, 6)
-    assert check_strip_facts(NON_BUILDING, walls) == (12, 36, 0)
+    """The walls whose windows do not branch, and their strips, are those
+    of ``reference_walk`` (test_enumerate_equals_reference_where_strips_branch)."""
+    walls = walls_through(SOME_WALLS_BRANCH, 6)
+    assert check_strip_facts(SOME_WALLS_BRANCH, walls) == (526, 250, 42)
 
 
 def check_anchored_readings(presentation, walls):
@@ -699,8 +664,10 @@ def check_anchored_readings(presentation, walls):
     are the first lower triangles of those readings, in order, and each
     names exactly that one strip among those enumerated at its wall (W for
     the shifts, B for the swaps); and S has a flip shift only if B is W.
-    Walls W with an ambiguous strip are skipped.  Returns the numbers of
-    strips checked and of those with both walls on one necklace."""
+    Walls W with an ambiguous strip are skipped, and so are the strips S
+    whose B bends or has an ambiguous strip, which a building rules out.
+    Returns the numbers of strips checked and of those with both walls on
+    one necklace."""
     enumerated = {}
 
     def strips_at(wall):
@@ -717,6 +684,10 @@ def check_anchored_readings(presentation, walls):
         for s in strips:
             pe = minimal_period(s)
             canon_b, dd, p_b = least_rotation(columns(s)[3])
+            try:
+                strips_at(canon_b)
+            except (AmbiguousStrip, NotAWallWord):
+                continue
             flips = flip_shifts(s, pe)
             assert not flips or canon_b == wall, (wall, s)
             args = (minimal_period(wall),) if flips else (minimal_period(wall), (dd, p_b))
@@ -742,7 +713,7 @@ def check_anchored_readings(presentation, walls):
     (C1, (1120, 22)),
     (relabelled_c1(20111), (1120, 22)),
     (OTHER_Q2, (1127, 22)),
-    (NON_BUILDING, (24, 0)),
+    (SOME_WALLS_BRANCH, (18, 18)),
 ], ids=["c1", "relabelled_c1", "other_q2", "non_building"])
 def test_anchored_readings_are_the_enumerated_orbit(pres, expected):
     walls = walls_through(pres, 6)

@@ -110,6 +110,14 @@ def test_minimal_period_of_an_empty_sequence():
         minimal_period(())
 
 
+@pytest.mark.parametrize("fn", [walls.least_rotation, canonical_rotation, minimal_period],
+                         ids=["least_rotation", "canonical_rotation", "minimal_period"])
+@pytest.mark.parametrize("empty", [(), [], iter(())], ids=["tuple", "list", "iterator"])
+def test_an_empty_sequence_raises_one_documented_error(fn, empty):
+    with pytest.raises(ValueError, match=r"^empty sequence has no least rotation$"):
+        fn(empty)
+
+
 def test_wall_word_canonicalizes(c1):
     assert wall_word(c1, (5, 0)) == wall_word(c1, (0, 5)) == ((0, 5), 2)
     assert wall_word(c1, (6, 6)) == ((6, 6), 1)
