@@ -9,8 +9,7 @@ isomorphism type.
 
 from .bassserre import (GroupPresentation, IsoType, Unsimplified,
                         abelianization, fundamental_group, simplify)
-from .errors import (A2CentError, AmbiguousStrip, InvariantError,
-                     NotAWallWord, PresentationError)
+from .errors import A2CentError, InvariantError, NotAWallWord, PresentationError
 from .presentation import (BUILTIN_PRESENTATIONS, TrianglePresentation, load,
                            load_named, loads)
 from .quotient import (QuotientEdge, QuotientGraphOfGroups, QuotientVertex,
@@ -20,7 +19,7 @@ from .walls import canonical_rotation, minimal_period, wall_word
 from .words import FormalWord
 
 __all__ = [
-    "A2CentError", "AmbiguousStrip", "BUILTIN_PRESENTATIONS", "FormalWord",
+    "A2CentError", "BUILTIN_PRESENTATIONS", "FormalWord",
     "GroupPresentation", "InvariantError", "IsoType", "NotAWallWord",
     "PresentationError", "QuotientEdge", "QuotientGraphOfGroups",
     "QuotientVertex", "TrianglePresentation",

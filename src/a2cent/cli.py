@@ -5,9 +5,9 @@ missing, unreadable or malformed presentation file), 3 unsupported input (a
 command line the parser rejects, an unparsable word, a generator index out
 of range, not a wall word, a bad ``--length``, an ``--out`` path that
 cannot be written, or a failed write to standard output), 4 internal
-assertion (AmbiguousStrip or invariant violation).  Every command maps its
-errors to these codes in one place, ``_run``, and reports them as ``error:``
-lines on stderr; the parser reports a usage error the same way.
+assertion (InvariantError).  Every command maps its errors to these codes
+in one place, ``_run``, and reports them as ``error:`` lines on stderr;
+the parser reports a usage error the same way.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import sys
 import time
 
 from . import bassserre
-from .errors import AmbiguousStrip, InvariantError, NotAWallWord, PresentationError
+from .errors import InvariantError, NotAWallWord, PresentationError
 from .presentation import TrianglePresentation, load_named
 from .quotient import build_quotient, vertex_witnesses
 from .strips import anchored_readings, enumerate_periodic_strips, flip_shifts, strip_json
@@ -313,7 +313,7 @@ def _run(command, args) -> int:
     except (UnsupportedInput, NotAWallWord) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except (AmbiguousStrip, InvariantError) as exc:
+    except InvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

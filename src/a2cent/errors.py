@@ -30,23 +30,5 @@ class NotAWallWord(A2CentError):
         )
 
 
-class AmbiguousStrip(A2CentError):
-    """A lower triangle whose rows continue two ways over one window of the
-    strip walk.
-
-    In a building each lower triangle on a straight wall continues in
-    exactly one way (``strips`` module docstring), so no presentation that
-    ``load`` accepts raises it.  ``initial_triangle`` is the lower triangle
-    at the start of the window; it is never silently resolved.
-    """
-
-    def __init__(self, initial_triangle):
-        self.initial_triangle = initial_triangle
-        super().__init__(
-            f"the lower triangle {initial_triangle} continues two ways along the wall, "
-            f"which the link of a building rules out"
-        )
-
-
 class InvariantError(A2CentError):
     """An internal structural invariant failed; indicates a bug or bad input."""

@@ -65,11 +65,14 @@ class TrianglePresentation(Frozen):
     triangle (s, b, u), both rotations, so ``starting[s]`` lists its upper
     choices; the next lower triangle (a', s', u) is the rotation (u, a', s'),
     and (u, a') heads at most one, so ``starting[a']`` holds at most one
-    (s', u) for each u.  The strip walk chains its rows from ``starting``
-    alone: they are valid and their seams close by construction, and the
-    link's girth 6 keeps the opposite wall straight, so the walk checks
-    nothing against ``bent_pairs``.  Strips and walls read the tables
-    directly; ``straight`` adds the generator range check.
+    (s', u) for each u.  On a straight wall exactly one upper choice has
+    such a u, and no two starts reach one (s', u), as the link is a
+    projective plane (``strips`` module docstring).  The strip walk chains
+    its rows from ``starting`` alone: they are valid and their seams close
+    by construction, and the link's girth 6 keeps the opposite wall
+    straight, so the walk checks nothing against ``bent_pairs``.  Strips
+    and walls read the tables directly; ``straight`` adds the generator
+    range check.
     ``rotation_classes`` holds the canonical (least) rotation of each class.
     Equality and hashing read only ``generator_count``, ``rotation_classes``
     and ``thickness_q``: the tables follow from the first two.

@@ -23,42 +23,40 @@ rotation of the rows.  A wall closes at most one strip per start pair
 shifts of a strip and of its swap (the strip read from the opposite wall)
 that read off a canonical wall.
 
-In a building a lower triangle on a straight wall continues in exactly one
-way.  The vertex link is a projective plane (``presentation.load`` checks
-it), in which line i holds point j iff (i, j) heads a rotation.  Along a
-straight wall (a_k, a_{k+1}) heads none, so line a_k and point a_{k+1}
-are at distance 3.  Point s_k lies on line a_k, so s_k is not a_{k+1},
-and the two points lie on exactly one common line, u_k.  The pair
-(u_k, s_k) heads one rotation, (u_k, s_k, b_k), which fixes the upper
-triangle (s_k, b_k, u_k), and (u_k, a_{k+1}) heads one, (u_k, a_{k+1},
-s_{k+1}), which fixes the next lower triangle (a_{k+1}, s_{k+1}, u_k).
-u_k = a_k would be the fold, but line a_k misses point a_{k+1}.  So the
-walk from a start pair (s_0, t_0) is one path, and the strips at a wall of
-length n are the start pairs that their paths bring back after n letters.
+In a building each step of the walk is a permutation of the q+1 start
+pairs.  The vertex link is a projective plane (``presentation.load``
+checks it), in which line i holds point j iff (i, j) heads a rotation, and
+the start pairs (s_k, t_k) of a_k name the points s_k of line a_k, one
+each.  Along a straight wall (a_k, a_{k+1}) heads none, so line a_k
+misses point a_{k+1}, and s -> u, with u_k the one common line of s_k and
+a_{k+1}, maps the points of line a_k onto the lines through a_{k+1}: each
+of those meets line a_k in one point.  A row's upper choices (b, u) are
+``starting[s_k]``, whose lines u are the lines through s_k, so u_k is the
+one choice whose line holds a_{k+1}, and (u_k, s_k, b_k) fixes the upper
+triangle; the fold, u = a_k, is not that choice, as line a_k misses
+a_{k+1}.  And u -> s' is one-to-one: (u_k, a_{k+1}) heads one rotation,
+(u_k, a_{k+1}, s_{k+1}), which fixes the next lower triangle (a_{k+1},
+s_{k+1}, u_k) and its start pair (s_{k+1}, u_k), and ``starting[a_{k+1}]``
+holds it.  So the path from a start pair (s_0, t_0) never dies and never
+branches, and the strips at a wall of length n are the start pairs that
+their paths bring back after n letters.
 
 The walk follows each path WINDOW wall letters at a time; each
 presentation memoizes the one row chain of each start pair over a window
 of letters, built from ``presentation.starting`` alone, and a wall that
 passes the wall check has all its missing windows built before its walk
-starts, so the walk itself only looks them up.  A row's upper choices
-(b, u) are ``starting[s]`` but the fold b == t ((s, t) heads one rotation,
-(s, t, a), so b == t forces u == a), and its next lower triangle
-(a', s', u) is the rotation (u, a', s'), which the pair (u, a') heads at
-most once, so ``starting[a']`` gives at most one s' for u.  So every row of
-a closed walk is two relator rotations that do not fold, every seam
-closes, and the base wall is checked or straight by the memo.  The
-opposite wall b is straight too, so the walk checks nothing more: at
-w_{k+1} the upper triangles k, k+1 and the lower triangle k+1 make a path
-of length 3 in the vertex link that the fold rule and the straight base
-wall keep from backtracking, and a bent pair (b_k, b_{k+1}) would close it
-into a 4-cycle, which the link of a building, of girth 6, does not have.
-Off a building a window's rows can continue two ways from one start, and
-the walk raises AmbiguousStrip there (``load`` rejects every such link).
+starts, so the walk itself only looks them up.  Every row it chains is
+two relator rotations that do not fold, every seam closes, and the base
+wall is checked or straight by the memo.  The opposite wall b is straight
+too, so the walk checks nothing more: at w_{k+1} the upper triangles k,
+k+1 and the lower triangle k+1 make a path of length 3 in the vertex link
+that the fold rule and the straight base wall keep from backtracking, and
+a bent pair (b_k, b_{k+1}) would close it into a 4-cycle, which the link
+of a building, of girth 6, does not have.
 """
 
 from __future__ import annotations
 
-from .errors import AmbiguousStrip
 from .presentation import TrianglePresentation
 from .walls import check_wall_sequence
 
@@ -74,7 +72,7 @@ def swapped_rows(rows: tuple) -> tuple:
 
 def strip_json(rows: tuple) -> dict:
     """The strip's five label sequences, as lists keyed by their names."""
-    a, s, t, b, u = map(list, zip(*rows)) if rows else ([], [], [], [], [])
+    a, s, t, b, u = map(list, zip(*rows))
     return {"a": a, "s": s, "t": t, "b": b, "u": u}
 
 
@@ -98,13 +96,11 @@ def enumerate_periodic_strips(presentation: TrianglePresentation, wall) -> list[
     windows cover all its cyclic pairs, so a nonempty wall whose windows
     are all in the memo is straight and in range: the wall is checked only
     when a window is missing, with the same errors, and then every missing
-    window is built, all before the walk; off a building, a window whose
-    rows continue two ways from one start raises AmbiguousStrip there.
-    The paths start from the pairs of ``presentation.starting[a_0]``, in
-    that order; a path that leaves the memo closes nothing, and a path that
-    ends in its start pair after n letters closes a strip, whose rows are
-    then read off the windows once.  So the start pairs are distinct and
-    each names one strip at the wall.
+    window is built, all before the walk.  The paths start from the pairs
+    of ``presentation.starting[a_0]``, in that order, and a path that ends
+    in its start pair after n letters closes a strip, whose rows are then
+    read off the windows once.  So the start pairs are distinct and each
+    names one strip at the wall.
     """
     a = tuple(wall)
     ring = a + a[:1]
@@ -117,11 +113,8 @@ def enumerate_periodic_strips(presentation: TrianglePresentation, wall) -> list[
     closed = []
     for start in presentation.starting[a[0]]:
         end = start
-        try:
-            for steps in chain:
-                end = steps[end][1]
-        except KeyError:  # the path dies in a window
-            continue
+        for steps in chain:
+            end = steps[end][1]
         if end == start:
             rows = []
             for steps in chain:
@@ -134,11 +127,10 @@ def enumerate_periodic_strips(presentation: TrianglePresentation, wall) -> list[
 def _window_steps(presentation, window):
     """The memo entry of the window, built and kept on its first use: for
     each (s, t) with (window[0], s, t) a rotation, the (rows, (s', u)) of
-    its one row chain over the window's letters, left out where the chain
-    dies; ``afters[k][u]`` is the s' of the next lower triangle
-    (window[k + 1], s', u).  A start with two or more chains raises
-    AmbiguousStrip, naming its lower triangle, and keeps the window out of
-    the memo; the link of a building rules it out (module docstring)."""
+    its one row chain over the window's letters; ``afters[k][u]`` is the s'
+    of the next lower triangle (window[k + 1], s', u), and of the upper
+    choices (b, u) in ``starting[s]`` exactly one has its u there (module
+    docstring)."""
     steps = presentation._windows.get(window)
     if steps is not None:
         return steps
@@ -146,14 +138,12 @@ def _window_steps(presentation, window):
     afters = [{u: s_next for s_next, u in starting[a_next]} for a_next in window[1:]]
     steps = {}
     for start in starting[window[0]]:
-        walks = [((), start)]
+        rows, (sk, tk) = (), start
         for ak, after in zip(window, afters):
-            walks = [(rows + ((ak, sk, tk, b, u),), (after[u], u)) for rows, (sk, tk) in walks
-                     for b, u in starting[sk] if b != tk and u in after]
-        if len(walks) > 1:
-            raise AmbiguousStrip((window[0], *start))
-        if walks:
-            steps[start] = walks[0]
+            b, u = next((b, u) for b, u in starting[sk] if u in after)
+            rows += ((ak, sk, tk, b, u),)
+            sk, tk = after[u], u
+        steps[start] = (rows, (sk, tk))
     presentation._windows[window] = steps
     return steps
 

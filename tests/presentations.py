@@ -19,10 +19,10 @@ def rotation_set(presentation) -> frozenset:
 
 def unchecked(document) -> TrianglePresentation:
     """The presentation of a document built with the constructor, with no
-    check at all: the tables that ``load`` builds, for a document whose link
-    is no projective plane, which ``load`` rejects.  The walk and the
-    quotient on such a presentation are compared with their references,
-    but describe no building."""
+    check at all: the tables that ``load`` builds, also for a document whose
+    link is no projective plane, which ``load`` rejects.  The link-check
+    tests compare ``load``'s verdict with the link of these tables, and the
+    quotient runs on disjoint copies of c1, which are no building."""
     m = document["generators"]
     classes = frozenset(min(t, t[1:] + t[:1], t[2:] + t[:2])
                         for t in map(tuple, document["relators"]))
@@ -80,27 +80,6 @@ def relabelled_c1(seed):
 # a letter, and some primitive wall words keep quotients that do not simplify
 OTHER_Q2 = load({"generators": 7, "relators": [[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 4, 5],
                                                [2, 6, 4], [3, 5, 6], [4, 6, 5]]})
-
-# pair-unique with uniform q=2, but the link has girth 4, so load rejects
-# it: the rows over every straight window continue two ways from every
-# start, and the recursive search closes two strips from some starts
-NON_BUILDING = unchecked({"generators": 4,
-                          "relators": [[3, 0, 1], [3, 1, 2], [0, 2, 1], [3, 2, 0]]})
-
-# pair-unique with uniform q=2 and a link of girth 4, which load rejects,
-# on which the recursive search closes some walks whose opposite wall
-# bends; every wall through length 6 has a window whose rows branch
-OPPOSITE_BENDS = unchecked({"generators": 5,
-                            "relators": [[1, 0, 2], [4, 0, 4], [4, 3, 2], [2, 3, 1], [1, 3, 0]]})
-
-# pair-unique with uniform q=2 and a link of girth 4, which load rejects:
-# the rows over some windows continue two ways from one start, and at
-# the walls with no such window each start has one path, some of which
-# close with a bent opposite wall
-SOME_WALLS_BRANCH = unchecked({"generators": 6,
-                               "relators": [[0, 0, 1], [0, 3, 4], [1, 2, 2], [1, 4, 5], [2, 4, 3],
-                                            [3, 5, 5]]})
-
 
 # a q=4 building presentation (m = 21), the Singer-cyclic one of CMSZ
 # (Geom. Dedicata 47, 1993): the rotation classes of (x, x+b, x+f(b)) mod 21

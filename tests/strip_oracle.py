@@ -2,11 +2,11 @@
 their row tuples, as the package returns them: a strip's five label
 sequences and its shift, a strip check that runs every invariant one by
 one, a brute-force strip enumeration, the recursive strip search, the
-row chains over a window by brute force and the walk's outcome from those
-two, the edge key that names a strip orbit, a strip's anchored readings
-as whole rows, a grouping of the strips at one wall into wall-stabilizer
-classes, and the full scans over all n phases of five computations that
-the package runs over one period or cuts short.
+row chains over a window by brute force, the edge key that names a strip
+orbit, a strip's anchored readings as whole rows, a grouping of the
+strips at one wall into wall-stabilizer classes, and the full scans over
+all n phases of five computations that the package runs over one period
+or cuts short.
 
 The package checks no strip this way: its walk builds rows that are valid
 and seams that close, and on the link of a building, of girth 6, the
@@ -15,7 +15,7 @@ opposite wall is straight (``strips.enumerate_periodic_strips``)."""
 import functools
 import itertools
 
-from a2cent.errors import AmbiguousStrip, InvariantError, NotAWallWord
+from a2cent.errors import InvariantError, NotAWallWord
 from a2cent.presentation import TrianglePresentation
 from a2cent.strips import WINDOW, swapped_rows
 from a2cent.walls import canonical_rotation, check_wall_sequence, minimal_period
@@ -91,12 +91,13 @@ def oracle_enumerate(presentation: TrianglePresentation, wall) -> list[tuple]:
 
 
 # Reference: the recursive strip search, as it was before the strip walk
-# chained its rows window by window, and the walk's outcome from it.
+# chained its rows window by window.
 
-def reference_enumerate(presentation, wall, validate=True):
+def reference_enumerate(presentation, wall):
     """The strips at the wall by a recursive search, as (rows, (s_0, t_0))
-    pairs, each checked by ``validate_strip`` unless ``validate`` is
-    false."""
+    pairs, each checked by ``validate_strip``.  The search follows every
+    continuation, and asserts that each start closes at most one strip,
+    as the link of a building has each start continue in one way."""
     a = tuple(wall)
     check_wall_sequence(presentation, a)
     # completion[i][k] is the unique j with rotation (i, j, k)
@@ -107,11 +108,9 @@ def reference_enumerate(presentation, wall, validate=True):
     for (s0, t0) in presentation.starting[a[0]]:
         completions = []
         _reference_extend(presentation.starting, completion, a, 0, s0, t0, [], completions)
-        if len(completions) > 1:
-            raise AmbiguousStrip((a[0], s0, t0))
+        assert len(completions) <= 1, (a[0], s0, t0)
         if completions:
-            if validate:
-                validate_strip(presentation, completions[0])
+            validate_strip(presentation, completions[0])
             found.append((completions[0], (s0, t0)))
     return found
 
@@ -165,20 +164,6 @@ def window_keys(wall):
     each multiple of WINDOW, read cyclically, fewer at the end."""
     ring = wall + wall[:1]
     return [ring[k:k + WINDOW + 1] for k in range(0, len(wall), WINDOW)]
-
-
-def reference_walk(presentation, wall, validate=True):
-    """The outcome the strip walk must have, from the two references: at
-    the first of the wall's windows over which ``brute_window_steps`` finds
-    two chains from one start, AmbiguousStrip naming the first such lower
-    triangle; with no such window, ``reference_enumerate``."""
-    a = tuple(wall)
-    check_wall_sequence(presentation, a)
-    for window in window_keys(a):
-        for start, chains in brute_window_steps(presentation, window).items():
-            if len(chains) > 1:
-                raise AmbiguousStrip((window[0], *start))
-    return reference_enumerate(presentation, a, validate)
 
 
 def canonical_edge_key(rows):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from a2cent import cli
 from a2cent.cli import (EXIT_INTERNAL, EXIT_OK, EXIT_UNSUPPORTED, EXIT_VALIDATION,
                         _discard_stdout, main, run_centralizer, structured_report)
-from a2cent.errors import AmbiguousStrip, InvariantError
+from a2cent.errors import InvariantError
 from a2cent.presentation import BUILTIN_PRESENTATIONS, load_named
 from a2cent.quotient import QuotientGraphOfGroups
 from a2cent.strips import enumerate_periodic_strips, strip_json
@@ -333,9 +333,8 @@ def test_discarding_stdout_closes_the_descriptor_it_opens(tmp_path, monkeypatch)
         assert lowest_free() == before
 
 
-@pytest.mark.parametrize("error", [AmbiguousStrip((0, 1, 2)),
-                                   InvariantError("relation mentions undeclared generator h_(9)")],
-                         ids=["ambiguous_strip", "invariant_error"])
+@pytest.mark.parametrize("error", [InvariantError("relation mentions undeclared generator h_(9)")],
+                         ids=["invariant_error"])
 def test_internal_error_exits_4_with_one_line(capsys, monkeypatch, error):
     """An internal assertion in a command, which no presentation is known
     to raise, exits 4 with one ``internal error:`` line and no output."""

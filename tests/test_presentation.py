@@ -5,11 +5,11 @@ import re
 import pytest
 
 from a2cent import strips
-from a2cent.errors import AmbiguousStrip, PresentationError
+from a2cent.errors import PresentationError
 from a2cent.presentation import (BUILTIN_PRESENTATIONS, _canonical_class, _rotations, load,
                                  load_named, loads)
-from presentations import (NON_BUILDING, OPPOSITE_BENDS, OTHER_Q2, SINGER_Q4, SOME_WALLS_BRANCH,
-                           link_stats, relabelled_c1, rotation_set, unchecked)
+from presentations import (OTHER_Q2, SINGER_Q4, link_stats, relabelled_c1, rotation_set,
+                           unchecked)
 from strip_oracle import brute_window_steps
 
 
@@ -89,40 +89,20 @@ def straight_windows(pres, length):
 
 def check_window_steps(pres, windows):
     """On every window ``brute_window_steps`` finds exactly one row chain
-    from each start, and ``strips._window_steps`` holds that chain and the
-    pair it ends in; returns the number of windows and of the chains over
-    them."""
+    from each start, ``strips._window_steps`` holds that chain and the
+    pair it ends in, and the end pairs are the start pairs of the window's
+    last letter, each reached once: the walk permutes the start pairs.
+    Returns the number of windows and of the chains over them."""
     chains = 0
     for window in windows:
         brute = brute_window_steps(pres, window)
         assert all(len(entry) == 1 for entry in brute.values()), window
         steps = strips._window_steps(pres, window)
         assert steps == {start: entry[0] for start, entry in brute.items()}, window
+        ends = sorted(end for _rows, end in steps.values())
+        assert ends == list(pres.starting[window[-1]]), window
         chains += len(steps)
     return len(windows), chains
-
-
-def check_branching_window_steps(pres, windows):
-    """Where ``brute_window_steps`` finds two row chains from a start over a
-    window, ``strips._window_steps`` raises AmbiguousStrip naming the first
-    such lower triangle and keeps the window out of the memo; elsewhere it
-    holds the one chain of each start that has one.  Returns the numbers of
-    windows, of those that branch and of the chains held."""
-    branching = chains = 0
-    for window in windows:
-        brute = brute_window_steps(pres, window)
-        two = [start for start, entry in brute.items() if len(entry) > 1]
-        if two:
-            with pytest.raises(AmbiguousStrip) as exc:
-                strips._window_steps(pres, window)
-            assert exc.value.initial_triangle == (window[0], *two[0]), window
-            assert window not in pres._windows
-            branching += 1
-            continue
-        steps = strips._window_steps(pres, window)
-        assert steps == {start: entry[0] for start, entry in brute.items() if entry}, window
-        chains += len(steps)
-    return len(windows), branching, chains
 
 
 def sampled_windows(pres, seed=25, count=60):
@@ -160,35 +140,16 @@ def test_singer_q4_is_a_building_of_thickness_4():
     assert link_stats(SINGER_Q4.starting) == (42, {5}, 6, 3)
 
 
-def test_strip_tables_of_a_non_building():
-    """Off a building the rows over a window can continue two ways from one
-    start: on every straight 2-letter window and a sample of longer ones of
-    fresh copies of two non-building presentations, the memo entry against
-    its brute force; the numbers of windows, of those that branch and of
-    the chains held."""
-    counts = {}
-    for name, pres in [("non_building", NON_BUILDING), ("some_walls_branch", SOME_WALLS_BRANCH)]:
-        pres = unchecked(pres.to_document())
-        counts[name] = check_branching_window_steps(pres, sampled_windows(pres))
-    assert counts == {"non_building": (12, 12, 0), "some_walls_branch": (132, 42, 167)}
-
-
-@pytest.mark.parametrize("pres, check, expected", [
-    (relabelled_c1(20111), check_window_steps, (148, 444)),
-    (OTHER_Q2, check_window_steps, (148, 444)),
-    (OPPOSITE_BENDS, check_branching_window_steps, (70, 70, 0)),
-    (SINGER_Q4, check_window_steps, (456, 2280)),
-], ids=["relabelled_c1", "other_q2", "opposite_bends", "singer_q4"])
-def test_strip_tables_of_the_test_presentations(pres, check, expected):
-    """The fold test b == t of the strip walk drops exactly the rows with
-    (b, u) == (t, a), as (s, t) heads one rotation, and ``starting[a']``
-    finds the one next lower triangle: over every straight 2-letter window
-    and a sample of longer ones, on the buildings each start has one chain,
-    which the memo holds (the numbers of windows and chains); on
-    OPPOSITE_BENDS, which is no building, every window branches, raises
-    AmbiguousStrip and stays out of the memo (the numbers of windows, of
-    those that branch and of the chains held)."""
-    assert check(pres, sampled_windows(pres)) == expected
+@pytest.mark.parametrize("pres, expected", [
+    (relabelled_c1(20111), (148, 444)),
+    (OTHER_Q2, (148, 444)),
+    (SINGER_Q4, (456, 2280)),
+], ids=["relabelled_c1", "other_q2", "singer_q4"])
+def test_strip_tables_of_the_test_presentations(pres, expected):
+    """Over every straight 2-letter window and a sample of longer ones, each
+    start has one chain, which the memo holds, and the chains permute the
+    start pairs: the numbers of windows and chains."""
+    assert check_window_steps(pres, sampled_windows(pres)) == expected
 
 
 def copies_of_c1(k):
@@ -477,6 +438,10 @@ def test_counting_equals_bfs_on_the_lenient_documents():
     assert not check_counting_equals_bfs(_doc([[0, 0, 1], [0, 2, 2], [1, 1, 2]], m=3))
     assert not check_counting_equals_bfs(_doc([[3, 0, 1], [3, 1, 2], [0, 2, 1], [3, 2, 0]],
                                               m=4))
+    assert not check_counting_equals_bfs(_doc([[1, 0, 2], [4, 0, 4], [4, 3, 2], [2, 3, 1],
+                                               [1, 3, 0]], m=5))
+    assert not check_counting_equals_bfs(_doc([[0, 0, 1], [0, 3, 4], [1, 2, 2], [1, 4, 5],
+                                               [2, 4, 3], [3, 5, 5]], m=6))
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])

@@ -2,7 +2,6 @@ import gc
 import hashlib
 import json
 import tracemalloc
-from collections import Counter
 from math import gcd
 
 import pytest
@@ -10,16 +9,15 @@ import pytest
 from a2cent import quotient
 from a2cent.bassserre import IsoType, fundamental_group, simplify
 from a2cent.cli import structured_report
-from a2cent.errors import AmbiguousStrip, NotAWallWord
+from a2cent.errors import NotAWallWord
 from a2cent.presentation import BUILTIN_PRESENTATIONS, load_named
 from a2cent.quotient import build_quotient, vertex_witnesses
 from a2cent.strips import enumerate_periodic_strips
 from a2cent.walls import minimal_period, wall_necklaces
 from a2cent.words import FormalWord, inverse_letters
-from presentations import (NON_BUILDING, OTHER_Q2, SINGER_Q4, SOME_WALLS_BRANCH, deep_walls,
-                           relabelled_c1, unchecked)
+from presentations import OTHER_Q2, SINGER_Q4, deep_walls, relabelled_c1, unchecked
 from strip_oracle import (full_scan_flip_shifts, full_scan_median_display_label,
-                          full_scan_minimal_period, reference_walk)
+                          full_scan_minimal_period)
 
 C1 = load_named("c1")
 
@@ -153,35 +151,6 @@ def test_graph_invariants_through_length_6(pres):
     for n in range(1, 7):
         for word in wall_necklaces(pres, n):
             check_graph_invariants(pres, word)
-
-
-def test_quotient_outcomes_where_strips_branch(monkeypatch):
-    """On fresh copies of two non-building presentations, build_quotient at
-    every wall necklace of length 1-6 has the outcome it has with the
-    recursive reference in place of the walk (``reference_walk``,
-    unchecked): the same structured graph, or the same error, where a wall
-    it reaches has a window whose rows branch (AmbiguousStrip) or where an
-    opposite wall bends (NotAWallWord).  The numbers of each outcome."""
-    def outcome(pres, word):
-        try:
-            return json.dumps(build_quotient(pres, word).to_json(), sort_keys=True)
-        except (AmbiguousStrip, NotAWallWord) as exc:
-            return type(exc).__name__, exc.args
-
-    def outcomes(pres):
-        pres = unchecked(pres.to_document())
-        return [outcome(pres, word) for n in range(1, 7) for word in wall_necklaces(pres, n)]
-
-    counts = {}
-    for name, pres in [("non_building", NON_BUILDING), ("some_walls_branch", SOME_WALLS_BRANCH)]:
-        got = outcomes(pres)
-        with monkeypatch.context() as patch:
-            patch.setattr(quotient, "enumerate_periodic_strips",
-                          lambda presentation, wall: reference_walk(presentation, wall, False))
-            assert got == outcomes(pres), name
-        counts[name] = Counter(out[0] if isinstance(out, tuple) else "graph" for out in got)
-    assert counts == {"non_building": {"AmbiguousStrip": 24},
-                      "some_walls_branch": {"AmbiguousStrip": 157, "NotAWallWord": 19, "graph": 52}}
 
 
 def test_translation_keeps_the_signature_on_singer_q4():

@@ -4,18 +4,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from a2cent.errors import AmbiguousStrip, InvariantError, NotAWallWord
+from a2cent.errors import InvariantError, NotAWallWord
 from a2cent.presentation import load_named
 from a2cent.quotient import build_quotient
 from a2cent.strips import (WINDOW, anchored_readings, enumerate_periodic_strips, flip_shifts,
                            strip_json, swapped_rows)
 from a2cent.walls import (check_wall_sequence, least_rotation, minimal_period, wall_necklaces,
                           wall_word)
-from presentations import (NON_BUILDING, OPPOSITE_BENDS, OTHER_Q2, SINGER_Q4, SOME_WALLS_BRANCH,
-                           relabelled_c1, unchecked)
+from presentations import OTHER_Q2, SINGER_Q4, relabelled_c1
 from strip_oracle import (canonical_edge_key, columns, full_scan_flip_shifts,
                           full_scan_least_rotation, full_scan_wall_word, group_by_wall_shifts,
-                          oracle_enumerate, reference_enumerate, reference_walk,
+                          oracle_enumerate, reference_enumerate,
                           row_anchored_readings, shift, validate_strip, window_keys)
 
 C1 = load_named("c1")
@@ -98,7 +97,6 @@ def test_edge_key_invariant_under_shift_and_swap(s):
 def test_empty_strip_has_no_period():
     with pytest.raises(ValueError, match="empty sequence"):
         minimal_period(())
-    assert strip_json(()) == {"a": [], "s": [], "t": [], "b": [], "u": []}
 
 
 def test_flip_shifts_examples():
@@ -289,19 +287,19 @@ def outcome(fn, *args):
     """fn(*args), or the type, arguments and message of what it raised."""
     try:
         return fn(*args)
-    except (AmbiguousStrip, IndexError, InvariantError, NotAWallWord, ValueError) as exc:
+    except (IndexError, InvariantError, NotAWallWord, ValueError) as exc:
         return (type(exc), exc.args, str(exc))
 
 
-def check_enumerate_equals_reference(presentation, walls, validate=True):
+def check_enumerate_equals_reference(presentation, walls):
     """Same strips with the same start pairs in the same order (or the same
-    exception) as ``reference_walk`` at every rotation of every wall."""
+    exception) as ``reference_enumerate`` at every rotation of every wall."""
     outcomes = []
     for wall in walls:
         for r in range(len(wall)):
             rotated = wall[r:] + wall[:r]
             got = outcome(enumerate_periodic_strips, presentation, rotated)
-            assert got == outcome(reference_walk, presentation, rotated, validate), rotated
+            assert got == outcome(reference_enumerate, presentation, rotated), rotated
             outcomes.append(got)
     return outcomes
 
@@ -328,84 +326,27 @@ def test_enumerate_equals_reference_on_other_q2():
     assert sum(len(found) for found in outcomes) > 1000
 
 
-def test_enumerate_equals_reference_where_strips_branch():
-    """On fresh copies of two non-building presentations, whose memos start
-    empty, at every rotation of every wall necklace of length 1-6: where a
-    window's rows continue two ways from one start, the walk raises
-    AmbiguousStrip naming that lower triangle, and elsewhere it returns the
-    strips of the recursive search; the numbers of walls that raised and of
-    those that returned strips."""
-    counts = {}
-    for name, pres in [("non_building", NON_BUILDING), ("some_walls_branch", SOME_WALLS_BRANCH)]:
-        pres = unchecked(pres.to_document())
-        assert not pres._windows
-        outcomes = check_enumerate_equals_reference(pres, walls_through(pres, 6), validate=False)
-        counts[name] = (sum(isinstance(got, tuple) and got[0] is AmbiguousStrip
-                            for got in outcomes),
-                        sum(isinstance(got, list) and bool(got) for got in outcomes))
-    assert counts == {"non_building": (84, 0), "some_walls_branch": (665, 205)}
-
-
-def test_enumerate_equals_the_unchecked_search_where_the_opposite_wall_bends():
-    """On a girth-4 presentation, which load rejects, a closed walk can
-    bend on its opposite wall, which the link of a building rules out.  At
-    every rotation of every wall necklace of length 1-6 the walk returns
-    the closed walks of the recursive search, unchecked, or raises the
-    AmbiguousStrip of ``reference_walk``; the numbers of each outcome, and
-    of returned strips whose opposite wall bends.  Every wall of
-    OPPOSITE_BENDS raises."""
-    counts = {}
-    for name, pres in [("opposite_bends", OPPOSITE_BENDS),
-                       ("some_walls_branch", SOME_WALLS_BRANCH)]:
-        pres = unchecked(pres.to_document())
-        outcomes = check_enumerate_equals_reference(pres, walls_through(pres, 6), validate=False)
-        ambiguous = [got for got in outcomes if isinstance(got, tuple)]
-        strips = [rows for got in outcomes if isinstance(got, list) for rows, _start in got]
-        bends = [rows for rows in strips if any((row[3], after[3]) in pres.bent_pairs
-                                                for row, after in zip(rows, shift(rows, 1)))]
-        counts[name] = (len(outcomes), len(ambiguous), len(strips), len(bends))
-    assert counts == {"opposite_bends": (192, 192, 0, 0),
-                      "some_walls_branch": (1191, 665, 250, 108)}
-
-
 def check_walk_contract(presentation, walls):
     """At every wall, the walk returns each strip with its start pair
-    rows[0][1:3], the start pairs are distinct and come in the order of the
-    initial triangles; or it raises the AmbiguousStrip of ``reference_walk``.
-    Returns the number of strips and, by the lower triangle named, the
-    walls that raised."""
-    strips, raised = 0, {}
+    rows[0][1:3], and the start pairs are distinct and come in the order of
+    the initial triangles.  Returns the number of strips."""
+    strips = 0
     for wall in walls:
-        try:
-            found = enumerate_periodic_strips(presentation, wall)
-        except AmbiguousStrip as exc:
-            assert exc.args == (f"the lower triangle {exc.initial_triangle} continues two ways "
-                                f"along the wall, which the link of a building rules out",)
-            assert outcome(reference_walk, presentation, wall, False) == \
-                (AmbiguousStrip, exc.args, str(exc)), wall
-            raised.setdefault(exc.initial_triangle, []).append(wall)
-            continue
+        found = enumerate_periodic_strips(presentation, wall)
         starts = [start for _rows, start in found]
         assert starts == [rows[0][1:3] for rows, _start in found], wall
         assert starts == [pair for pair in presentation.starting[wall[0]] if pair in starts], wall
         assert len(set(starts)) == len(starts), wall
         strips += len(found)
-    return strips, raised
+    return strips
 
 
 @pytest.mark.parametrize("pres, expected", [
-    (C1, (1120, {})),
-    (relabelled_c1(20111), (1120, {})),
-    (OTHER_Q2, (1127, {})),
-    # a fresh copy, whose memo starts empty: the walls are x^k, 1 <= k <= 6,
-    # and the rows over every window branch from every start, so each names
-    # the first start of x
-    (None, (0, {triangle: [(triangle[0],) * k for k in range(1, 7)]
-                for triangle in [(0, 1, 3), (1, 0, 2), (2, 0, 3), (3, 0, 1)]})),
-], ids=["c1", "relabelled_c1", "other_q2", "non_building"])
+    (C1, 1120),
+    (relabelled_c1(20111), 1120),
+    (OTHER_Q2, 1127),
+], ids=["c1", "relabelled_c1", "other_q2"])
 def test_walk_returns_each_strip_with_its_start_pair(pres, expected):
-    if pres is None:
-        pres = unchecked(NON_BUILDING.to_document())
     assert check_walk_contract(pres, walls_through(pres, 6)) == expected
 
 
@@ -611,16 +552,13 @@ def check_strip_facts(presentation, walls):
     """At every rotation of every wall: the strips come sorted by rows, each
     wall-stabilizer class has period // wall_period members sharing one edge
     key, and each flip strip has an odd period p and least flip shift
-    (p - 1) // 2.  Walls with an ambiguous strip are skipped.  Returns the
-    numbers of walls, strips and flip strips checked."""
+    (p - 1) // 2.  Returns the numbers of walls, strips and flip strips
+    checked."""
     walls_seen = strips_seen = flips_seen = 0
     for wall in walls:
         for r in range(len(wall)):
             rotated = wall[r:] + wall[:r]
-            try:
-                strips = strip_rows(presentation, rotated)
-            except AmbiguousStrip:
-                continue
+            strips = strip_rows(presentation, rotated)
             walls_seen += 1
             strips_seen += len(strips)
             assert strips == sorted(strips), rotated
@@ -648,13 +586,6 @@ def test_strip_facts_on_relabelled_c1():
         == (5678, 6126, 76)
 
 
-def test_strip_facts_where_strips_branch():
-    """The walls whose windows do not branch, and their strips, are those
-    of ``reference_walk`` (test_enumerate_equals_reference_where_strips_branch)."""
-    walls = walls_through(SOME_WALLS_BRANCH, 6)
-    assert check_strip_facts(SOME_WALLS_BRANCH, walls) == (526, 250, 42)
-
-
 def check_anchored_readings(presentation, walls):
     """For every strip S at every canonical wall W, with B the canonical
     rotation of S's opposite wall: the reference readings of S (the rows of
@@ -664,8 +595,6 @@ def check_anchored_readings(presentation, walls):
     are the first lower triangles of those readings, in order, and each
     names exactly that one strip among those enumerated at its wall (W for
     the shifts, B for the swaps); and S has a flip shift only if B is W.
-    Walls W with an ambiguous strip are skipped, and so are the strips S
-    whose B bends or has an ambiguous strip, which a building rules out.
     Returns the numbers of strips checked and of those with both walls on
     one necklace."""
     enumerated = {}
@@ -677,17 +606,9 @@ def check_anchored_readings(presentation, walls):
 
     checked = one_necklace = 0
     for wall in walls:
-        try:
-            strips = strips_at(wall)
-        except AmbiguousStrip:
-            continue
-        for s in strips:
+        for s in strips_at(wall):
             pe = minimal_period(s)
             canon_b, dd, p_b = least_rotation(columns(s)[3])
-            try:
-                strips_at(canon_b)
-            except (AmbiguousStrip, NotAWallWord):
-                continue
             flips = flip_shifts(s, pe)
             assert not flips or canon_b == wall, (wall, s)
             args = (minimal_period(wall),) if flips else (minimal_period(wall), (dd, p_b))
@@ -713,8 +634,7 @@ def check_anchored_readings(presentation, walls):
     (C1, (1120, 22)),
     (relabelled_c1(20111), (1120, 22)),
     (OTHER_Q2, (1127, 22)),
-    (SOME_WALLS_BRANCH, (18, 18)),
-], ids=["c1", "relabelled_c1", "other_q2", "non_building"])
+], ids=["c1", "relabelled_c1", "other_q2"])
 def test_anchored_readings_are_the_enumerated_orbit(pres, expected):
     walls = walls_through(pres, 6)
     assert check_anchored_readings(pres, walls) == expected
